@@ -62,7 +62,6 @@ from .models import (
     save_params,
 )
 from .selection import (
-    SelectionScores,
     score_de,
     score_mcdo,
     score_sat,

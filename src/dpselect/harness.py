@@ -8,7 +8,12 @@ requested methods need and evaluates every method into its own directory::
         curves.csv      coverage, accuracy, bound, gap
         metrics.json    a_full, auc, normalized_score, coverage_at
         privacy.json    realized accounting for everything trained here
-        checkpoints/    parameters and checkpoint logs
+
+Each training run saves its parameters and checkpoint log in a
+``checkpoints/`` directory: ``base/`` holds the run shared by sr, mcdo and
+sctd, and ``sat/``, ``de/member_<m>/`` and ``sn/c_<tag>/`` the others.
+Selective nets emit the files above once per coverage target, in
+``sn/c_<tag>/``, plus ``sn/metrics.json`` and ``sn/privacy.json``.
 
 ``metrics.json`` doubles as the cell's completion marker: re-running an
 unchanged config skips every completed method, so a finished sweep performs
@@ -51,8 +56,6 @@ from .trainer import PrivacyConfig, TrainConfig
 
 CONFIG_VERSION = 1
 
-KNOWN_METHODS = ("sr", "mcdo", "sctd", "sat", "de", "sn")
-
 _METHOD_DEFAULTS: dict[str, dict] = {
     "sr": {},
     "mcdo": {"passes": 20, "dropout_rate": None},
@@ -66,6 +69,7 @@ _METHOD_DEFAULTS: dict[str, dict] = {
         "native_score": False,
     },
 }
+KNOWN_METHODS = tuple(_METHOD_DEFAULTS)
 
 _BLOCK_DEFAULTS: dict[str, dict] = {
     "model": {"hidden_sizes": [64], "dropout_rate": 0.1},
@@ -108,7 +112,7 @@ def parse_epsilon(value) -> float:
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
         return math.inf
     eps = float(value)
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValueError("epsilon must be positive")
     return eps
 
@@ -259,13 +263,21 @@ def _privacy_cfg(raw: dict, eps: float, delta: float, sigma=None) -> PrivacyConf
     )
 
 
+def _train_run(raw, data, test, spec, loss, eps, delta, seed, sigma=None) -> trainer.TrainResult:
+    """One training run under the ``training`` and ``privacy`` blocks of ``raw``."""
+    train_cfg, privacy = _train_cfg(raw, loss, seed), _privacy_cfg(raw, eps, delta, sigma)
+    return trainer.train(data, spec, train_cfg, privacy, eval_set=test)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _save_run(directory: Path, result: trainer.TrainResult, spec: ModelSpec) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     models.save_params(result.params, spec, directory / "params.json")
     trainer.save_checkpoint_log(result.log, directory / "log")
-    (directory / "privacy.json").write_text(
-        json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(directory / "privacy.json", result.report.to_dict())
 
 
 def _emit_method(
@@ -285,12 +297,30 @@ def _emit_method(
         method_dir / "scores.csv", method, scores, predicted, true_labels
     )
     evaluation.write_curve_csv(curve, method_dir / "curves.csv")
-    (method_dir / "privacy.json").write_text(
-        json.dumps(privacy_payload, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(method_dir / "privacy.json", privacy_payload)
     metrics = evaluation.curve_metrics(curve, tuple(accuracy_refs))
     evaluation.write_metrics_json(metrics, method_dir / "metrics.json")
     return metrics
+
+
+def _score_mcdo(cell: "_Cell", result: trainer.TrainResult, spec: ModelSpec, settings: dict):
+    return selection.score_mcdo(
+        result.params,
+        spec,
+        cell.test_data.features,
+        passes=int(settings["passes"]),
+        seed=derive_seed(cell.seed, _SEED_BASE_RUN, 1),
+        dropout_rate=settings.get("dropout_rate"),
+    )
+
+
+# Methods that only post-process the cell's shared base run, each as a
+# scorer (cell, base result, base spec, settings) -> per-point scores.
+_BASE_SCORERS = {
+    "sr": lambda cell, result, spec, s: selection.score_sr(result.log.final_probs),
+    "mcdo": _score_mcdo,
+    "sctd": lambda cell, result, spec, s: selection.score_sctd(result.log, float(s["k"])),
+}
 
 
 class _Cell:
@@ -305,180 +335,103 @@ class _Cell:
         delta = self.raw["privacy"]["delta"]
         self.delta = float(delta) if delta else 1.0 / len(self.train_data)
         self.refs = self.raw.get("accuracy_refs", ())
-        self._base: trainer.TrainResult | None = None
-        self._base_spec: ModelSpec | None = None
+        self._base: tuple[trainer.TrainResult, ModelSpec] | None = None
 
-    def _target_payload(self, report_dict: dict) -> dict:
-        return {
-            "target_epsilon": epsilon_tag(self.eps),
-            "delta": self.delta,
-            "report": report_dict,
-        }
+    def _train(
+        self, subdir: str, loss: LossSpec, seed: int, sigma=None, **heads
+    ) -> tuple[trainer.TrainResult, ModelSpec]:
+        """Train one run of this cell and save it under ``subdir/checkpoints``."""
+        spec = _model_spec(self.raw, self.train_data, **heads)
+        result = _train_run(
+            self.raw, self.train_data, self.test_data, spec, loss,
+            self.eps, self.delta, seed, sigma,
+        )
+        _save_run(self.cell_dir / subdir / "checkpoints", result, spec)
+        return result, spec
+
+    def _emit(self, subdir: str, method: str, scores, predicted, payload: dict) -> dict:
+        labels, refs = self.test_data.labels, self.refs
+        return _emit_method(self.cell_dir / subdir, method, scores, predicted, labels, refs, payload)
+
+    def _emit_run(self, method: str, scores, result: trainer.TrainResult) -> dict:
+        """Emit a method that scores one run, with that run's realized account."""
+        report = result.report.to_dict()
+        payload = {"target_epsilon": epsilon_tag(self.eps), "delta": self.delta, "report": report}
+        return self._emit(method, method, scores, result.log.predictions[-1], payload)
+
+    def _class_scores(self, result: trainer.TrainResult, settings: dict, native, head):
+        """``native(head)`` when ``native_score`` is set, else class-portion SR."""
+        if settings["native_score"]:
+            return native(head)
+        return selection.score_sr_of(result.log.final_probs, self.test_data.num_classes)
 
     def base_run(self) -> tuple[trainer.TrainResult, ModelSpec]:
         if self._base is None:
-            spec = _model_spec(self.raw, self.train_data)
-            result = trainer.train(
-                self.train_data,
-                spec,
-                _train_cfg(self.raw, cross_entropy_loss(), derive_seed(self.seed, _SEED_BASE_RUN)),
-                _privacy_cfg(self.raw, self.eps, self.delta),
-                eval_set=self.test_data,
-            )
-            _save_run(self.cell_dir / "base" / "checkpoints", result, spec)
-            self._base, self._base_spec = result, spec
-        return self._base, self._base_spec
+            seed = derive_seed(self.seed, _SEED_BASE_RUN)
+            self._base = self._train("base", cross_entropy_loss(), seed)
+        return self._base
 
     # -- methods ------------------------------------------------------------
 
     def run_method(self, method: str, settings: dict) -> dict:
-        handler = getattr(self, f"_run_{method}")
-        return handler(settings)
-
-    def _base_scored(self, method: str, scores: np.ndarray) -> dict:
-        result, _ = self.base_run()
-        predicted = result.log.predictions[-1]
-        return _emit_method(
-            self.cell_dir / method,
-            method,
-            scores,
-            predicted,
-            self.test_data.labels,
-            self.refs,
-            self._target_payload(result.report.to_dict()),
-        )
-
-    def _run_sr(self, settings: dict) -> dict:
-        result, _ = self.base_run()
-        return self._base_scored("sr", selection.score_sr(result.log.final_probs))
-
-    def _run_sctd(self, settings: dict) -> dict:
-        result, _ = self.base_run()
-        return self._base_scored("sctd", selection.score_sctd(result.log, float(settings["k"])))
-
-    def _run_mcdo(self, settings: dict) -> dict:
+        scorer = _BASE_SCORERS.get(method)
+        if scorer is None:
+            return getattr(self, f"_run_{method}")(settings)
         result, spec = self.base_run()
-        scores = selection.score_mcdo(
-            result.params,
-            spec,
-            self.test_data.features,
-            passes=int(settings["passes"]),
-            seed=derive_seed(self.seed, _SEED_BASE_RUN, 1),
-            dropout_rate=settings.get("dropout_rate"),
-        )
-        return self._base_scored("mcdo", scores)
+        return self._emit_run(method, scorer(self, result, spec, settings), result)
 
     def _run_sat(self, settings: dict) -> dict:
-        spec = _model_spec(self.raw, self.train_data, abstention=True)
         loss = sat_loss(float(settings["momentum"]), int(settings["burn_in_epochs"]))
-        result = trainer.train(
-            self.train_data,
-            spec,
-            _train_cfg(self.raw, loss, derive_seed(self.seed, _SEED_SAT_RUN)),
-            _privacy_cfg(self.raw, self.eps, self.delta),
-            eval_set=self.test_data,
-        )
-        _save_run(self.cell_dir / "sat" / "checkpoints", result, spec)
-        if settings["native_score"]:
-            scores = selection.score_sat(result.log.final_probs)
-        else:
-            scores = selection.score_sr_of(
-                result.log.final_probs, self.test_data.num_classes
-            )
-        return _emit_method(
-            self.cell_dir / "sat",
-            "sat",
-            scores,
-            result.log.predictions[-1],
-            self.test_data.labels,
-            self.refs,
-            self._target_payload(result.report.to_dict()),
-        )
+        result, _ = self._train("sat", loss, derive_seed(self.seed, _SEED_SAT_RUN), abstention=True)
+        scores = self._class_scores(result, settings, selection.score_sat, result.log.final_probs)
+        return self._emit_run("sat", scores, result)
 
     def _ensemble_sigma(self, n_runs: int):
         """Shared noise level plus its accounting payload for n_runs runs."""
         if math.isinf(self.eps):
             return None, {"target_epsilon": "inf", "n_runs": n_runs}
-        steps = int(self.raw["training"]["steps"])
+        privacy = _privacy_cfg(self.raw, self.eps, self.delta)
         bs = accountant.split_budget(
-            self.eps, self.delta, n_runs, float(self.raw["privacy"]["sampling_rate"]), steps
+            self.eps, self.delta, n_runs, privacy.sampling_rate, privacy.steps
         )
-        payload = {"target_epsilon": epsilon_tag(self.eps), "split": bs.to_dict()}
-        return bs.sigma, payload
+        return bs.sigma, {"target_epsilon": epsilon_tag(self.eps), "split": bs.to_dict()}
 
     def _run_de(self, settings: dict) -> dict:
-        members = int(settings["members"])
+        members, ce = int(settings["members"]), cross_entropy_loss()
         sigma, payload = self._ensemble_sigma(members)
-        probs = []
-        reports = []
-        for m in range(members):
-            spec = _model_spec(self.raw, self.train_data)
-            result = trainer.train(
-                self.train_data,
-                spec,
-                _train_cfg(self.raw, cross_entropy_loss(), derive_seed(self.seed, _SEED_DE_RUN, m)),
-                _privacy_cfg(self.raw, self.eps, self.delta, sigma=sigma),
-                eval_set=self.test_data,
-            )
-            _save_run(self.cell_dir / "de" / f"member_{m}" / "checkpoints", result, spec)
-            probs.append(result.log.final_probs)
-            reports.append(result.report.to_dict())
-        payload["member_reports"] = reports
-        member_probs = np.stack(probs)
-        mean_probs = member_probs.mean(axis=0)
-        predicted = np.argmax(mean_probs, axis=1)
-        return _emit_method(
-            self.cell_dir / "de",
-            "de",
-            selection.score_de(member_probs),
-            predicted,
-            self.test_data.labels,
-            self.refs,
-            payload,
-        )
+        runs = [
+            self._train(f"de/member_{m}", ce, derive_seed(self.seed, _SEED_DE_RUN, m), sigma)[0]
+            for m in range(members)
+        ]
+        payload["member_reports"] = [result.report.to_dict() for result in runs]
+        member_probs = np.stack([result.log.final_probs for result in runs])
+        predicted = np.argmax(member_probs.mean(axis=0), axis=1)
+        return self._emit("de", "de", selection.score_de(member_probs), predicted, payload)
 
     def _run_sn(self, settings: dict) -> dict:
         c_targets = [float(c) for c in settings["c_targets"]]
         sigma, payload = self._ensemble_sigma(len(c_targets))
         payload["c_targets"] = c_targets
-        reports = {}
-        per_target = {}
+        reports, per_target = {}, {}
         for i, c_target in enumerate(c_targets):
             tag = f"{c_target:g}"
-            spec = _model_spec(self.raw, self.train_data, selective=True)
             loss = selectivenet_loss(c_target, float(settings["lam"]), float(settings["alpha"]))
-            result = trainer.train(
-                self.train_data,
-                spec,
-                _train_cfg(self.raw, loss, derive_seed(self.seed, _SEED_SN_RUN, i)),
-                _privacy_cfg(self.raw, self.eps, self.delta, sigma=sigma),
-                eval_set=self.test_data,
+            result, _ = self._train(
+                f"sn/c_{tag}", loss, derive_seed(self.seed, _SEED_SN_RUN, i), sigma,
+                selective=True,
             )
-            sub = self.cell_dir / "sn" / f"c_{tag}"
-            _save_run(sub / "checkpoints", result, spec)
             reports[tag] = result.report.to_dict()
-            if settings["native_score"]:
-                scores = selection.score_sn(result.log.final_selection)
-            else:
-                scores = selection.score_sr_of(
-                    result.log.final_probs, self.test_data.num_classes
-                )
-            per_target[tag] = _emit_method(
-                sub,
-                "sn",
-                scores,
-                result.log.predictions[-1],
-                self.test_data.labels,
-                self.refs,
-                {"target_epsilon": epsilon_tag(self.eps), "report": reports[tag]},
+            scores = self._class_scores(
+                result, settings, selection.score_sn, result.log.final_selection
+            )
+            payload_c = {"target_epsilon": epsilon_tag(self.eps), "report": reports[tag]}
+            per_target[tag] = self._emit(
+                f"sn/c_{tag}", "sn", scores, result.log.predictions[-1], payload_c
             )
         payload["run_reports"] = reports
-        method_dir = self.cell_dir / "sn"
-        (method_dir / "privacy.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        )
+        _write_json(self.cell_dir / "sn" / "privacy.json", payload)
         metrics = {"c_targets": per_target}
-        evaluation.write_metrics_json(metrics, method_dir / "metrics.json")
+        evaluation.write_metrics_json(metrics, self.cell_dir / "sn" / "metrics.json")
         return metrics
 
 
@@ -539,9 +492,7 @@ def run(
     epsilons = config.epsilons if epsilons is None else [parse_epsilon(e) for e in epsilons]
     run_dir = Path(out_root) / config.hash()
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(config.raw, sort_keys=True, indent=2) + "\n"
-    )
+    _write_json(run_dir / "config.json", config.raw)
     cells = [(seed, eps) for seed in seeds for eps in epsilons]
     records: list[dict] = []
     if jobs > 1:
@@ -613,33 +564,33 @@ IMBALANCE_PANEL_DEFAULTS = {
 _DEFAULT_EPSILONS = (math.inf, 7.0, 3.0, 1.0)
 
 
-def _train_simple(
-    data: LabeledDataset,
-    test: LabeledDataset,
-    spec: ModelSpec,
-    eps: float,
-    *,
-    lr: float,
-    steps: int,
-    q: float,
-    clip: float,
-    beta: float,
-    seed: int,
-) -> trainer.TrainResult:
-    delta = 1.0 / len(data)
-    if math.isinf(eps):
-        privacy = PrivacyConfig.non_private(steps, q)
-    else:
-        privacy = PrivacyConfig(eps, delta, clip, q, steps, "auto")
-    cfg = TrainConfig(
-        learning_rate=lr,
-        steps=steps,
-        loss=cross_entropy_loss(),
-        entropy_beta=beta,
-        checkpoint_interval=max(1, min(50, steps)),
-        seed=seed,
-    )
-    return trainer.train(data, spec, cfg, privacy, eval_set=test)
+def _panel_raw(p: dict) -> dict:
+    """The model, training and privacy blocks a panel's runs train under."""
+    steps = int(p["steps"])
+    return {
+        "model": {"hidden_sizes": p.get("hidden_sizes", []), "dropout_rate": 0.0},
+        "training": {
+            "learning_rate": p["learning_rate"],
+            "steps": steps,
+            "checkpoint_interval": max(1, min(50, steps)),
+            "entropy_beta": p["entropy_beta"],
+        },
+        "privacy": {"clip_norm": p["clip_norm"], "sampling_rate": p["sampling_rate"]},
+    }
+
+
+def _panel_run(p: dict, data, test, eps: float, seed: int) -> trainer.TrainResult:
+    raw = _panel_raw(p)
+    spec = _model_spec(raw, data)
+    return _train_run(raw, data, test, spec, cross_entropy_loss(), eps, 1.0 / len(data), seed)
+
+
+def _write_panel(summary: dict, out_dir: str | Path | None) -> dict:
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"panel_{summary['panel']}.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return summary
 
 
 def panel_outlier(
@@ -655,29 +606,13 @@ def panel_outlier(
     outlier's prediction and inflates wrong-class confidence.
     """
     p = {**OUTLIER_PANEL_DEFAULTS, **overrides}
+    dataset = {"kind": "gaussian_outlier", **p}
     cells = []
     for seed in seeds:
-        train_data = gen_gaussian_outlier(
-            p["n_major"], p["outlier_mean"], derive_seed(p["base_seed"], seed, 0)
-        )
-        test_data = gen_gaussian_outlier(
-            p["n_major"], p["outlier_mean"], derive_seed(p["base_seed"], seed, 1)
-        )
+        train_data, test_data = _build_dataset(dataset, seed)
         outlier_idx = int(np.flatnonzero(test_data.labels == 0)[0])
-        spec = ModelSpec(input_dim=2, num_classes=2)
         for eps in epsilons:
-            result = _train_simple(
-                train_data,
-                test_data,
-                spec,
-                eps,
-                lr=p["learning_rate"],
-                steps=p["steps"],
-                q=p["sampling_rate"],
-                clip=p["clip_norm"],
-                beta=p["entropy_beta"],
-                seed=derive_seed(p["base_seed"], seed, 2),
-            )
+            result = _panel_run(p, train_data, test_data, eps, derive_seed(p["base_seed"], seed, 2))
             prob_correct = float(result.log.final_probs[outlier_idx, 0])
             predicted = int(result.log.predictions[-1][outlier_idx])
             cells.append(
@@ -701,24 +636,7 @@ def panel_outlier(
             "mean_correct_prob": float(np.mean([c["outlier_correct_prob"] for c in rows])),
         }
     summary = {"panel": "outlier", "params": p, "cells": cells, "by_epsilon": by_eps}
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "panel_outlier.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return summary
-
-
-def _imbalance_data(p, p0: float, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    sep = p["class_separation"]
-    spec = MixtureSpec(
-        (
-            MixtureComponent((-sep, 0.0), 1.0, p["count_per_class"], 0),
-            MixtureComponent((sep, 0.0), 1.0, p["count_per_class"], 1),
-        )
-    )
-    data = gen_mixture(spec, derive_seed(p["base_seed"], seed, 0))
-    data = subsample_class(data, 0, p0, derive_seed(p["base_seed"], seed, 1))
-    return split(data, p["train_fraction"], derive_seed(p["base_seed"], seed, 2))
+    return _write_panel(summary, out_dir)
 
 
 def panel_imbalance(
@@ -736,28 +654,24 @@ def panel_imbalance(
     """
     p = {**IMBALANCE_PANEL_DEFAULTS, **overrides}
     p0_grid = list(p["p0_grid"] if p0_grid is None else p0_grid)
+    sep = p["class_separation"]
+    dataset = {
+        "kind": "mixture",
+        "components": [
+            {"mean": [-sep, 0.0], "count": p["count_per_class"], "label": 0},
+            {"mean": [sep, 0.0], "count": p["count_per_class"], "label": 1},
+        ],
+        "train_fraction": p["train_fraction"],
+        "base_seed": p["base_seed"],
+    }
     cells = []
     for seed in seeds:
+        run_seed = derive_seed(p["base_seed"], seed, 3)
         for p0 in p0_grid:
-            train_data, test_data = _imbalance_data(p, p0, seed)
-            spec = ModelSpec(
-                input_dim=2,
-                num_classes=2,
-                hidden_sizes=tuple(p["hidden_sizes"]),
-            )
+            imbalanced = {**dataset, "imbalance": {"class_id": 0, "p0": p0}}
+            train_data, test_data = _build_dataset(imbalanced, seed)
             for eps in epsilons:
-                result = _train_simple(
-                    train_data,
-                    test_data,
-                    spec,
-                    eps,
-                    lr=p["learning_rate"],
-                    steps=p["steps"],
-                    q=p["sampling_rate"],
-                    clip=p["clip_norm"],
-                    beta=p["entropy_beta"],
-                    seed=derive_seed(p["base_seed"], seed, 3),
-                )
+                result = _panel_run(p, train_data, test_data, eps, run_seed)
                 scores = selection.score_sr(result.log.final_probs)
                 predicted = result.log.predictions[-1]
                 correctness = predicted == test_data.labels
@@ -784,11 +698,7 @@ def panel_imbalance(
                     }
                 )
     summary = {"panel": "imbalance", "params": p, "cells": cells}
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "panel_imbalance.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return summary
+    return _write_panel(summary, out_dir)
 
 
 def panel_bound(
@@ -814,8 +724,4 @@ def panel_bound(
             }
         )
     summary = {"panel": "bound", "n": n, "seed": seed, "rows": rows}
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "panel_bound.json").write_text(json.dumps(summary, indent=2) + "\n")
-    return summary
+    return _write_panel(summary, out_dir)

@@ -21,7 +21,6 @@ scored by default; their native scores stay available behind a flag.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ from .rng import STREAM_SCORE, derive_seed
 from .trainer import CheckpointLog
 
 __all__ = [
-    "SelectionScores",
     "score_sr",
     "score_mcdo",
     "score_de",
@@ -45,22 +43,6 @@ __all__ = [
     "write_scores_csv",
     "read_scores_csv",
 ]
-
-
-@dataclass(frozen=True)
-class SelectionScores:
-    """Score vector tagged with its mechanism; lower score = kept first."""
-
-    method: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.ndim != 1:
-            raise ValueError("scores must be a 1-D vector")
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "scores", scores)
 
 
 def score_sr(probs: np.ndarray) -> np.ndarray:

@@ -37,6 +37,31 @@ def small_config(**overrides):
     return ExperimentConfig.from_dict(user)
 
 
+RUN_FILES = ("log/final_probs.csv", "log/log.json", "log/predictions.csv", "params.json",
+             "privacy.json")
+METHOD_FILES = ("curves.csv", "metrics.json", "privacy.json", "scores.csv")
+
+
+def expected_cell_files() -> list[str]:
+    """Relative paths of one cell running all six methods at their defaults."""
+
+    def run_files(subdir, extra=()):
+        return [f"{subdir}/checkpoints/{name}" for name in RUN_FILES + extra]
+
+    def method_files(subdir):
+        return [f"{subdir}/{name}" for name in METHOD_FILES]
+
+    files = run_files("base") + run_files("sat")
+    for method in ("sr", "mcdo", "sctd", "sat", "de"):
+        files += method_files(method)
+    for m in range(5):
+        files += run_files(f"de/member_{m}")
+    for tag in ("0.1", "0.25", "0.5", "0.75", "1"):
+        files += run_files(f"sn/c_{tag}", ("log/final_selection.csv",))
+        files += method_files(f"sn/c_{tag}")
+    return sorted(files + ["sn/metrics.json", "sn/privacy.json"])
+
+
 def tree_digest(root: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
@@ -58,6 +83,8 @@ class TestEpsilonParsing:
             parse_epsilon(0)
         with pytest.raises(ValueError):
             parse_epsilon("-1")
+        with pytest.raises(ValueError):
+            parse_epsilon("nan")
 
     def test_tags(self):
         assert epsilon_tag(math.inf) == "inf"
@@ -121,19 +148,21 @@ class TestExperimentConfig:
 
 class TestRunSweep:
     def test_sweep_writes_expected_layout(self, tmp_path):
-        cfg = small_config()
+        cfg = small_config(
+            privacy={"epsilons": ["inf", 3], "sampling_rate": 0.2},
+            methods={m: {} for m in ("sr", "mcdo", "sctd", "sat", "de", "sn")},
+        )
         summary = run(cfg, tmp_path)
         assert summary["ok"]
         assert {r["status"] for r in summary["records"]} == {"ok"}
+        assert len(summary["records"]) == 12
         run_dir = Path(summary["run_dir"])
         assert run_dir == tmp_path / cfg.hash()
         assert (run_dir / "config.json").exists()
-        for method in ("sr", "sctd"):
-            mdir = run_dir / "seed_0" / "eps_inf" / method
-            assert (mdir / "scores.csv").exists()
-            assert (mdir / "curves.csv").exists()
-            assert (mdir / "metrics.json").exists()
-            assert (mdir / "privacy.json").exists()
+        for tag in ("inf", "3"):
+            cell = run_dir / "seed_0" / f"eps_{tag}"
+            files = sorted(str(p.relative_to(cell)) for p in cell.rglob("*") if p.is_file())
+            assert files == expected_cell_files()
 
     def test_rerun_skips_and_leaves_tree_untouched(self, tmp_path):
         cfg = small_config()

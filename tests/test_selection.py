@@ -5,7 +5,6 @@ import pytest
 
 from dpselect.models import ModelSpec, init_params, predict_probs
 from dpselect.selection import (
-    SelectionScores,
     read_scores_csv,
     score_de,
     score_mcdo,
@@ -160,16 +159,6 @@ class TestHeadScores:
         s = score_sn(raw)
         assert s[2] < s[1] < s[0]
         assert s[2] < 0.01 and s[0] > 0.99
-
-
-class TestScoresContainer:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SelectionScores("sr", np.array([0.1, np.nan]))
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            SelectionScores("sr", np.zeros((2, 2)))
 
 
 class TestScoresCsv:

@@ -17,10 +17,22 @@ Order grid: integers 2..256. The closed-form Gaussian curve (``q = 1``) also
 carries the fractional orders 1.25, 1.5, 1.75, which sharpen the conversion
 in low-noise regimes; the subsampled bound is only valid at integer orders,
 so those are dropped whenever ``q < 1``.
+
+:func:`subsampled_gaussian_curve` evaluates every order at once, as one
+(orders x k) array pass over a log-factorial table built with ``math.lgamma``.
+Each step is elementwise and each order's log-sum-exp sums exactly its own
+``alpha + 1`` terms, so every value is bit-identical to the scalar reference
+:func:`rdp_subsampled_gaussian`. :func:`account` and :func:`calibrate_sigma`
+are memoized per process on their scalar arguments in bounded, typed LRU
+caches, so the repeated calibrations of one sweep (``base`` and ``sat`` in a
+cell, every seed with the same dataset size) and the re-accounting of each
+ensemble member cost one dictionary lookup. Only immutable results are
+cached: floats and frozen :class:`PrivacyReport` instances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +42,10 @@ FRACTIONAL_ORDERS = (1.25, 1.5, 1.75)
 INTEGER_ORDERS = tuple(range(2, 257))
 SIGMA_BRACKET = (0.3, 100.0)
 CALIBRATION_RTOL = 1e-3
+# Entries kept by the per-process caches of ``account`` and ``calibrate_sigma``.
+# One calibration adds a few dozen ``account`` entries (one per bisection step).
+ACCOUNT_CACHE_SIZE = 4096
+CALIBRATION_CACHE_SIZE = 256
 
 __all__ = [
     "RdpCurve",
@@ -155,17 +171,63 @@ def gaussian_curve(sigma: float, orders=None) -> RdpCurve:
     return RdpCurve(orders, np.array([rdp_gaussian(sigma, a) for a in orders]))
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(m!)`` for ``m = 0..n``, from ``math.lgamma`` like the scalar path."""
+    return np.array([math.lgamma(m + 1) for m in range(n + 1)])
+
+
+# Shared table for the default grid; higher orders build their own on demand.
+_LOG_FACTORIAL = _log_factorials(max(INTEGER_ORDERS))
+_LOG_FACTORIAL.setflags(write=False)
+
+
 def subsampled_gaussian_curve(q: float, sigma: float, orders=None) -> RdpCurve:
-    """Per-step RDP curve; falls back to the closed form when ``q = 1``."""
+    """Per-step RDP curve; falls back to the closed form when ``q = 1``.
+
+    Row ``i`` of the (orders x k) term matrix holds the ``alpha_i + 1`` terms
+    of order ``alpha_i`` and ``-inf`` beyond them. The arithmetic is the
+    scalar reference's, operation for operation, and each row's sum runs
+    over exactly its own terms, so every value equals
+    :func:`rdp_subsampled_gaussian` bit for bit.
+    """
     if q == 1.0:
         return gaussian_curve(sigma, orders)
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("sampling rate must be in [0, 1]")
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
     if orders is None:
         orders = INTEGER_ORDERS
     orders = np.asarray(orders, dtype=np.float64)
-    if np.any(orders != np.round(orders)):
+    if orders.ndim != 1 or orders.size == 0:
+        raise ValueError("orders must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(orders)) or np.any(orders != np.round(orders)):
         raise ValueError("subsampled curve is only defined at integer orders")
-    values = np.array([rdp_subsampled_gaussian(q, sigma, int(a)) for a in orders])
-    return RdpCurve(orders, values)
+    if np.any(orders < 2):
+        raise ValueError("subsampled bound requires an integer order >= 2")
+    if q == 0.0:
+        return RdpCurve(orders, np.zeros_like(orders))
+    if sigma == 0.0:
+        return RdpCurve(orders, np.full_like(orders, math.inf))
+    alphas = orders.astype(np.int64)
+    top = int(alphas.max())
+    log_fact = _LOG_FACTORIAL if top < _LOG_FACTORIAL.size else _log_factorials(top)
+    k = np.arange(top + 1, dtype=np.float64)
+    alpha = orders[:, None]
+    inside = k <= alpha
+    rest = np.where(inside, alpha - k, 0.0).astype(np.int64)
+    log_binom = log_fact[alphas][:, None] - (log_fact[: top + 1] + log_fact[rest])
+    log_terms = (
+        log_binom
+        + k * math.log(q)
+        + (alpha - k) * math.log1p(-q)
+        + k * (k - 1.0) / (2.0 * sigma**2)
+    )
+    log_terms[~inside] = -math.inf
+    peak = np.max(log_terms, axis=1)
+    scaled = np.exp(log_terms - peak[:, None])
+    log_sums = [math.log(np.sum(row[: a + 1])) for row, a in zip(scaled, alphas)]
+    return RdpCurve(orders, (peak + log_sums) / (orders - 1.0))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
@@ -184,10 +246,15 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
     return float(eps[best]), float(curve.orders[best])
 
 
+@functools.lru_cache(maxsize=ACCOUNT_CACHE_SIZE, typed=True)
 def account(
     sigma: float, q: float, steps: int, delta: float
 ) -> PrivacyReport:
-    """Realized privacy of ``steps`` subsampled Gaussian steps at rate ``q``."""
+    """Realized privacy of ``steps`` subsampled Gaussian steps at rate ``q``.
+
+    Memoized per process; the cache is typed, so a report always carries the
+    caller's own argument types (``1`` and ``1.0`` are cached apart).
+    """
     if steps == 0 or q == 0.0:
         return PrivacyReport(0.0, delta, sigma, q, steps, None)
     if sigma == 0.0:
@@ -216,12 +283,20 @@ def calibrate_sigma(
     value never exceeds the target. If even the lower bracket edge spends
     less than the target, that edge is returned as-is, leaving budget on the
     table rather than extrapolating below the bound's validated range.
+    Memoized per process on the scalar arguments (the bracket's two edges
+    included), in a typed cache; failures are not cached.
     """
+    lo, hi = bracket
+    return _calibrate_sigma(eps_target, delta, q, steps, lo, hi, rtol)
+
+
+@functools.lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
+def _calibrate_sigma(eps_target, delta, q, steps, lo, hi, rtol) -> float:
     if not math.isfinite(eps_target) or eps_target <= 0:
         raise ValueError("eps_target must be finite and positive")
-    lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    bracket = (lo, hi)
     if _epsilon(lo, q, steps, delta) <= eps_target:
         return lo
     eps_hi = _epsilon(hi, q, steps, delta)

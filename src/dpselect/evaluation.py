@@ -29,6 +29,7 @@ can never exceed ``a * N``.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,7 @@ __all__ = [
     "curve_metrics",
     "write_curve_csv",
     "read_curve_csv",
+    "write_json",
     "write_metrics_json",
 ]
 
@@ -194,5 +196,23 @@ def read_curve_csv(path: str | Path) -> RiskCoverageCurve:
     return RiskCoverageCurve(table[:, 0], table[:, 1])
 
 
+def write_json(payload: dict, path: str | Path) -> None:
+    """Sorted, indented JSON, moved into place in one ``os.replace``.
+
+    ``metrics.json`` marks a sweep method complete, so a crash mid-write must
+    leave the old file or none, never a truncated one. The text goes to a
+    temporary file beside ``path`` first, which is removed if the write or
+    the move fails.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_metrics_json(metrics: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    write_json(metrics, path)

@@ -17,8 +17,10 @@ Selective nets emit the files above once per coverage target, in
 
 ``metrics.json`` doubles as the cell's completion marker: re-running an
 unchanged config skips every completed method, so a finished sweep performs
-zero new training. The config hash is taken over the canonical JSON of the
-fully defaulted config, which makes it stable under key reordering.
+zero new training. The JSON files are moved into place whole, so a crash
+never leaves a truncated marker. The config hash is taken over the canonical
+JSON of the fully defaulted config, which makes it stable under key
+reordering.
 
 Method cost model per cell: softmax response, Monte Carlo dropout and
 checkpoint disagreement are post-processing of one shared base run;
@@ -269,15 +271,11 @@ def _train_run(raw, data, test, spec, loss, eps, delta, seed, sigma=None) -> tra
     return trainer.train(data, spec, train_cfg, privacy, eval_set=test)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _save_run(directory: Path, result: trainer.TrainResult, spec: ModelSpec) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     models.save_params(result.params, spec, directory / "params.json")
     trainer.save_checkpoint_log(result.log, directory / "log")
-    _write_json(directory / "privacy.json", result.report.to_dict())
+    evaluation.write_json(result.report.to_dict(), directory / "privacy.json")
 
 
 def _emit_method(
@@ -297,7 +295,7 @@ def _emit_method(
         method_dir / "scores.csv", method, scores, predicted, true_labels
     )
     evaluation.write_curve_csv(curve, method_dir / "curves.csv")
-    _write_json(method_dir / "privacy.json", privacy_payload)
+    evaluation.write_json(privacy_payload, method_dir / "privacy.json")
     metrics = evaluation.curve_metrics(curve, tuple(accuracy_refs))
     evaluation.write_metrics_json(metrics, method_dir / "metrics.json")
     return metrics
@@ -429,7 +427,7 @@ class _Cell:
                 f"sn/c_{tag}", "sn", scores, result.log.predictions[-1], payload_c
             )
         payload["run_reports"] = reports
-        _write_json(self.cell_dir / "sn" / "privacy.json", payload)
+        evaluation.write_json(payload, self.cell_dir / "sn" / "privacy.json")
         metrics = {"c_targets": per_target}
         evaluation.write_metrics_json(metrics, self.cell_dir / "sn" / "metrics.json")
         return metrics
@@ -492,7 +490,7 @@ def run(
     epsilons = config.epsilons if epsilons is None else [parse_epsilon(e) for e in epsilons]
     run_dir = Path(out_root) / config.hash()
     run_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(run_dir / "config.json", config.raw)
+    evaluation.write_json(config.raw, run_dir / "config.json")
     cells = [(seed, eps) for seed in seeds for eps in epsilons]
     records: list[dict] = []
     if jobs > 1:

@@ -19,9 +19,12 @@ regression.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -129,32 +132,44 @@ class ModelSpec:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _layout_slices(layout) -> tuple[MappingProxyType, int]:
+    """Name -> (start, stop, shape) of each layout entry, and the total size.
+
+    Every step builds a new :class:`ParamVector` over the same layout, so
+    the offsets are computed once per layout. The mapping is read-only
+    because every caller shares it.
+    """
+    slices, pos = {}, 0
+    for name, shape in layout:
+        stop = pos + math.prod(shape)
+        slices[name] = (pos, stop, shape)
+        pos = stop
+    return MappingProxyType(slices), pos
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Flat float64 parameter vector plus the layout that interprets it."""
 
     values: np.ndarray
     layout: tuple[tuple[str, tuple[int, ...]], ...]
-    _offsets: dict = field(init=False, repr=False, compare=False)
+    _slices: MappingProxyType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        offsets, pos = {}, 0
-        for name, shape in self.layout:
-            size = int(np.prod(shape))
-            offsets[name] = (pos, shape)
-            pos += size
-        if values.shape != (pos,):
-            raise ValueError(f"expected {pos} parameters, got shape {values.shape}")
+        slices, size = _layout_slices(self.layout)
+        if values.shape != (size,):
+            raise ValueError(f"expected {size} parameters, got shape {values.shape}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_slices", slices)
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
     def view(self, name: str) -> np.ndarray:
-        pos, shape = self._offsets[name]
-        return self.values[pos : pos + int(np.prod(shape))].reshape(shape)
+        start, stop, shape = self._slices[name]
+        return self.values[start:stop].reshape(shape)
 
     def replace(self, values: np.ndarray) -> "ParamVector":
         return ParamVector(values, self.layout)
@@ -343,11 +358,8 @@ def per_sample_grad(
         upstream = upstream @ params.view(f"h{layer}.W")
 
     out = np.empty((n, len(params)), dtype=np.float64)
-    pos = 0
-    for name, shape in params.layout:
-        size = int(np.prod(shape))
-        out[:, pos : pos + size] = blocks[name].reshape(n, size)
-        pos += size
+    for name, (start, stop, _) in params._slices.items():
+        out[:, start:stop] = blocks[name].reshape(n, stop - start)
     return out
 
 

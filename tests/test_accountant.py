@@ -1,10 +1,13 @@
+import json
 import math
+from dataclasses import FrozenInstanceError
 
 import mpmath
 import numpy as np
 import pytest
 
 from dpselect.accountant import (
+    INTEGER_ORDERS,
     CalibrationError,
     RdpCurve,
     account,
@@ -67,6 +70,35 @@ class TestSubsampledRdp:
         assert rdp_subsampled_gaussian(0.02, 1.0, 16) > base
 
 
+class TestVectorizedCurve:
+    """The array pass must reproduce the scalar reference bit for bit."""
+
+    @pytest.mark.parametrize("q", [1e-3, 0.01, 0.05, 0.1, 0.5, 0.9])
+    def test_equals_scalar_reference(self, q):
+        for sigma in [0.3, 0.5, 1.0, 1.2, 5.0, 100.0]:
+            expected = [rdp_subsampled_gaussian(q, sigma, a) for a in INTEGER_ORDERS]
+            curve = subsampled_gaussian_curve(q, sigma)
+            assert np.array_equal(curve.orders, INTEGER_ORDERS)
+            assert np.array_equal(curve.values, expected), (q, sigma)
+
+    def test_explicit_orders_beyond_default_grid(self):
+        orders = [2, 300, 7, 1000, 256, 257]
+        expected = [rdp_subsampled_gaussian(0.05, 1.1, a) for a in orders]
+        curve = subsampled_gaussian_curve(0.05, 1.1, orders=orders)
+        assert np.array_equal(curve.orders, orders)
+        assert np.array_equal(curve.values, expected)
+
+    def test_edge_cases(self):
+        assert np.array_equal(subsampled_gaussian_curve(0.0, 1.0).values,
+                              np.zeros(len(INTEGER_ORDERS)))
+        with pytest.raises(ValueError, match="no finite RDP value"):
+            subsampled_gaussian_curve(0.3, 0.0)
+        with pytest.raises(ValueError):
+            subsampled_gaussian_curve(0.3, 1.0, orders=[2.5])
+        with pytest.raises(ValueError):
+            subsampled_gaussian_curve(0.3, 1.0, orders=[1])
+
+
 class TestConversion:
     def test_compose_scales_values(self):
         curve = subsampled_gaussian_curve(0.01, 1.0)
@@ -110,6 +142,40 @@ class TestCalibration:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             calibrate_sigma(math.inf, 1e-5, 0.01, 100)
+
+
+class TestCache:
+    def test_typed_reports_keep_caller_types(self):
+        args = (0.05, 400, 1e-5)
+        as_float = account(1.0, *args)
+        as_int = account(1, *args)
+        for sigma, report in [(1.0, as_float), (1, as_int)]:
+            fresh = account.__wrapped__(sigma, *args)
+            assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
+        assert '"sigma": 1,' in json.dumps(as_int.to_dict())
+        assert '"sigma": 1.0,' in json.dumps(as_float.to_dict())
+
+    def test_repeat_call_is_a_hit(self):
+        first = account(1.3, 0.02, 700, 1e-5)
+        hits = account.cache_info().hits
+        assert account(1.3, 0.02, 700, 1e-5) is first
+        assert account.cache_info().hits == hits + 1
+
+    def test_list_bracket(self):
+        as_list = calibrate_sigma(3.0, 1e-5, 0.05, 400, bracket=[0.3, 100.0])
+        assert as_list == calibrate_sigma(3.0, 1e-5, 0.05, 400, bracket=(0.3, 100.0))
+        assert isinstance(as_list, float)
+
+    def test_unreachable_target_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(CalibrationError):
+                calibrate_sigma(0.001, 1e-7, 0.5, 100_000)
+
+    def test_cached_report_is_immutable(self):
+        report = account(0.9, 0.05, 400, 1e-5)
+        with pytest.raises(FrozenInstanceError):
+            report.epsilon = 0.0
+        assert account(0.9, 0.05, 400, 1e-5).epsilon == report.epsilon
 
 
 class TestBudgetSplit:

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from dpselect.evaluation import (
     normalized_score,
     read_curve_csv,
     write_curve_csv,
+    write_metrics_json,
 )
 
 
@@ -167,3 +171,21 @@ class TestCurveCsv:
         write_curve_csv(curve, path)
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(table[:, 3], table[:, 2] - table[:, 1], atol=1e-16)
+
+
+class TestMetricsJson:
+    def test_writes_sorted_json(self, tmp_path):
+        write_metrics_json({"b": 1, "a": 0.5}, tmp_path / "metrics.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+        text = (tmp_path / "metrics.json").read_text()
+        assert text == '{\n  "a": 0.5,\n  "b": 1\n}\n'
+        assert json.loads(text) == {"a": 0.5, "b": 1}
+
+    def test_failed_replace_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_metrics_json({"a": 1}, tmp_path / "metrics.json")
+        assert list(tmp_path.iterdir()) == []

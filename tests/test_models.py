@@ -58,6 +58,22 @@ class TestInit:
         assert std == pytest.approx(np.sqrt(2.0 / 200), rel=0.05)
 
 
+class TestParamVector:
+    def test_views_tile_the_vector_in_layout_order(self):
+        params = init_params(MLP, seed=2)
+        flat = np.concatenate([params.view(name).ravel() for name, _ in MLP.layout()])
+        np.testing.assert_array_equal(flat, params.values)
+        for name, shape in MLP.layout():
+            assert params.view(name).shape == shape
+
+    def test_replace_keeps_layout_and_checks_size(self):
+        params = init_params(MLP, seed=2)
+        moved = params.replace(params.values + 1.0)
+        np.testing.assert_array_equal(moved.view("out.b"), params.view("out.b") + 1.0)
+        with pytest.raises(ValueError):
+            params.replace(params.values[:-1])
+
+
 class TestForward:
     def test_single_matches_batch(self):
         params = init_params(MLP, seed=1)

@@ -20,7 +20,8 @@ unchanged config skips every completed method, so a finished sweep performs
 zero new training. The JSON files are moved into place whole, so a crash
 never leaves a truncated marker. The config hash is taken over the canonical
 JSON of the fully defaulted config, which makes it stable under key
-reordering.
+reordering, and over ``trainer.ALGORITHM_VERSION``, so cells trained by
+older arithmetic land in another run directory instead of being skipped.
 
 Method cost model per cell: softmax response, Monte Carlo dropout and
 checkpoint disagreement are post-processing of one shared base run;
@@ -181,8 +182,14 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
 
     def hash(self) -> str:
+        """Digest of the config and of ``trainer.ALGORITHM_VERSION``.
+
+        Mixing in the version keeps a re-run from skipping cells that older
+        training code wrote; the version is not part of the config.
+        """
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        stamped = f"{trainer.ALGORITHM_VERSION}\0{canonical}"
+        return hashlib.sha256(stamped.encode()).hexdigest()[:12]
 
     @property
     def seeds(self) -> list[int]:

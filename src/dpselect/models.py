@@ -10,11 +10,18 @@ two abstention-specific head layouts:
   prediction head ``f`` (width ``C``), a scalar selection head ``g`` and an
   auxiliary head ``h`` (width ``C``).
 
-Per-example gradients are computed by hand-written reverse mode, vectorized
-over the batch. Differentially private optimization clips these individually,
-so they must be exact, not an approximation: the test suite checks them
-against central finite differences and against the closed form for logistic
-regression.
+Gradients come from hand-written reverse mode, vectorized over the batch.
+The backward pass yields, for every dense layer ``l``, the per-example
+upstream vectors ``U_l`` (B, out) and layer inputs ``A_l`` (B, in), with
+dropout scales and ReLU gates folded into ``U_l``. Example ``i``'s gradient
+of that layer is the outer product ``U_l,i A_l,i^T`` (weights) and
+``U_l,i`` (bias), so its squared norm is ``sum_l |U_l,i|^2 (|A_l,i|^2 + 1)``
+and the batch sum with per-example weights ``w`` is ``(w * U_l)^T A_l`` and
+``(w * U_l)^T 1`` (Goodfellow 2015; "ghost clipping", Li et al. 2022).
+:func:`batch_grad` clips and averages from these factors and never builds
+the (B, P) gradient matrix. :func:`per_sample_grad` materializes the rows
+from the same factors; it is the reference the tests check against central
+finite differences and the closed form for logistic regression.
 """
 
 from __future__ import annotations
@@ -108,7 +115,7 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self.layout())
+        return _layout_slices(self.layout())[1]
 
     def to_dict(self) -> dict:
         return {
@@ -182,14 +189,14 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     the full vector is a pure function of (spec, seed).
     """
     rng = generator(seed, STREAM_INIT)
-    chunks = []
-    for name, shape in spec.layout():
+    layout = spec.layout()
+    slices, size = _layout_slices(layout)
+    values = np.zeros(size)
+    for name, (start, stop, shape) in slices.items():
         if name.endswith(".W"):
             fan_in = shape[1]
-            chunks.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).ravel())
-        else:
-            chunks.append(np.zeros(int(np.prod(shape))))
-    return ParamVector(np.concatenate(chunks), spec.layout())
+            values[start:stop] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).ravel()
+    return ParamVector(values, layout)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -283,9 +290,8 @@ def _check_loss_compat(spec: ModelSpec, loss: LossSpec) -> None:
         raise ValueError("cross_entropy loss cannot train selective heads")
 
 
-def _head_grads(params, spec, rep, loss, y, entropy_beta, sat_targets):
-    """Per-example gradients at the heads plus the gradient entering the stack."""
-    blocks: dict[str, np.ndarray] = {}
+def _head_factors(params, spec, rep, loss, y, entropy_beta, sat_targets):
+    """Per-example upstream vectors of the heads, plus the gradient entering the stack."""
     if spec.selectivenet_heads:
         out = _head_outputs(params, spec, rep)
         fp = softmax(out.f_logits)
@@ -294,32 +300,57 @@ def _head_grads(params, spec, rep, loss, y, entropy_beta, sat_targets):
         s_f, s_raw, s_h = losses.selectivenet_head_grads(
             fp, g, hp, y, loss.c_target, loss.lam, loss.alpha, entropy_beta
         )
-        blocks["f.W"] = np.einsum("bo,bh->boh", s_f, rep)
-        blocks["f.b"] = s_f
-        blocks["g.W"] = (s_raw[:, None] * rep)[:, None, :]
-        blocks["g.b"] = s_raw[:, None]
-        blocks["h.W"] = np.einsum("bo,bh->boh", s_h, rep)
-        blocks["h.b"] = s_h
-        upstream = (
-            s_f @ params.view("f.W")
-            + s_raw[:, None] @ params.view("g.W")
-            + s_h @ params.view("h.W")
-        )
-        return blocks, upstream
-
-    logits = _head_outputs(params, spec, rep)
-    probs = softmax(logits)
-    if loss.kind == "cross_entropy":
-        s = losses.ce_entropy_head_grads(probs, y, entropy_beta)
-    elif loss.kind == "sat":
-        if sat_targets is None:
-            raise ValueError("sat loss needs per-example targets")
-        s = losses.sat_head_grads(probs, y, sat_targets, entropy_beta)
+        heads = {"f": s_f, "g": s_raw[:, None], "h": s_h}
     else:
-        raise ValueError(f"loss kind {loss.kind!r} incompatible with this head")
-    blocks["out.W"] = np.einsum("bo,bh->boh", s, rep)
-    blocks["out.b"] = s
-    return blocks, s @ params.view("out.W")
+        probs = softmax(_head_outputs(params, spec, rep))
+        if loss.kind == "cross_entropy":
+            s = losses.ce_entropy_head_grads(probs, y, entropy_beta)
+        elif loss.kind == "sat":
+            if sat_targets is None:
+                raise ValueError("sat loss needs per-example targets")
+            s = losses.sat_head_grads(probs, y, sat_targets, entropy_beta)
+        else:
+            raise ValueError(f"loss kind {loss.kind!r} incompatible with this head")
+        heads = {"out": s}
+    upstream = functools.reduce(
+        np.add, (u @ params.view(f"{name}.W") for name, u in heads.items())
+    )
+    return heads, upstream
+
+
+def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
+    """``(name, U, A)`` for every dense layer: example ``i``'s gradient is ``U_i A_i^T``.
+
+    ``U`` (B, out) is the loss gradient at the layer's pre-activation, with
+    dropout scales and ReLU gates already applied; ``A`` (B, in) is the
+    layer's input. For the coverage-coupled selective loss ``U_i`` is the
+    chain-rule share ``B * dL/d(outputs_i)``, so the mean over examples is
+    the batch-loss gradient in every case.
+    """
+    _check_loss_compat(spec, loss)
+    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    yb = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    acts, gates, scales = _hidden_forward(params, spec, xb, dropout_seed)
+    heads, upstream = _head_factors(
+        params, spec, acts[-1], loss, yb, entropy_beta, sat_targets
+    )
+    factors = [(name, u, acts[-1]) for name, u in heads.items()]
+    for layer in reversed(range(len(spec.hidden_sizes))):
+        if scales[layer] is not None:
+            upstream = upstream * scales[layer]
+        upstream = upstream * gates[layer]
+        factors.append((f"h{layer}", upstream, acts[layer]))
+        if layer > 0:
+            upstream = upstream @ params.view(f"h{layer}.W")
+    return factors
+
+
+def _sq_norms(factors) -> np.ndarray:
+    """Squared L2 norm of each example's full gradient, from the layer factors."""
+    return sum(
+        np.einsum("bo,bo->b", u, u) * (np.einsum("bi,bi->b", a, a) + 1.0)
+        for _, u, a in factors
+    )
 
 
 def per_sample_grad(
@@ -339,27 +370,17 @@ def per_sample_grad(
     loss; for the coverage-coupled selective loss it is the chain-rule share
     ``B * dL/d(outputs_i)`` backpropagated through example ``i``'s pass. In
     both cases the row mean equals the batch-loss gradient exactly (up to
-    float associativity), which is what the privacy clipping step consumes.
+    float associativity). This is the materialized reference for
+    :func:`batch_grad`, which computes the same clipped mean without the rows.
     """
-    _check_loss_compat(spec, loss)
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    yb = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    n = xb.shape[0]
-    acts, gates, scales = _hidden_forward(params, spec, xb, dropout_seed)
-    blocks, upstream = _head_grads(
-        params, spec, acts[-1], loss, yb, entropy_beta, sat_targets
-    )
-    for layer in reversed(range(len(spec.hidden_sizes))):
-        if scales[layer] is not None:
-            upstream = upstream * scales[layer]
-        upstream = upstream * gates[layer]
-        blocks[f"h{layer}.W"] = np.einsum("bo,bi->boi", upstream, acts[layer])
-        blocks[f"h{layer}.b"] = upstream
-        upstream = upstream @ params.view(f"h{layer}.W")
-
+    factors = _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed)
+    n = factors[0][1].shape[0]
     out = np.empty((n, len(params)), dtype=np.float64)
-    for name, (start, stop, _) in params._slices.items():
-        out[:, start:stop] = blocks[name].reshape(n, stop - start)
+    for name, u, a in factors:
+        w_start, w_stop, _ = params._slices[f"{name}.W"]
+        b_start, b_stop, _ = params._slices[f"{name}.b"]
+        out[:, w_start:w_stop] = np.einsum("bo,bi->boi", u, a).reshape(n, -1)
+        out[:, b_start:b_stop] = u
     return out
 
 
@@ -373,13 +394,35 @@ def batch_grad(
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
     dropout_seed: int | None = None,
+    clip_norm: float = math.inf,
 ) -> np.ndarray:
-    """Gradient of the mean batch loss, contracted over the batch directly."""
-    rows = per_sample_grad(
-        params, spec, x, y, loss,
-        entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
-    )
-    return rows.mean(axis=0)
+    """Mean over the batch of the per-example gradients, each clipped to ``clip_norm``.
+
+    Example ``i`` gets weight ``w_i = min(1, clip_norm / |g_i|)``, with the
+    norm taken from the layer factors as ``sum_l |U_l,i|^2 (|A_l,i|^2 + 1)``;
+    each layer's weighted sum is then ``(w * U_l)^T A_l`` and
+    ``(w * U_l)^T 1``. Memory is O(B * width), never O(B * P). An infinite
+    ``clip_norm`` skips the weights and gives the plain mean-loss gradient;
+    an empty batch gives zeros.
+    """
+    if clip_norm <= 0:
+        raise ValueError("clip_norm must be positive")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    if n == 0:
+        return np.zeros(len(params))
+    factors = _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed)
+    if math.isfinite(clip_norm):
+        norms = np.sqrt(_sq_norms(factors))
+        weights = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
+        factors = [(name, u * weights[:, None], a) for name, u, a in factors]
+    out = np.empty(len(params), dtype=np.float64)
+    for name, u, a in factors:
+        w_start, w_stop, _ = params._slices[f"{name}.W"]
+        b_start, b_stop, _ = params._slices[f"{name}.b"]
+        out[w_start:w_stop] = (u.T @ a).ravel()
+        out[b_start:b_stop] = u.sum(axis=0)
+    return out / n
 
 
 def save_params(params: ParamVector, spec: ModelSpec, path: str | Path) -> None:

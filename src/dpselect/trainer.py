@@ -1,11 +1,13 @@
 """Minibatch SGD and DP-SGD training loops with checkpointed predictions.
 
 One loop serves both regimes. A step samples a Poisson batch at rate ``q``,
-computes exact per-example gradients, clips each to L2 norm ``c``, sums,
-adds Gaussian noise ``N(0, (sigma c)^2 I)`` once per step, divides by the
-realized batch size, and applies a plain gradient step. A non-private run is
-the degenerate configuration ``sigma = 0`` with clipping disabled, on the
-identical batch sequence.
+takes the mean of the per-example gradients each clipped to L2 norm ``c``
+(:func:`models.batch_grad`, which works from per-layer factors and never
+materializes the per-example rows), adds Gaussian noise
+``N(0, (sigma c)^2 I)`` divided by the realized batch size once per step,
+and applies a plain gradient step. A non-private run is the degenerate
+configuration ``sigma = 0`` with clipping disabled, on the identical batch
+sequence.
 
 Plain SGD keeps no optimizer state (no momentum, no schedules); reproducing
 a run requires only (data, spec, configs, seed).
@@ -29,6 +31,10 @@ from .rng import STREAM_BATCH, STREAM_DROPOUT, STREAM_NOISE, derive_seed, genera
 
 CHECKPOINT_LOG_FORMAT = "dpselect-checkpoint-log"
 CHECKPOINT_LOG_VERSION = 1
+# Bumped whenever a change to the training arithmetic moves trained
+# parameters, so run directories made by older code hash apart. 2: clipped
+# gradients from per-layer factors instead of materialized rows.
+ALGORITHM_VERSION = 2
 
 __all__ = [
     "PrivacyConfig",
@@ -167,7 +173,10 @@ def poisson_sample(n: int, q: float, seed: int, step: int) -> np.ndarray:
 
 
 def clip_rows(rows: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale each row to L2 norm at most ``clip_norm``; infinite norm is a no-op."""
+    """Scale each row to L2 norm at most ``clip_norm``; infinite norm is a no-op.
+
+    The materialized reference for the clipping inside :func:`models.batch_grad`.
+    """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     if not math.isfinite(clip_norm):
@@ -184,15 +193,6 @@ def eval_set_id(data: LabeledDataset) -> str:
     return digest.hexdigest()[:16]
 
 
-def _grad_rows(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
-    if x.shape[0] == 0:
-        return np.zeros((0, len(params)))
-    return models.per_sample_grad(
-        params, spec, x, y, loss,
-        entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
-    )
-
-
 def dpsgd_step(
     params: ParamVector,
     spec: ModelSpec,
@@ -203,24 +203,32 @@ def dpsgd_step(
     clip_norm: float,
     sigma: float,
     learning_rate: float,
-    noise_seed: int,
+    noise_seed: int | None,
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
     dropout_seed: int | None = None,
 ) -> ParamVector:
-    """One DP-SGD update: clip per-example gradients, add noise once, average.
+    """One DP-SGD update: average clipped per-example gradients, add noise once.
 
-    An empty batch contributes no gradient but still releases a noise draw,
-    scaled by ``1 / max(|B|, 1)``. With ``sigma = 0`` and infinite
-    ``clip_norm`` the update degenerates to plain minibatch SGD.
+    The clipped mean comes from :func:`models.batch_grad`, which takes each
+    example's norm as ``sum_l |U_l,i|^2 (|A_l,i|^2 + 1)`` over the per-layer
+    factors and contracts each layer as ``(w * U_l)^T A_l``, so the (B, P)
+    per-example matrix is never built. The noise ``N(0, (sigma c)^2 I)`` is
+    divided by ``max(|B|, 1)``: an empty batch contributes no gradient but
+    still releases a noise draw. ``noise_seed`` is read only when
+    ``sigma > 0``. With ``sigma = 0`` and infinite ``clip_norm`` the update
+    degenerates to plain minibatch SGD.
     """
-    rows = _grad_rows(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed)
-    total = clip_rows(rows, clip_norm).sum(axis=0)
+    if sigma > 0.0 and not math.isfinite(clip_norm):
+        raise ValueError("noise requires a finite clip_norm")
+    grad = models.batch_grad(
+        params, spec, x, y, loss,
+        entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
+        clip_norm=clip_norm,
+    )
     if sigma > 0.0:
-        if not math.isfinite(clip_norm):
-            raise ValueError("noise requires a finite clip_norm")
-        total = total + generator(noise_seed).normal(0.0, sigma * clip_norm, len(params))
-    grad = total / max(rows.shape[0], 1)
+        noise = generator(noise_seed).normal(0.0, sigma * clip_norm, len(params))
+        grad = grad + noise / max(x.shape[0], 1)
     return params.replace(params.values - learning_rate * grad)
 
 
@@ -321,7 +329,7 @@ def train(
             clip_norm=clip,
             sigma=sigma,
             learning_rate=train_cfg.learning_rate,
-            noise_seed=derive_seed(seed, STREAM_NOISE, t),
+            noise_seed=derive_seed(seed, STREAM_NOISE, t) if sigma > 0 else None,
             entropy_beta=train_cfg.entropy_beta,
             sat_targets=batch_targets,
             dropout_seed=dropout_seed,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpselect import cli
+from dpselect import cli, trainer
 from dpselect.harness import (
     ExperimentConfig,
     epsilon_tag,
@@ -137,6 +137,12 @@ class TestExperimentConfig:
             small_config().hash()
             != small_config(training={"steps": 21, "checkpoint_interval": 5}).hash()
         )
+
+    def test_hash_changes_with_algorithm_version(self, monkeypatch):
+        before = small_config().hash()
+        monkeypatch.setattr(trainer, "ALGORITHM_VERSION", trainer.ALGORITHM_VERSION + 1)
+        after = small_config().hash()
+        assert after != before and len(after) == 12
 
     def test_load_applies_overrides(self, tmp_path):
         path = tmp_path / "config.json"

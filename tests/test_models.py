@@ -15,6 +15,7 @@ from dpselect.models import (
     save_params,
     softmax,
 )
+from dpselect.trainer import clip_rows
 
 LINEAR = ModelSpec(input_dim=2, num_classes=2)
 MLP = ModelSpec(input_dim=4, num_classes=3, hidden_sizes=(8,))
@@ -202,6 +203,70 @@ class TestGradients:
         rows = per_sample_grad(params, spec, np.zeros((4, 3)), np.zeros(4, dtype=int),
                                cross_entropy_loss(), dropout_seed=3)
         assert rows.shape == (4, spec.param_count)
+
+
+FACTOR_CASES = {
+    "linear": (ModelSpec(input_dim=3, num_classes=3), cross_entropy_loss()),
+    "dropout_mlp": (
+        ModelSpec(input_dim=3, num_classes=3, hidden_sizes=(6, 5), dropout_rate=0.3),
+        cross_entropy_loss(),
+    ),
+    "sat": (
+        ModelSpec(input_dim=3, num_classes=3, hidden_sizes=(6,), abstention_head=True),
+        sat_loss(),
+    ),
+    "selective": (
+        ModelSpec(input_dim=3, num_classes=3, hidden_sizes=(6,), selectivenet_heads=True),
+        selectivenet_loss(0.6),
+    ),
+}
+
+
+class TestFactorizedClipping:
+    """``batch_grad`` from layer factors against the materialized rows."""
+
+    @staticmethod
+    def batch(case):
+        spec, loss = FACTOR_CASES[case]
+        rng = np.random.default_rng(11)
+        n = 9
+        kwargs = dict(entropy_beta=0.01, dropout_seed=4 if spec.dropout_rate else None)
+        if case == "sat":
+            kwargs["sat_targets"] = rng.dirichlet(np.ones(3), size=n)
+        # a spread of input scales so that some examples clip and some do not
+        x = rng.normal(size=(n, 3)) * np.geomspace(0.1, 10.0, n)[:, None]
+        y = rng.integers(0, 3, size=n)
+        return init_params(spec, seed=8), spec, x, y, loss, kwargs
+
+    @pytest.mark.parametrize("clip", [1e-2, 1.0, np.inf])
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_clipped_mean_matches_rows(self, case, clip):
+        params, spec, x, y, loss, kwargs = self.batch(case)
+        rows = per_sample_grad(params, spec, x, y, loss, **kwargs)
+        want = clip_rows(rows, clip).mean(axis=0)
+        got = batch_grad(params, spec, x, y, loss, clip_norm=clip, **kwargs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_norms_match_rows(self, case):
+        params, spec, x, y, loss, kwargs = self.batch(case)
+        rows = per_sample_grad(params, spec, x, y, loss, **kwargs)
+        factors = models._factors(
+            params, spec, x, y, loss, kwargs["entropy_beta"],
+            kwargs.get("sat_targets"), kwargs["dropout_seed"],
+        )
+        np.testing.assert_allclose(
+            np.sqrt(models._sq_norms(factors)), np.linalg.norm(rows, axis=1), rtol=1e-12
+        )
+
+    def test_empty_batch_and_bad_clip(self):
+        params, spec, _, _, loss, _ = self.batch("linear")
+        empty = batch_grad(params, spec, np.zeros((0, 3)), np.zeros(0, dtype=int), loss,
+                           clip_norm=1.0)
+        np.testing.assert_array_equal(empty, np.zeros(spec.param_count))
+        with pytest.raises(ValueError, match="clip_norm"):
+            batch_grad(params, spec, np.zeros((1, 3)), np.zeros(1, dtype=int), loss,
+                       clip_norm=0.0)
 
 
 class TestPersistence:

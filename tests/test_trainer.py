@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,45 @@ class TestStepEquivalence:
             dpsgd_step(params, spec, np.zeros((1, 2)), np.zeros(1, dtype=int),
                        cross_entropy_loss(), clip_norm=math.inf, sigma=1.0,
                        learning_rate=0.1, noise_seed=0)
+
+
+class TestFactorizedStep:
+    def test_step_never_materializes_rows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the training step built per-example rows")
+
+        monkeypatch.setattr(models, "per_sample_grad", refuse)
+        monkeypatch.setattr(trainer, "clip_rows", refuse)
+        data = two_blob_data()
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(4,), dropout_rate=0.2)
+        params = init_params(spec, seed=1)
+        out = dpsgd_step(params, spec, data.features[:10], data.labels[:10],
+                         cross_entropy_loss(), clip_norm=1.0, sigma=1.0,
+                         learning_rate=0.1, noise_seed=3, dropout_seed=5)
+        assert not np.array_equal(out.values, params.values)
+        cfg = TrainConfig(learning_rate=0.3, steps=10, loss=cross_entropy_loss(),
+                          checkpoint_interval=5, seed=1)
+        privacy = PrivacyConfig(epsilon=3.0, delta=1e-3, clip_norm=1.0,
+                                sampling_rate=0.2, steps=10)
+        result = train(data, spec, cfg, privacy)
+        assert np.all(np.isfinite(result.params.values))
+
+    def test_wide_step_memory_is_bounded(self):
+        # The (B, P) per-example matrix alone would be 750 x 67,074 x 8 B = 402 MB.
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(256, 256),
+                         dropout_rate=0.1)
+        params = init_params(spec, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(750, 2))
+        y = rng.integers(0, 2, size=750)
+        tracemalloc.start()
+        try:
+            dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
+                       sigma=1.0, learning_rate=0.1, noise_seed=1, dropout_seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestTrain:

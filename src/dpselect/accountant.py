@@ -22,12 +22,13 @@ so those are dropped whenever ``q < 1``.
 (orders x k) array pass over a log-factorial table built with ``math.lgamma``.
 Each step is elementwise and each order's log-sum-exp sums exactly its own
 ``alpha + 1`` terms, so every value is bit-identical to the scalar reference
-:func:`rdp_subsampled_gaussian`. :func:`account` and :func:`calibrate_sigma`
-are memoized per process on their scalar arguments in bounded, typed LRU
-caches, so the repeated calibrations of one sweep (``base`` and ``sat`` in a
-cell, every seed with the same dataset size) and the re-accounting of each
-ensemble member cost one dictionary lookup. Only immutable results are
-cached: floats and frozen :class:`PrivacyReport` instances.
+:func:`rdp_subsampled_gaussian`. Only :func:`account` is memoized, per
+process on its scalar arguments in a bounded, typed LRU cache that holds
+frozen :class:`PrivacyReport` instances. :func:`calibrate_sigma` is a
+deterministic bisection over :func:`account`, so a repeated calibration
+(``base`` and ``sat`` in a cell, every seed with the same dataset size)
+walks the same noise levels and gets only cache hits, and the
+re-accounting of each ensemble member costs one dictionary lookup.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ FRACTIONAL_ORDERS = (1.25, 1.5, 1.75)
 INTEGER_ORDERS = tuple(range(2, 257))
 SIGMA_BRACKET = (0.3, 100.0)
 CALIBRATION_RTOL = 1e-3
-# Entries kept by the per-process caches of ``account`` and ``calibrate_sigma``.
-# One calibration adds a few dozen ``account`` entries (one per bisection step).
+# Entries kept by the per-process cache of ``account``. One calibration adds
+# a few dozen entries (one per bisection step).
 ACCOUNT_CACHE_SIZE = 4096
-CALIBRATION_CACHE_SIZE = 256
 
 __all__ = [
     "RdpCurve",
@@ -108,17 +108,6 @@ class PrivacyReport:
             "optimal_order": self.optimal_order,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PrivacyReport":
-        return cls(
-            epsilon=float(d["epsilon"]),
-            delta=float(d["delta"]),
-            sigma=float(d["sigma"]),
-            sampling_rate=float(d["sampling_rate"]),
-            steps=int(d["steps"]),
-            optimal_order=None if d.get("optimal_order") is None else float(d["optimal_order"]),
-        )
-
 
 def rdp_gaussian(sigma: float, alpha: float) -> float:
     """Closed-form Gaussian RDP, valid at any order above 1."""
@@ -164,24 +153,17 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
     return float(total / (alpha - 1.0))
 
 
-def gaussian_curve(sigma: float, orders=None) -> RdpCurve:
-    if orders is None:
-        orders = FRACTIONAL_ORDERS + INTEGER_ORDERS
-    orders = np.asarray(orders, dtype=np.float64)
+def gaussian_curve(sigma: float) -> RdpCurve:
+    orders = np.asarray(FRACTIONAL_ORDERS + INTEGER_ORDERS, dtype=np.float64)
     return RdpCurve(orders, np.array([rdp_gaussian(sigma, a) for a in orders]))
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """``log(m!)`` for ``m = 0..n``, from ``math.lgamma`` like the scalar path."""
-    return np.array([math.lgamma(m + 1) for m in range(n + 1)])
-
-
-# Shared table for the default grid; higher orders build their own on demand.
-_LOG_FACTORIAL = _log_factorials(max(INTEGER_ORDERS))
+# ``log(m!)`` for ``m = 0..256``, from ``math.lgamma`` like the scalar path.
+_LOG_FACTORIAL = np.array([math.lgamma(m + 1) for m in range(max(INTEGER_ORDERS) + 1)])
 _LOG_FACTORIAL.setflags(write=False)
 
 
-def subsampled_gaussian_curve(q: float, sigma: float, orders=None) -> RdpCurve:
+def subsampled_gaussian_curve(q: float, sigma: float) -> RdpCurve:
     """Per-step RDP curve; falls back to the closed form when ``q = 1``.
 
     Row ``i`` of the (orders x k) term matrix holds the ``alpha_i + 1`` terms
@@ -191,32 +173,22 @@ def subsampled_gaussian_curve(q: float, sigma: float, orders=None) -> RdpCurve:
     :func:`rdp_subsampled_gaussian` bit for bit.
     """
     if q == 1.0:
-        return gaussian_curve(sigma, orders)
+        return gaussian_curve(sigma)
     if not 0.0 <= q <= 1.0:
         raise ValueError("sampling rate must be in [0, 1]")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    if orders is None:
-        orders = INTEGER_ORDERS
-    orders = np.asarray(orders, dtype=np.float64)
-    if orders.ndim != 1 or orders.size == 0:
-        raise ValueError("orders must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(orders)) or np.any(orders != np.round(orders)):
-        raise ValueError("subsampled curve is only defined at integer orders")
-    if np.any(orders < 2):
-        raise ValueError("subsampled bound requires an integer order >= 2")
+    orders = np.asarray(INTEGER_ORDERS, dtype=np.float64)
     if q == 0.0:
         return RdpCurve(orders, np.zeros_like(orders))
     if sigma == 0.0:
         return RdpCurve(orders, np.full_like(orders, math.inf))
     alphas = orders.astype(np.int64)
-    top = int(alphas.max())
-    log_fact = _LOG_FACTORIAL if top < _LOG_FACTORIAL.size else _log_factorials(top)
-    k = np.arange(top + 1, dtype=np.float64)
+    k = np.arange(_LOG_FACTORIAL.size, dtype=np.float64)
     alpha = orders[:, None]
     inside = k <= alpha
     rest = np.where(inside, alpha - k, 0.0).astype(np.int64)
-    log_binom = log_fact[alphas][:, None] - (log_fact[: top + 1] + log_fact[rest])
+    log_binom = _LOG_FACTORIAL[alphas][:, None] - (_LOG_FACTORIAL + _LOG_FACTORIAL[rest])
     log_terms = (
         log_binom
         + k * math.log(q)
@@ -264,59 +236,39 @@ def account(
     return PrivacyReport(epsilon, delta, sigma, q, steps, order)
 
 
-def _epsilon(sigma: float, q: float, steps: int, delta: float) -> float:
-    return account(sigma, q, steps, delta).epsilon
-
-
-def calibrate_sigma(
-    eps_target: float,
-    delta: float,
-    q: float,
-    steps: int,
-    bracket: tuple[float, float] = SIGMA_BRACKET,
-    rtol: float = CALIBRATION_RTOL,
-) -> float:
-    """Smallest noise multiplier in ``bracket`` meeting ``eps_target``.
+def calibrate_sigma(eps_target: float, delta: float, q: float, steps: int) -> float:
+    """Smallest noise multiplier in ``SIGMA_BRACKET`` meeting ``eps_target``.
 
     Bisects on sigma (epsilon is decreasing in sigma) until the realized
-    epsilon lands in ``[eps_target * (1 - rtol), eps_target]``; the realized
-    value never exceeds the target. If even the lower bracket edge spends
-    less than the target, that edge is returned as-is, leaving budget on the
-    table rather than extrapolating below the bound's validated range.
-    Memoized per process on the scalar arguments (the bracket's two edges
-    included), in a typed cache; failures are not cached.
+    epsilon lands in ``[eps_target * (1 - CALIBRATION_RTOL), eps_target]``;
+    the realized value never exceeds the target. If even the lower bracket
+    edge spends less than the target, that edge is returned as-is, leaving
+    budget on the table rather than extrapolating below the bound's
+    validated range. Every probe goes through the memoized :func:`account`.
     """
-    lo, hi = bracket
-    return _calibrate_sigma(eps_target, delta, q, steps, lo, hi, rtol)
-
-
-@functools.lru_cache(maxsize=CALIBRATION_CACHE_SIZE, typed=True)
-def _calibrate_sigma(eps_target, delta, q, steps, lo, hi, rtol) -> float:
     if not math.isfinite(eps_target) or eps_target <= 0:
         raise ValueError("eps_target must be finite and positive")
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-    bracket = (lo, hi)
-    if _epsilon(lo, q, steps, delta) <= eps_target:
+    lo, hi = SIGMA_BRACKET
+    if account(lo, q, steps, delta).epsilon <= eps_target:
         return lo
-    eps_hi = _epsilon(hi, q, steps, delta)
+    eps_hi = account(hi, q, steps, delta).epsilon
     if eps_hi > eps_target:
         raise CalibrationError(
             f"epsilon target {eps_target} unreachable: sigma={hi} (bracket top) "
             f"still spends {eps_hi:.6g}; bracket was [{lo}, {hi}]"
         )
     for _ in range(200):
-        if eps_hi >= eps_target * (1.0 - rtol):
+        if eps_hi >= eps_target * (1.0 - CALIBRATION_RTOL):
             return hi
         mid = math.sqrt(lo * hi)
-        if _epsilon(mid, q, steps, delta) > eps_target:
+        if account(mid, q, steps, delta).epsilon > eps_target:
             lo = mid
         else:
             hi = mid
-            eps_hi = _epsilon(hi, q, steps, delta)
+            eps_hi = account(hi, q, steps, delta).epsilon
     raise CalibrationError(
-        f"bisection failed to land in [{eps_target * (1 - rtol):.6g}, "
-        f"{eps_target:.6g}] within bracket [{bracket[0]}, {bracket[1]}]"
+        f"bisection failed to land in [{eps_target * (1 - CALIBRATION_RTOL):.6g}, "
+        f"{eps_target:.6g}] within bracket [{SIGMA_BRACKET[0]}, {SIGMA_BRACKET[1]}]"
     )
 
 

@@ -107,20 +107,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_panel(args) -> int:
-    epsilons = [harness.parse_epsilon(e) for e in args.eps] if args.eps else None
     kwargs = {"out_dir": args.out}
-    if args.seed:
-        kwargs["seeds"] = args.seed
     if args.which == "bound":
-        summary = harness.panel_bound(out_dir=args.out)
-    elif args.which == "outlier":
-        if epsilons:
-            kwargs["epsilons"] = epsilons
-        summary = harness.panel_outlier(**kwargs)
+        if args.seed:
+            kwargs["seed"] = args.seed[0]
+        summary = harness.panel_bound(**kwargs)
     else:
-        if epsilons:
-            kwargs["epsilons"] = epsilons
-        summary = harness.panel_imbalance(**kwargs)
+        if args.seed:
+            kwargs["seeds"] = args.seed
+        if args.eps:
+            kwargs["epsilons"] = args.eps
+        panel = harness.panel_outlier if args.which == "outlier" else harness.panel_imbalance
+        summary = panel(**kwargs)
     _emit(summary)
     return 0
 
@@ -182,14 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("outlier", "imbalance", "bound"))
     p.add_argument("--out", help="directory for the panel summary JSON")
     p.add_argument("--seed", action="append", type=int)
-    p.add_argument("--eps", action="append")
+    p.add_argument("--eps", action="append", type=harness.parse_epsilon)
     p.set_defaults(func=_cmd_panel)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "panel" and args.which == "bound" and (
+        args.eps or len(args.seed or ()) > 1
+    ):
+        parser.error("panel bound takes at most one --seed and no --eps")
     return args.func(args)
 
 

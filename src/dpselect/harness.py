@@ -124,6 +124,29 @@ def epsilon_tag(eps: float) -> str:
     return "inf" if math.isinf(eps) else f"{eps:g}"
 
 
+def _g_tag(value) -> str:
+    """Directory and metrics-key tag of a coverage target or accuracy ref."""
+    return f"{float(value):g}"
+
+
+def _reject_shared_tags(what: str, values, tag) -> None:
+    """Two values that share a tag would share one directory or metrics key."""
+    seen = {}
+    for value in values:
+        key = tag(value)
+        if key in seen:
+            raise ValueError(f"{what} {seen[key]!r} and {value!r} share the tag {key!r}")
+        seen[key] = value
+
+
+def _check_grid(seeds, epsilons) -> None:
+    """Every (seed, epsilon) cell of the grid gets a directory of its own."""
+    if not seeds or not epsilons:
+        raise ValueError("need at least one seed and one epsilon")
+    _reject_shared_tags("seeds", seeds, int)
+    _reject_shared_tags("epsilons", epsilons, lambda e: epsilon_tag(parse_epsilon(e)))
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -176,10 +199,15 @@ class ExperimentConfig:
             raise ValueError("config needs a dataset block with a 'kind'")
         if raw["dataset"]["kind"] not in ("gaussian_outlier", "mixture", "csv"):
             raise ValueError(f"unknown dataset kind {raw['dataset']['kind']!r}")
-        for eps in raw["privacy"]["epsilons"]:
-            parse_epsilon(eps)
-        if not raw["seeds"]:
-            raise ValueError("need at least one seed")
+        _check_grid(raw["seeds"], raw["privacy"]["epsilons"])
+        _reject_shared_tags("accuracy_refs", raw.get("accuracy_refs", ()), _g_tag)
+        methods = raw["methods"]
+        if "de" in methods and int(methods["de"]["members"]) < 1:
+            raise ValueError("de needs at least one member")
+        if "sn" in methods:
+            if not methods["sn"]["c_targets"]:
+                raise ValueError("sn needs at least one c_target")
+            _reject_shared_tags("sn c_targets", methods["sn"]["c_targets"], _g_tag)
 
     def hash(self) -> str:
         """Digest of the config and of ``trainer.ALGORITHM_VERSION``.
@@ -419,7 +447,7 @@ class _Cell:
         payload["c_targets"] = c_targets
         reports, per_target = {}, {}
         for i, c_target in enumerate(c_targets):
-            tag = f"{c_target:g}"
+            tag = _g_tag(c_target)
             loss = selectivenet_loss(c_target, float(settings["lam"]), float(settings["alpha"]))
             result, _ = self._train(
                 f"sn/c_{tag}", loss, derive_seed(self.seed, _SEED_SN_RUN, i), sigma,
@@ -495,6 +523,7 @@ def run(
     """
     seeds = config.seeds if seeds is None else list(seeds)
     epsilons = config.epsilons if epsilons is None else [parse_epsilon(e) for e in epsilons]
+    _check_grid(seeds, epsilons)
     run_dir = Path(out_root) / config.hash()
     run_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_json(config.raw, run_dir / "config.json")

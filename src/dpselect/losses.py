@@ -40,6 +40,7 @@ __all__ = [
     "loss_sat",
     "loss_selectivenet",
     "sat_update_targets",
+    "renormalized_class_probs",
     "entropy",
     "sigmoid",
 ]
@@ -140,6 +141,12 @@ def loss_sat(probs: np.ndarray, y, targets: np.ndarray) -> float:
     idx = np.arange(len(yv))
     t_true = t[idx, yv]
     return float(-np.mean(t_true * _log(p[idx, yv]) + (1.0 - t_true) * _log(p[:, -1])))
+
+
+def renormalized_class_probs(probs, num_classes: int) -> np.ndarray:
+    """First ``num_classes`` entries of each row, renormalized to the simplex."""
+    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))[:, :num_classes]
+    return p / np.maximum(p.sum(axis=1, keepdims=True), LOG_CLAMP)
 
 
 def sat_update_targets(

@@ -88,10 +88,6 @@ class ModelSpec:
             raise ValueError("abstention_head and selectivenet_heads are exclusive")
 
     @property
-    def architecture(self) -> str:
-        return "mlp" if self.hidden_sizes else "linear"
-
-    @property
     def n_outputs(self) -> int:
         """Width of the main output layer (prediction head for selective nets)."""
         return self.num_classes + 1 if self.abstention_head else self.num_classes

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from .losses import LOG_CLAMP, sigmoid
+from .losses import renormalized_class_probs, sigmoid
 from .models import ModelSpec, ParamVector
 from .rng import STREAM_SCORE, derive_seed
 from .trainer import CheckpointLog
@@ -57,9 +57,7 @@ def score_sr_of(probs: np.ndarray, num_classes: int) -> np.ndarray:
     For plain ``C``-wide probabilities this is exactly :func:`score_sr`; for
     abstention-trained models it scores the classifier portion only.
     """
-    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))[:, :num_classes]
-    p = p / np.maximum(p.sum(axis=1, keepdims=True), LOG_CLAMP)
-    return 1.0 - p.max(axis=1)
+    return score_sr(renormalized_class_probs(probs, num_classes))
 
 
 def score_mcdo(

@@ -264,12 +264,6 @@ def _resolve_sigma(privacy: PrivacyConfig) -> float:
     return float(privacy.noise_multiplier)
 
 
-def _renormalized_class_probs(probs: np.ndarray, num_classes: int) -> np.ndarray:
-    """First ``num_classes`` entries renormalized to the simplex."""
-    p = probs[:, :num_classes]
-    return p / np.maximum(p.sum(axis=1, keepdims=True), losses.LOG_CLAMP)
-
-
 def train(
     data: LabeledDataset,
     spec: ModelSpec,
@@ -315,7 +309,7 @@ def train(
             probs = models.predict_probs(params, spec, xb)
             sat_targets[idx] = losses.sat_update_targets(
                 sat_targets[idx],
-                _renormalized_class_probs(probs, spec.num_classes),
+                losses.renormalized_class_probs(probs, spec.num_classes),
                 loss.momentum,
                 epoch=(t - 1) // per_epoch,
                 burn_in_epochs=loss.burn_in_epochs,

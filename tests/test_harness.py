@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpselect import cli, trainer
+from dpselect import accountant, cli, selection, trainer
 from dpselect.harness import (
     ExperimentConfig,
     epsilon_tag,
@@ -144,6 +144,24 @@ class TestExperimentConfig:
         after = small_config().hash()
         assert after != before and len(after) == 12
 
+    @pytest.mark.parametrize(
+        "overrides, clash",
+        [
+            ({"privacy": {"epsilons": [7, 7.0000001]}}, "epsilons 7 and 7.0000001"),
+            ({"methods": {"sn": {"c_targets": [0.5, 0.5000001]}}}, "c_targets 0.5 and"),
+            ({"accuracy_refs": [0.85, 0.8500001]}, "accuracy_refs 0.85 and"),
+            ({"seeds": [0, 0]}, "seeds 0 and 0"),
+            ({"privacy": {"epsilons": []}}, "at least one seed and one epsilon"),
+            ({"methods": {"sn": {"c_targets": []}}}, "at least one c_target"),
+            ({"methods": {"de": {"members": 0}}}, "at least one member"),
+        ],
+        ids=["epsilons", "c_targets", "accuracy_refs", "seeds", "no_epsilons", "no_c_targets",
+             "no_members"],
+    )
+    def test_rejects_values_that_share_a_directory_or_key(self, overrides, clash):
+        with pytest.raises(ValueError, match=clash):
+            small_config(**overrides)
+
     def test_load_applies_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(small_config().raw))
@@ -196,6 +214,46 @@ class TestRunSweep:
         summary = run(cfg, tmp_path, seeds=[1], epsilons=["inf"])
         assert {(r["seed"], r["epsilon"]) for r in summary["records"]} == {(1, "inf")}
 
+    @pytest.mark.parametrize(
+        "grid, clash",
+        [({"seeds": [1, 1]}, "seeds 1 and 1"), ({"epsilons": [3, 3.0000001]}, "epsilons 3")],
+        ids=["seeds", "epsilons"],
+    )
+    def test_grid_restriction_rejects_shared_cells(self, tmp_path, grid, clash):
+        with pytest.raises(ValueError, match=clash):
+            run(small_config(), tmp_path, **grid)
+        assert not any(tmp_path.iterdir())
+
+    def test_parallel_tree_equals_serial(self, tmp_path):
+        cfg = small_config(
+            seeds=[0, 1],
+            privacy={"epsilons": ["inf", 3], "sampling_rate": 0.2},
+            methods={"sr": {}, "de": {"members": 2}},
+        )
+        serial = run(cfg, tmp_path / "serial", jobs=1)
+        parallel = run(cfg, tmp_path / "parallel", jobs=2)
+        assert serial["ok"] and parallel["ok"]
+        assert len(parallel["records"]) == 8
+        assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "serial")
+
+    def test_native_scores_come_from_the_saved_run(self, tmp_path):
+        cfg = small_config(
+            privacy={"epsilons": [3], "sampling_rate": 0.2},
+            methods={"sat": {"native_score": True},
+                     "sn": {"native_score": True, "c_targets": [0.5, 1.0]}},
+        )
+        summary = run(cfg, tmp_path)
+        assert summary["ok"]
+        cell = Path(summary["run_dir"]) / "seed_0" / "eps_3"
+        log = trainer.load_checkpoint_log(cell / "sat" / "checkpoints" / "log")
+        _, scores, _, _ = selection.read_scores_csv(cell / "sat" / "scores.csv")
+        assert np.array_equal(scores, selection.score_sat(log.final_probs))
+        for tag in ("0.5", "1"):
+            run_dir = cell / "sn" / f"c_{tag}"
+            log = trainer.load_checkpoint_log(run_dir / "checkpoints" / "log")
+            _, scores, _, _ = selection.read_scores_csv(run_dir / "scores.csv")
+            assert np.array_equal(scores, selection.score_sn(log.final_selection))
+
 
 class TestPanelBound:
     def test_oracle_traces_bound(self):
@@ -234,6 +292,29 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0.999 * 3 <= payload["epsilon"] <= 3
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--sigma", "1.1"], lambda: accountant.account(1.1, 0.02, 100, 1e-5).to_dict()),
+            (["--eps-target", "3", "--split", "5"],
+             lambda: accountant.split_budget(3.0, 1e-5, 5, 0.02, 100).to_dict()),
+        ],
+        ids=["sigma", "split"],
+    )
+    def test_accountant_command_prints_library_json(self, capsys, flags, expected):
+        rc = cli.main(["accountant", *flags, "--q", "0.02", "--steps", "100",
+                       "--delta", "1e-5"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == expected()
+
+    def test_evaluate_command(self, capsys, tmp_path):
+        summary = run(small_config(), tmp_path)
+        sr_dir = next(r["dir"] for r in summary["records"] if r["method"] == "sr")
+        rc = cli.main(["evaluate", "--dir", sr_dir])
+        assert rc == 0
+        expected = json.dumps(evaluate_run(sr_dir), indent=2, default=str) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_oracle_command(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"
@@ -278,3 +359,17 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["panel"] == "bound"
+
+    def test_panel_bound_command_passes_seed(self, capsys):
+        rc = cli.main(["panel", "bound", "--seed", "3"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed"] == 3
+        assert payload == json.loads(json.dumps(panel_bound(seed=3)))
+
+    @pytest.mark.parametrize("flags", [["--seed", "1", "--seed", "2"], ["--eps", "1"]])
+    def test_panel_bound_command_rejects_grid_flags(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["panel", "bound", *flags])
+        assert exc.value.code == 2
+        assert "panel bound takes at most one --seed and no --eps" in capsys.readouterr().err

@@ -193,6 +193,12 @@ def main(argv=None) -> int:
         args.eps or len(args.seed or ()) > 1
     ):
         parser.error("panel bound takes at most one --seed and no --eps")
+    if args.command == "panel" and args.which != "bound":
+        # A flag left out takes the panel's default list, which never clashes.
+        try:
+            harness._check_grid(args.seed or [0], args.eps or [math.inf])
+        except ValueError as exc:
+            parser.error(f"panel {args.which}: {exc}")
     return args.func(args)
 
 

@@ -639,6 +639,7 @@ def panel_outlier(
     from the same process, and records how the privacy level flips the
     outlier's prediction and inflates wrong-class confidence.
     """
+    _check_grid(seeds, epsilons)
     p = {**OUTLIER_PANEL_DEFAULTS, **overrides}
     dataset = {"kind": "gaussian_outlier", **p}
     cells = []
@@ -686,6 +687,7 @@ def panel_imbalance(
     normalized acceptance rank), minority-class accuracy, and the normalized
     selective score.
     """
+    _check_grid(seeds, epsilons)
     p = {**IMBALANCE_PANEL_DEFAULTS, **overrides}
     p0_grid = list(p["p0_grid"] if p0_grid is None else p0_grid)
     sep = p["class_separation"]

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -57,6 +57,10 @@ __all__ = [
     "save_params",
     "load_params",
 ]
+
+
+# A dropout seed, or a callable mapping a hidden layer to its mask generator.
+DropoutSeed = Union[int, Callable[[int], np.random.Generator], None]
 
 
 class SelectiveNetOutputs(NamedTuple):
@@ -204,13 +208,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
-                    dropout_seed: int | None):
+                    dropout_seed: DropoutSeed):
     """Run the hidden stack; returns layer inputs, ReLU gates, dropout scales.
 
     ``acts[l]`` is the (post-dropout) input of hidden layer ``l``; the last
     entry is the representation feeding the heads. A dropout mask zeroes a
     unit with probability ``dropout_rate`` and rescales survivors by
     ``1 / (1 - rate)``; masks are a function of (seed, layer, batch shape).
+    An integer seed draws layer ``l``'s mask from
+    ``generator(seed, STREAM_DROPOUT, l)``; a callable is handed ``l`` and
+    returns the generator itself, e.g. a step of :class:`rng.RunStreams`.
     """
     a = x
     acts = [a]
@@ -220,7 +227,10 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
         gate = z > 0
         a = np.where(gate, z, 0.0)
         if dropout_seed is not None and spec.dropout_rate > 0.0:
-            rng = generator(dropout_seed, STREAM_DROPOUT, layer)
+            if callable(dropout_seed):
+                rng = dropout_seed(layer)
+            else:
+                rng = generator(dropout_seed, STREAM_DROPOUT, layer)
             mask = rng.random(a.shape) >= spec.dropout_rate
             scale = mask / (1.0 - spec.dropout_rate)
             a = a * scale
@@ -242,13 +252,13 @@ def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray):
 
 
 def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
-            dropout_seed: int | None = None):
+            dropout_seed: DropoutSeed = None):
     """Head pre-activations for one point or a batch.
 
     With ``dropout_seed=None`` the pass is deterministic; otherwise dropout
-    is active and the given seed fully determines the masks. Returns logits
-    of width ``n_outputs``, or :class:`SelectiveNetOutputs` when the spec has
-    selective heads.
+    is active and the given seed (or per-layer generator source) fully
+    determines the masks. Returns logits of width ``n_outputs``, or
+    :class:`SelectiveNetOutputs` when the spec has selective heads.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -358,7 +368,7 @@ def per_sample_grad(
     *,
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
-    dropout_seed: int | None = None,
+    dropout_seed: DropoutSeed = None,
 ) -> np.ndarray:
     """Exact per-example loss gradients, one flat row per batch member.
 
@@ -389,7 +399,7 @@ def batch_grad(
     *,
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
-    dropout_seed: int | None = None,
+    dropout_seed: DropoutSeed = None,
     clip_norm: float = math.inf,
 ) -> np.ndarray:
     """Mean over the batch of the per-example gradients, each clipped to ``clip_norm``.

@@ -21,6 +21,7 @@ scored by default; their native scores stay available behind a flag.
 from __future__ import annotations
 
 import csv
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import models
 from .losses import renormalized_class_probs, sigmoid
 from .models import ModelSpec, ParamVector
-from .rng import STREAM_SCORE, derive_seed
+from .rng import STREAM_SCORE, RunStreams
 from .trainer import CheckpointLog
 
 __all__ = [
@@ -70,14 +71,18 @@ def score_mcdo(
 ) -> np.ndarray:
     """Monte Carlo dropout: average the softmax over ``passes`` stochastic
     passes, then apply the softmax response. A zero dropout rate degenerates
-    to :func:`score_sr` for any number of passes."""
+    to :func:`score_sr` for any number of passes. Pass ``i`` draws its masks
+    as ``forward(..., dropout_seed=derive_seed(seed, STREAM_SCORE, i))``
+    would, from one :class:`rng.RunStreams` of ``seed``."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
     if dropout_rate is not None:
         spec = ModelSpec(**{**spec.to_dict(), "dropout_rate": dropout_rate})
+    streams = RunStreams(seed)
     mean = None
     for i in range(passes):
-        out = models.forward(params, spec, x, dropout_seed=derive_seed(seed, STREAM_SCORE, i))
+        masks = functools.partial(streams.dropout, i, parent=STREAM_SCORE)
+        out = models.forward(params, spec, x, dropout_seed=masks)
         logits = out.f_logits if isinstance(out, models.SelectiveNetOutputs) else out
         probs = models.softmax(logits)
         mean = probs if mean is None else mean + probs

@@ -15,6 +15,7 @@ a run requires only (data, spec, configs, seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -26,8 +27,8 @@ import numpy as np
 from . import accountant, losses, models
 from .data import LabeledDataset
 from .losses import LossSpec
-from .models import ModelSpec, ParamVector
-from .rng import STREAM_BATCH, STREAM_DROPOUT, STREAM_NOISE, derive_seed, generator
+from .models import DropoutSeed, ModelSpec, ParamVector
+from .rng import STREAM_BATCH, RunStreams, generator
 
 CHECKPOINT_LOG_FORMAT = "dpselect-checkpoint-log"
 CHECKPOINT_LOG_VERSION = 1
@@ -165,7 +166,11 @@ def steps_per_epoch(sampling_rate: float) -> int:
 
 
 def poisson_sample(n: int, q: float, seed: int, step: int) -> np.ndarray:
-    """Indices of one Poisson batch; a pure function of (n, q, seed, step)."""
+    """Indices of one Poisson batch; a pure function of (n, q, seed, step).
+
+    The reference for :func:`train`, which draws the same batches from
+    ``RunStreams(seed).batch(step)``.
+    """
     if not 0.0 < q <= 1.0:
         raise ValueError("sampling rate must be in (0, 1]")
     u = generator(seed, STREAM_BATCH, step).random(n)
@@ -203,10 +208,10 @@ def dpsgd_step(
     clip_norm: float,
     sigma: float,
     learning_rate: float,
-    noise_seed: int | None,
+    noise_seed: int | np.random.Generator | None,
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
-    dropout_seed: int | None = None,
+    dropout_seed: DropoutSeed = None,
 ) -> ParamVector:
     """One DP-SGD update: average clipped per-example gradients, add noise once.
 
@@ -216,18 +221,24 @@ def dpsgd_step(
     per-example matrix is never built. The noise ``N(0, (sigma c)^2 I)`` is
     divided by ``max(|B|, 1)``: an empty batch contributes no gradient but
     still releases a noise draw. ``noise_seed`` is read only when
-    ``sigma > 0``. With ``sigma = 0`` and infinite ``clip_norm`` the update
-    degenerates to plain minibatch SGD.
+    ``sigma > 0``, and is then required: an integer seeds
+    ``generator(noise_seed)``, a ``Generator`` is drawn from as given. With
+    ``sigma = 0`` and infinite ``clip_norm`` the update degenerates to plain
+    minibatch SGD.
     """
     if sigma > 0.0 and not math.isfinite(clip_norm):
         raise ValueError("noise requires a finite clip_norm")
+    if sigma > 0.0 and noise_seed is None:
+        raise ValueError("noise requires a noise_seed")
     grad = models.batch_grad(
         params, spec, x, y, loss,
         entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
         clip_norm=clip_norm,
     )
     if sigma > 0.0:
-        noise = generator(noise_seed).normal(0.0, sigma * clip_norm, len(params))
+        if not isinstance(noise_seed, np.random.Generator):
+            noise_seed = generator(noise_seed)
+        noise = noise_seed.normal(0.0, sigma * clip_norm, len(params))
         grad = grad + noise / max(x.shape[0], 1)
     return params.replace(params.values - learning_rate * grad)
 
@@ -242,7 +253,7 @@ def sgd_step(
     learning_rate: float,
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
-    dropout_seed: int | None = None,
+    dropout_seed: DropoutSeed = None,
 ) -> ParamVector:
     """Plain minibatch step on the mean loss; empty batches change nothing."""
     if x.shape[0] == 0:
@@ -278,6 +289,12 @@ def train(
     renormalized class probabilities of sampled points once the burn-in
     epochs (of ``steps_per_epoch(q)`` steps each) have passed. Raises if a
     finite epsilon target would be exceeded by the realized account.
+
+    Batches, dropout masks and noise come from one :class:`rng.RunStreams`
+    of the run seed: the same draws as :func:`poisson_sample` at ``(seed,
+    t)`` and :func:`dpsgd_step` with ``noise_seed=derive_seed(seed,
+    STREAM_NOISE, t)`` and ``dropout_seed=derive_seed(seed, STREAM_DROPOUT,
+    t)``.
     """
     if eval_set is None:
         eval_set = data
@@ -293,6 +310,7 @@ def train(
     q = privacy.sampling_rate
 
     params = models.init_params(spec, seed)
+    streams = RunStreams(seed)
     sat_targets = None
     if loss.kind == "sat":
         sat_targets = np.zeros((len(data), spec.num_classes))
@@ -302,7 +320,7 @@ def train(
     times: list[int] = []
     preds: list[np.ndarray] = []
     for t in range(1, train_cfg.steps + 1):
-        idx = poisson_sample(len(data), q, seed, t)
+        idx = np.flatnonzero(streams.batch(t).random(len(data)) < q)
         xb, yb = data.features[idx], data.labels[idx]
         batch_targets = None
         if sat_targets is not None and len(idx) > 0:
@@ -315,18 +333,15 @@ def train(
                 burn_in_epochs=loss.burn_in_epochs,
             )
             batch_targets = sat_targets[idx]
-        dropout_seed = (
-            derive_seed(seed, STREAM_DROPOUT, t) if spec.dropout_rate > 0 else None
-        )
         params = dpsgd_step(
             params, spec, xb, yb, loss,
             clip_norm=clip,
             sigma=sigma,
             learning_rate=train_cfg.learning_rate,
-            noise_seed=derive_seed(seed, STREAM_NOISE, t) if sigma > 0 else None,
+            noise_seed=streams.noise(t) if sigma > 0 else None,
             entropy_beta=train_cfg.entropy_beta,
             sat_targets=batch_targets,
-            dropout_seed=dropout_seed,
+            dropout_seed=functools.partial(streams.dropout, t),
         )
         if t % train_cfg.checkpoint_interval == 0 or t == train_cfg.steps:
             times.append(t)

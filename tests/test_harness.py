@@ -12,6 +12,8 @@ from dpselect.harness import (
     epsilon_tag,
     evaluate_run,
     panel_bound,
+    panel_imbalance,
+    panel_outlier,
     parse_epsilon,
     run,
 )
@@ -255,6 +257,19 @@ class TestRunSweep:
             assert np.array_equal(scores, selection.score_sn(log.final_selection))
 
 
+@pytest.mark.parametrize("panel", [panel_outlier, panel_imbalance])
+@pytest.mark.parametrize(
+    "grid, clash",
+    [({"seeds": (0, 0)}, "seeds 0 and 0"), ({"epsilons": (7, 7.0000001)}, "epsilons 7")],
+    ids=["seeds", "epsilons"],
+)
+def test_panels_reject_repeated_cells(tmp_path, panel, grid, clash):
+    # A repeated seed would be counted twice in the panel's summary.
+    with pytest.raises(ValueError, match=clash):
+        panel(**{"epsilons": (math.inf,), **grid}, out_dir=tmp_path, steps=2)
+    assert not any(tmp_path.iterdir())
+
+
 class TestPanelBound:
     def test_oracle_traces_bound(self):
         summary = panel_bound(a_fulls=(0.5, 0.9), n=2000, seed=0)
@@ -366,6 +381,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 3
         assert payload == json.loads(json.dumps(panel_bound(seed=3)))
+
+    @pytest.mark.parametrize("which", ["outlier", "imbalance"])
+    @pytest.mark.parametrize(
+        "flags, clash",
+        [(["--seed", "0", "--seed", "0"], "seeds 0 and 0"),
+         (["--eps", "7", "--eps", "7.0000001"], "epsilons 7")],
+        ids=["seeds", "epsilons"],
+    )
+    def test_panel_command_rejects_repeated_cells(self, capsys, which, flags, clash):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["panel", which, *flags])
+        assert exc.value.code == 2
+        assert f"panel {which}: {clash}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--seed", "1", "--seed", "2"], ["--eps", "1"]])
     def test_panel_bound_command_rejects_grid_flags(self, capsys, flags):

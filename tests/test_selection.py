@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dpselect.models import ModelSpec, init_params, predict_probs
+from dpselect.models import ModelSpec, forward, init_params, predict_probs, softmax
+from dpselect.rng import STREAM_SCORE, derive_seed
 from dpselect.selection import (
     read_scores_csv,
     score_de,
@@ -56,6 +57,17 @@ class TestMonteCarloDropout:
         a = score_mcdo(params, spec, x, passes=10, seed=4)
         np.testing.assert_array_equal(a, score_mcdo(params, spec, x, passes=10, seed=4))
         assert not np.array_equal(a, score_mcdo(params, spec, x, passes=10, seed=5))
+
+    def test_passes_equal_the_per_pass_seeds(self):
+        spec = ModelSpec(input_dim=2, num_classes=3, hidden_sizes=(8, 4), dropout_rate=0.3)
+        params = init_params(spec, seed=0)
+        x = np.random.default_rng(1).normal(size=(5, 2))
+        seed = derive_seed(3, 10, 1)
+        mean = sum(
+            softmax(forward(params, spec, x, dropout_seed=derive_seed(seed, STREAM_SCORE, i)))
+            for i in range(6)
+        )
+        assert np.array_equal(score_mcdo(params, spec, x, passes=6, seed=seed), score_sr(mean / 6))
 
     def test_rate_override_applies(self):
         spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(8,))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpselect import models, trainer
+from dpselect import losses, models, rng, trainer
 from dpselect.data import LabeledDataset, gen_gaussian_outlier, gen_mixture
 from dpselect.data import MixtureComponent, MixtureSpec
 from dpselect.losses import cross_entropy_loss, sat_loss, selectivenet_loss
@@ -101,6 +101,69 @@ class TestStepEquivalence:
             dpsgd_step(params, spec, np.zeros((1, 2)), np.zeros(1, dtype=int),
                        cross_entropy_loss(), clip_norm=math.inf, sigma=1.0,
                        learning_rate=0.1, noise_seed=0)
+
+
+    def test_noise_requires_a_seed(self):
+        # Without a seed, numpy would draw the noise from OS entropy.
+        spec = ModelSpec(input_dim=2, num_classes=2)
+        params = init_params(spec, seed=1)
+        x, y = np.zeros((2, 2)), np.zeros(2, dtype=int)
+        with pytest.raises(ValueError, match="noise_seed"):
+            dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
+                       sigma=1.0, learning_rate=0.1, noise_seed=None)
+        quiet = dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
+                           sigma=0.0, learning_rate=0.1, noise_seed=None)
+        assert np.all(np.isfinite(quiet.values))
+
+    def test_generator_noise_equals_its_seed(self):
+        data = two_blob_data()
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(4,))
+        params = init_params(spec, seed=1)
+        kwargs = dict(clip_norm=1.0, sigma=1.0, learning_rate=0.1)
+        args = (params, spec, data.features[:9], data.labels[:9], cross_entropy_loss())
+        by_seed = dpsgd_step(*args, noise_seed=12, **kwargs)
+        by_generator = dpsgd_step(*args, noise_seed=rng.generator(12), **kwargs)
+        assert np.array_equal(by_seed.values, by_generator.values)
+
+
+class TestRunStreamsInTrain:
+    def test_private_dropout_sat_run_equals_the_per_step_reference(self):
+        # The reference keys every step through poisson_sample and
+        # derive_seed; train() draws the same numbers from one RunStreams.
+        data = two_blob_data()
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(5, 3),
+                         abstention_head=True, dropout_rate=0.25)
+        loss = sat_loss(momentum=0.8, burn_in_epochs=2)
+        steps, q, seed = rng.CHUNK_STEPS + 44, 0.1, 2**33 + 7
+        cfg = TrainConfig(learning_rate=0.2, steps=steps, loss=loss, entropy_beta=0.01,
+                          checkpoint_interval=50, seed=seed)
+        privacy = PrivacyConfig(epsilon=4.0, delta=1e-3, clip_norm=0.8,
+                                sampling_rate=q, steps=steps)
+        result = train(data, spec, cfg, privacy)
+        sigma = result.report.sigma
+        assert sigma > 0
+
+        params = init_params(spec, seed)
+        targets = np.eye(spec.num_classes)[data.labels]
+        for t in range(1, steps + 1):
+            idx = poisson_sample(len(data), q, seed, t)
+            batch_targets = None
+            if len(idx) > 0:
+                probs = models.predict_probs(params, spec, data.features[idx])
+                targets[idx] = losses.sat_update_targets(
+                    targets[idx], losses.renormalized_class_probs(probs, spec.num_classes),
+                    loss.momentum, epoch=(t - 1) // steps_per_epoch(q),
+                    burn_in_epochs=loss.burn_in_epochs,
+                )
+                batch_targets = targets[idx]
+            params = dpsgd_step(
+                params, spec, data.features[idx], data.labels[idx], loss,
+                clip_norm=0.8, sigma=sigma, learning_rate=0.2, entropy_beta=0.01,
+                sat_targets=batch_targets,
+                noise_seed=rng.derive_seed(seed, rng.STREAM_NOISE, t),
+                dropout_seed=rng.derive_seed(seed, rng.STREAM_DROPOUT, t),
+            )
+        assert np.array_equal(result.params.values, params.values)
 
 
 class TestFactorizedStep:

@@ -1,0 +1,106 @@
+"""Fail when two source trees write different bytes under one config hash.
+
+A sweep skips every method whose ``metrics.json`` exists, so a change that
+alters what a cell writes but keeps ``ExperimentConfig.hash()`` would let a
+re-run trust cells written by the old code. This script runs one small
+six-method sweep (two seeds, epsilon in {inf, 3}, ``native_score`` off and
+on) against each tree's ``src/`` and compares every ``<config-hash>/``
+directory that both trees write. A hash that only one tree writes is fine:
+its cells land in a fresh directory.
+
+    python3 .github/scripts/stale_cells.py BASE_TREE HEAD_TREE
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+METHODS = ("sr", "mcdo", "sctd", "sat", "de", "sn")
+
+
+def sweep_config(native: bool) -> dict:
+    return {
+        "name": f"stale-cells-native-{str(native).lower()}",
+        "seeds": [0, 1],
+        "dataset": {
+            "kind": "mixture",
+            "components": [
+                {"mean": [-1.25, 0.0], "count": 200, "label": 0},
+                {"mean": [1.25, 0.0], "count": 200, "label": 1},
+            ],
+            "train_fraction": 0.5,
+            "base_seed": 13,
+        },
+        "model": {"hidden_sizes": [16]},
+        "training": {"steps": 60, "checkpoint_interval": 20},
+        "privacy": {"epsilons": ["inf", 3], "sampling_rate": 0.1},
+        "methods": {
+            m: {"native_score": native} if m in ("sat", "sn") else {} for m in METHODS
+        },
+    }
+
+
+def run_sweeps(tree: Path, out: Path, work: Path) -> None:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    for native in (False, True):
+        config = work / f"config_{native}.json"
+        config.write_text(json.dumps(sweep_config(native), indent=2))
+        argv = [sys.executable, "-m", "dpselect.cli", "sweep", "--config", str(config),
+                "--out", str(out)]
+        done = subprocess.run(argv, env=env, cwd=work, capture_output=True, text=True)
+        if done.returncode != 0:
+            sys.exit(f"sweep failed in {tree}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+
+
+def files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def digest(tree: dict[str, bytes]) -> str:
+    h = hashlib.sha256()
+    for name, content in tree.items():
+        h.update(name.encode() + b"\0" + hashlib.sha256(content).digest())
+    return h.hexdigest()[:16]
+
+
+def main(base: str, head: str) -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = {}
+        for label, tree in (("base", base), ("head", head)):
+            work = Path(tmp) / label
+            work.mkdir()
+            outs[label] = work / "out"
+            run_sweeps(Path(tree).resolve(), outs[label], work)
+        hashes = {label: {d.name for d in out.iterdir()} for label, out in outs.items()}
+        stale = []
+        for name in sorted(hashes["base"] | hashes["head"]):
+            if name not in hashes["base"] or name not in hashes["head"]:
+                print(f"{name}: written by one tree only")
+                continue
+            base_files, head_files = (files(outs[label] / name) for label in ("base", "head"))
+            differ = sorted(f for f in base_files.keys() | head_files.keys()
+                            if base_files.get(f) != head_files.get(f))
+            print(f"{name}: base {digest(base_files)} head {digest(head_files)}, "
+                  f"{len(differ)} of {len(base_files | head_files)} files differ")
+            stale += [f"{name}/{f}" for f in differ]
+    print(f"compared in {time.perf_counter() - start:.1f} s")
+    if stale:
+        print("same config hash, different bytes (a re-run would trust stale cells):")
+        print("\n".join(f"  {f}" for f in stale[:20]))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))

@@ -23,11 +23,13 @@ JSON of the fully defaulted config, which makes it stable under key
 reordering, and over ``trainer.ALGORITHM_VERSION``, so cells trained by
 older arithmetic land in another run directory instead of being skipped.
 
-Method cost model per cell: softmax response, Monte Carlo dropout and
-checkpoint disagreement are post-processing of one shared base run;
-self-adaptive training owns one run; a deep ensemble of M members and the
-per-target-coverage selective nets are accounted jointly, one noise level
-calibrated so the composition of all their runs meets the cell's budget.
+Method cost model per cell: the ``_METHODS`` table gives each method its
+default settings, the runs it trains and its scorer, and a cell trains each
+run at most once. Softmax response, Monte Carlo dropout and checkpoint
+disagreement score one shared base run; self-adaptive training owns one run;
+a deep ensemble of M members and the per-target-coverage selective nets are
+accounted jointly, one noise level calibrated so the composition of all
+their runs meets the cell's budget.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,21 +62,6 @@ from .trainer import PrivacyConfig, TrainConfig
 
 CONFIG_VERSION = 1
 
-_METHOD_DEFAULTS: dict[str, dict] = {
-    "sr": {},
-    "mcdo": {"passes": 20, "dropout_rate": None},
-    "sctd": {"k": 3.0},
-    "sat": {"momentum": 0.9, "burn_in_epochs": 0, "native_score": False},
-    "de": {"members": 5},
-    "sn": {
-        "c_targets": [0.1, 0.25, 0.5, 0.75, 1.0],
-        "alpha": 0.5,
-        "lam": 32.0,
-        "native_score": False,
-    },
-}
-KNOWN_METHODS = tuple(_METHOD_DEFAULTS)
-
 _BLOCK_DEFAULTS: dict[str, dict] = {
     "model": {"hidden_sizes": [64], "dropout_rate": 0.1},
     "training": {
@@ -89,12 +77,6 @@ _BLOCK_DEFAULTS: dict[str, dict] = {
         "sampling_rate": 0.05,
     },
 }
-
-# Distinct run-seed streams within one cell; see rng.derive_seed.
-_SEED_BASE_RUN = 10
-_SEED_SAT_RUN = 11
-_SEED_DE_RUN = 12
-_SEED_SN_RUN = 13
 
 __all__ = [
     "ExperimentConfig",
@@ -178,9 +160,9 @@ class ExperimentConfig:
             raw[block] = _deep_merge(defaults, raw.get(block, {}))
         methods = {}
         for name, settings in raw["methods"].items():
-            if name not in KNOWN_METHODS:
-                raise ValueError(f"unknown method {name!r}; known: {KNOWN_METHODS}")
-            methods[name] = _deep_merge(_METHOD_DEFAULTS[name], settings or {})
+            if name not in _METHODS:
+                raise ValueError(f"unknown method {name!r}; known: {tuple(_METHODS)}")
+            methods[name] = _deep_merge(_METHODS[name].defaults, settings or {})
         raw["methods"] = methods
         return cls(raw)
 
@@ -201,13 +183,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown dataset kind {raw['dataset']['kind']!r}")
         _check_grid(raw["seeds"], raw["privacy"]["epsilons"])
         _reject_shared_tags("accuracy_refs", raw.get("accuracy_refs", ()), _g_tag)
-        methods = raw["methods"]
-        if "de" in methods and int(methods["de"]["members"]) < 1:
-            raise ValueError("de needs at least one member")
-        if "sn" in methods:
-            if not methods["sn"]["c_targets"]:
-                raise ValueError("sn needs at least one c_target")
-            _reject_shared_tags("sn c_targets", methods["sn"]["c_targets"], _g_tag)
+        # Settings that no cell could train fail here, before run() writes anything.
+        for name, settings in raw["methods"].items():
+            _METHODS[name].runs(settings)
+        _train_cfg(raw, cross_entropy_loss(), 0)
+        _privacy_cfg(raw, math.inf, None)
 
     def hash(self) -> str:
         """Digest of the config and of ``trainer.ALGORITHM_VERSION``.
@@ -261,15 +241,14 @@ def _build_dataset(dcfg: dict, seed: int) -> tuple[LabeledDataset, LabeledDatase
     return split(data, float(dcfg.get("train_fraction", 0.8)), derive_seed(base, seed, 0))
 
 
-def _model_spec(raw: dict, data: LabeledDataset, *, abstention=False, selective=False) -> ModelSpec:
+def _model_spec(raw: dict, data: LabeledDataset, **heads) -> ModelSpec:
     mcfg = raw["model"]
     return ModelSpec(
         input_dim=data.input_dim,
         num_classes=data.num_classes,
         hidden_sizes=tuple(mcfg["hidden_sizes"]),
-        abstention_head=abstention,
-        selectivenet_heads=selective,
         dropout_rate=float(mcfg["dropout_rate"]),
+        **heads,
     )
 
 
@@ -336,28 +315,31 @@ def _emit_method(
     return metrics
 
 
-def _score_mcdo(cell: "_Cell", result: trainer.TrainResult, spec: ModelSpec, settings: dict):
-    return selection.score_mcdo(
-        result.params,
-        spec,
-        cell.test_data.features,
-        passes=int(settings["passes"]),
-        seed=derive_seed(cell.seed, _SEED_BASE_RUN, 1),
-        dropout_rate=settings.get("dropout_rate"),
-    )
+class _Run(NamedTuple):
+    """A run of a cell, saved in ``<subdir>/checkpoints``; ``heads`` are ModelSpec flags."""
+
+    subdir: str
+    loss: LossSpec
+    stream: tuple[int, ...]  # run seed: derive_seed(cell seed, *stream)
+    heads: dict = {}
 
 
-# Methods that only post-process the cell's shared base run, each as a
-# scorer (cell, base result, base spec, settings) -> per-point scores.
-_BASE_SCORERS = {
-    "sr": lambda cell, result, spec, s: selection.score_sr(result.log.final_probs),
-    "mcdo": _score_mcdo,
-    "sctd": lambda cell, result, spec, s: selection.score_sctd(result.log, float(s["k"])),
-}
+class _Method(NamedTuple):
+    """Defaults, ``runs(settings)``, ``score(cell, run, result, settings)`` and ``emit``.
+
+    Without ``emit`` the one run trains at the cell budget and is emitted into
+    ``<method>/``; with it, the runs share one split budget's noise level and
+    ``emit`` writes the method's output shape (and decides how it scores).
+    """
+
+    defaults: dict
+    runs: Callable[[dict], list[_Run]]
+    score: Callable
+    emit: Callable | None = None
 
 
 class _Cell:
-    """One (seed, epsilon) grid cell; lazily trains the shared base run."""
+    """One (seed, epsilon) grid cell; trains each of its runs at most once."""
 
     def __init__(self, config: ExperimentConfig, seed: int, eps: float, cell_dir: Path):
         self.raw = config.raw
@@ -368,56 +350,24 @@ class _Cell:
         delta = self.raw["privacy"]["delta"]
         self.delta = float(delta) if delta else 1.0 / len(self.train_data)
         self.refs = self.raw.get("accuracy_refs", ())
-        self._base: tuple[trainer.TrainResult, ModelSpec] | None = None
+        self._trained: dict[str, trainer.TrainResult] = {}
 
-    def _train(
-        self, subdir: str, loss: LossSpec, seed: int, sigma=None, **heads
-    ) -> tuple[trainer.TrainResult, ModelSpec]:
-        """Train one run of this cell and save it under ``subdir/checkpoints``."""
-        spec = _model_spec(self.raw, self.train_data, **heads)
-        result = _train_run(
-            self.raw, self.train_data, self.test_data, spec, loss,
-            self.eps, self.delta, seed, sigma,
-        )
-        _save_run(self.cell_dir / subdir / "checkpoints", result, spec)
-        return result, spec
+    def spec(self, run: _Run) -> ModelSpec:
+        return _model_spec(self.raw, self.train_data, **run.heads)
+
+    def train(self, run: _Run, sigma=None) -> trainer.TrainResult:
+        """Train ``run`` (at noise ``sigma`` if given) and save it, once per cell."""
+        if run.subdir not in self._trained:
+            spec, seed = self.spec(run), derive_seed(self.seed, *run.stream)
+            result = _train_run(self.raw, self.train_data, self.test_data, spec, run.loss,
+                                self.eps, self.delta, seed, sigma)
+            _save_run(self.cell_dir / run.subdir / "checkpoints", result, spec)
+            self._trained[run.subdir] = result
+        return self._trained[run.subdir]
 
     def _emit(self, subdir: str, method: str, scores, predicted, payload: dict) -> dict:
         labels, refs = self.test_data.labels, self.refs
         return _emit_method(self.cell_dir / subdir, method, scores, predicted, labels, refs, payload)
-
-    def _emit_run(self, method: str, scores, result: trainer.TrainResult) -> dict:
-        """Emit a method that scores one run, with that run's realized account."""
-        report = result.report.to_dict()
-        payload = {"target_epsilon": epsilon_tag(self.eps), "delta": self.delta, "report": report}
-        return self._emit(method, method, scores, result.log.predictions[-1], payload)
-
-    def _class_scores(self, result: trainer.TrainResult, settings: dict, native, head):
-        """``native(head)`` when ``native_score`` is set, else class-portion SR."""
-        if settings["native_score"]:
-            return native(head)
-        return selection.score_sr_of(result.log.final_probs, self.test_data.num_classes)
-
-    def base_run(self) -> tuple[trainer.TrainResult, ModelSpec]:
-        if self._base is None:
-            seed = derive_seed(self.seed, _SEED_BASE_RUN)
-            self._base = self._train("base", cross_entropy_loss(), seed)
-        return self._base
-
-    # -- methods ------------------------------------------------------------
-
-    def run_method(self, method: str, settings: dict) -> dict:
-        scorer = _BASE_SCORERS.get(method)
-        if scorer is None:
-            return getattr(self, f"_run_{method}")(settings)
-        result, spec = self.base_run()
-        return self._emit_run(method, scorer(self, result, spec, settings), result)
-
-    def _run_sat(self, settings: dict) -> dict:
-        loss = sat_loss(float(settings["momentum"]), int(settings["burn_in_epochs"]))
-        result, _ = self._train("sat", loss, derive_seed(self.seed, _SEED_SAT_RUN), abstention=True)
-        scores = self._class_scores(result, settings, selection.score_sat, result.log.final_probs)
-        return self._emit_run("sat", scores, result)
 
     def _ensemble_sigma(self, n_runs: int):
         """Shared noise level plus its accounting payload for n_runs runs."""
@@ -429,43 +379,101 @@ class _Cell:
         )
         return bs.sigma, {"target_epsilon": epsilon_tag(self.eps), "split": bs.to_dict()}
 
-    def _run_de(self, settings: dict) -> dict:
-        members, ce = int(settings["members"]), cross_entropy_loss()
-        sigma, payload = self._ensemble_sigma(members)
-        runs = [
-            self._train(f"de/member_{m}", ce, derive_seed(self.seed, _SEED_DE_RUN, m), sigma)[0]
-            for m in range(members)
-        ]
-        payload["member_reports"] = [result.report.to_dict() for result in runs]
-        member_probs = np.stack([result.log.final_probs for result in runs])
-        predicted = np.argmax(member_probs.mean(axis=0), axis=1)
-        return self._emit("de", "de", selection.score_de(member_probs), predicted, payload)
+    def run_method(self, method: str, settings: dict) -> dict:
+        row = _METHODS[method]
+        runs = row.runs(settings)
+        if row.emit is None:
+            (run,) = runs
+            result = self.train(run)
+            payload = {"target_epsilon": epsilon_tag(self.eps), "delta": self.delta,
+                       "report": result.report.to_dict()}
+            scores = row.score(self, run, result, settings)
+            return self._emit(method, method, scores, result.log.predictions[-1], payload)
+        sigma, payload = self._ensemble_sigma(len(runs))
+        trained = [(run, self.train(run, sigma)) for run in runs]
+        return row.emit(self, method, row, settings, trained, payload)
 
-    def _run_sn(self, settings: dict) -> dict:
-        c_targets = [float(c) for c in settings["c_targets"]]
-        sigma, payload = self._ensemble_sigma(len(c_targets))
-        payload["c_targets"] = c_targets
-        reports, per_target = {}, {}
-        for i, c_target in enumerate(c_targets):
+    def _emit_ensemble(self, method, row, settings, trained, payload) -> dict:
+        """One output for the members' mean; ``row.score`` takes their stacked probs."""
+        payload["member_reports"] = [result.report.to_dict() for _, result in trained]
+        member_probs = np.stack([result.log.final_probs for _, result in trained])
+        predicted = np.argmax(member_probs.mean(axis=0), axis=1)
+        return self._emit(method, method, row.score(member_probs), predicted, payload)
+
+    def _emit_per_target(self, method, row, settings, trained, payload) -> dict:
+        """One output per coverage target, then the joint account and all targets' metrics."""
+        payload["c_targets"] = [float(c) for c in settings["c_targets"]]
+        payload["run_reports"], metrics = {}, {"c_targets": {}}
+        for c_target, (run, result) in zip(payload["c_targets"], trained):
             tag = _g_tag(c_target)
-            loss = selectivenet_loss(c_target, float(settings["lam"]), float(settings["alpha"]))
-            result, _ = self._train(
-                f"sn/c_{tag}", loss, derive_seed(self.seed, _SEED_SN_RUN, i), sigma,
-                selective=True,
+            report = payload["run_reports"][tag] = result.report.to_dict()
+            scores = row.score(self, run, result, settings)
+            metrics["c_targets"][tag] = self._emit(
+                run.subdir, method, scores, result.log.predictions[-1],
+                {"target_epsilon": epsilon_tag(self.eps), "report": report},
             )
-            reports[tag] = result.report.to_dict()
-            scores = self._class_scores(
-                result, settings, selection.score_sn, result.log.final_selection
-            )
-            payload_c = {"target_epsilon": epsilon_tag(self.eps), "report": reports[tag]}
-            per_target[tag] = self._emit(
-                f"sn/c_{tag}", "sn", scores, result.log.predictions[-1], payload_c
-            )
-        payload["run_reports"] = reports
-        evaluation.write_json(payload, self.cell_dir / "sn" / "privacy.json")
-        metrics = {"c_targets": per_target}
-        evaluation.write_metrics_json(metrics, self.cell_dir / "sn" / "metrics.json")
+        evaluation.write_json(payload, self.cell_dir / method / "privacy.json")
+        evaluation.write_metrics_json(metrics, self.cell_dir / method / "metrics.json")
         return metrics
+
+
+def _class_scores(native):
+    """Scorer: ``native(log)`` when ``native_score`` is set, else class-portion SR."""
+    return lambda cell, run, result, s: (
+        native(result.log) if s["native_score"]
+        else selection.score_sr_of(result.log.final_probs, cell.test_data.num_classes)
+    )
+
+
+def _de_runs(s: dict) -> list[_Run]:
+    if int(s["members"]) < 1:
+        raise ValueError("de needs at least one member")
+    return [_Run(f"de/member_{m}", cross_entropy_loss(), (12, m)) for m in range(int(s["members"]))]
+
+
+def _sn_runs(s: dict) -> list[_Run]:
+    if not s["c_targets"]:
+        raise ValueError("sn needs at least one c_target")
+    _reject_shared_tags("sn c_targets", s["c_targets"], _g_tag)
+    lam, alpha = float(s["lam"]), float(s["alpha"])
+    return [_Run(f"sn/c_{_g_tag(c)}", selectivenet_loss(float(c), lam, alpha), (13, i),
+                 {"selectivenet_heads": True}) for i, c in enumerate(s["c_targets"])]
+
+
+# The sweep's methods. Run-seed streams 10-13 keep one cell's runs apart, and
+# the base run is one subdir, so sr, mcdo and sctd score a single training.
+_BASE_RUN = _Run("base", cross_entropy_loss(), (10,))
+_METHODS: dict[str, _Method] = {
+    "sr": _Method(
+        {}, lambda s: [_BASE_RUN],
+        lambda cell, run, result, s: selection.score_sr(result.log.final_probs),
+    ),
+    "mcdo": _Method(
+        {"passes": 20, "dropout_rate": None}, lambda s: [_BASE_RUN],
+        lambda cell, run, result, s: selection.score_mcdo(
+            result.params, cell.spec(run), cell.test_data.features, passes=int(s["passes"]),
+            seed=derive_seed(cell.seed, *run.stream, 1), dropout_rate=s.get("dropout_rate"),
+        ),
+    ),
+    "sctd": _Method(
+        {"k": 3.0}, lambda s: [_BASE_RUN],
+        lambda cell, run, result, s: selection.score_sctd(result.log, float(s["k"])),
+    ),
+    "sat": _Method(
+        {"momentum": 0.9, "burn_in_epochs": 0, "native_score": False},
+        lambda s: [_Run("sat", sat_loss(float(s["momentum"]), int(s["burn_in_epochs"])),
+                        (11,), {"abstention_head": True})],
+        _class_scores(lambda log: selection.score_sat(log.final_probs)),
+    ),
+    "de": _Method({"members": 5}, _de_runs, lambda probs: selection.score_de(probs),
+                  _Cell._emit_ensemble),
+    "sn": _Method(
+        {"c_targets": [0.1, 0.25, 0.5, 0.75, 1.0], "alpha": 0.5, "lam": 32.0,
+         "native_score": False},
+        _sn_runs, _class_scores(lambda log: selection.score_sn(log.final_selection)),
+        _Cell._emit_per_target,
+    ),
+}
 
 
 def run_cell(raw_config: dict, seed: int, eps: float, run_dir: str | Path) -> list[dict]:
@@ -527,26 +535,15 @@ def run(
     run_dir = Path(out_root) / config.hash()
     run_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_json(config.raw, run_dir / "config.json")
-    cells = [(seed, eps) for seed in seeds for eps in epsilons]
-    records: list[dict] = []
+    cells = [(config.raw, seed, eps, run_dir) for seed in seeds for eps in epsilons]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_cell, config.raw, seed, eps, run_dir)
-                for seed, eps in cells
-            ]
-            for future in futures:
-                records.extend(future.result())
+            per_cell = list(pool.map(run_cell, *zip(*cells)))
     else:
-        for seed, eps in cells:
-            records.extend(run_cell(config.raw, seed, eps, run_dir))
+        per_cell = [run_cell(*cell) for cell in cells]
+    records = [record for cell_records in per_cell for record in cell_records]
     ok = all(r["status"] != "failed" for r in records)
-    return {
-        "config_hash": config.hash(),
-        "run_dir": str(run_dir),
-        "ok": ok,
-        "records": records,
-    }
+    return {"config_hash": config.hash(), "run_dir": str(run_dir), "ok": ok, "records": records}
 
 
 def evaluate_run(method_dir: str | Path) -> dict:
@@ -677,7 +674,6 @@ def panel_outlier(
 def panel_imbalance(
     seeds=(0, 1, 2, 3, 4),
     epsilons=_DEFAULT_EPSILONS,
-    p0_grid=None,
     out_dir: str | Path | None = None,
     **overrides,
 ) -> dict:
@@ -689,7 +685,9 @@ def panel_imbalance(
     """
     _check_grid(seeds, epsilons)
     p = {**IMBALANCE_PANEL_DEFAULTS, **overrides}
-    p0_grid = list(p["p0_grid"] if p0_grid is None else p0_grid)
+    if not p["p0_grid"]:
+        raise ValueError("need at least one p0")
+    _reject_shared_tags("p0_grid", p["p0_grid"], _g_tag)
     sep = p["class_separation"]
     dataset = {
         "kind": "mixture",
@@ -703,7 +701,7 @@ def panel_imbalance(
     cells = []
     for seed in seeds:
         run_seed = derive_seed(p["base_seed"], seed, 3)
-        for p0 in p0_grid:
+        for p0 in p["p0_grid"]:
             imbalanced = {**dataset, "imbalance": {"class_id": 0, "p0": p0}}
             train_data, test_data = _build_dataset(imbalanced, seed)
             for eps in epsilons:

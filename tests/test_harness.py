@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpselect import accountant, cli, selection, trainer
+from dpselect import accountant, cli, harness, selection, trainer
 from dpselect.harness import (
     ExperimentConfig,
     epsilon_tag,
@@ -19,7 +19,7 @@ from dpselect.harness import (
 )
 
 
-def small_config(**overrides):
+def small_user(**overrides):
     user = {
         "name": "smoke",
         "dataset": {
@@ -36,7 +36,11 @@ def small_config(**overrides):
         "methods": {"sr": {}, "sctd": {}},
     }
     user.update(overrides)
-    return ExperimentConfig.from_dict(user)
+    return user
+
+
+def small_config(**overrides):
+    return ExperimentConfig.from_dict(small_user(**overrides))
 
 
 RUN_FILES = ("log/final_probs.csv", "log/log.json", "log/predictions.csv", "params.json",
@@ -164,6 +168,28 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=clash):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"training": {"steps": 20}}, "checkpoint_interval exceeds total steps"),
+            ({"training": {"learning_rate": -1, "steps": 20, "checkpoint_interval": 5}},
+             "learning_rate must be positive"),
+            ({"privacy": {"epsilons": ["inf"], "sampling_rate": 0}}, "sampling_rate must be in"),
+            ({"methods": {"sat": {"momentum": 1.0}}}, "sat momentum must be in"),
+            ({"methods": {"sn": {"c_targets": [1.5]}}}, "c_target must be in"),
+            ({"methods": {"sn": {"alpha": 2}}}, "alpha in"),
+        ],
+        ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
+             "sn_c_target", "sn_alpha"],
+    )
+    def test_untrainable_settings_rejected_at_load(self, tmp_path, overrides, error):
+        # Every cell would fail on these, so the sweep must not start.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_user(**overrides)))
+        with pytest.raises(ValueError, match=error):
+            cli.main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_load_applies_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(small_config().raw))
@@ -189,6 +215,26 @@ class TestRunSweep:
             cell = run_dir / "seed_0" / f"eps_{tag}"
             files = sorted(str(p.relative_to(cell)) for p in cell.rglob("*") if p.is_file())
             assert files == expected_cell_files()
+
+    def test_each_run_trains_once(self, tmp_path, monkeypatch):
+        calls, train = [], trainer.train
+
+        def counting_train(data, spec, train_cfg, privacy, **kwargs):
+            calls.append((privacy.epsilon, train_cfg.seed))
+            return train(data, spec, train_cfg, privacy, **kwargs)
+
+        monkeypatch.setattr(harness.trainer, "train", counting_train)
+        cfg = small_config(
+            privacy={"epsilons": ["inf", 3], "sampling_rate": 0.2},
+            methods={m: {} for m in ("sr", "mcdo", "sctd", "sat", "de", "sn")},
+        )
+        assert run(cfg, tmp_path)["ok"]
+        # base, sat, 5 de members, 5 sn targets: 12 runs a cell, each on its own seed.
+        assert len(calls) == len(set(calls)) == 24
+        assert [eps for eps, _ in calls].count(math.inf) == 12
+        calls.clear()
+        assert run(cfg, tmp_path)["ok"]
+        assert calls == []
 
     def test_rerun_skips_and_leaves_tree_untouched(self, tmp_path):
         cfg = small_config()
@@ -268,6 +314,25 @@ def test_panels_reject_repeated_cells(tmp_path, panel, grid, clash):
     with pytest.raises(ValueError, match=clash):
         panel(**{"epsilons": (math.inf,), **grid}, out_dir=tmp_path, steps=2)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "p0_grid, clash",
+    [((0.1, 0.1), "p0_grid 0.1 and 0.1"), ((0.01, 0.0100000001), "p0_grid 0.01 and"),
+     ((), "at least one p0")],
+    ids=["repeated", "shared_tag", "empty"],
+)
+def test_imbalance_panel_rejects_bad_p0_grid(tmp_path, p0_grid, clash):
+    with pytest.raises(ValueError, match=clash):
+        panel_imbalance(seeds=(0,), epsilons=(math.inf,), p0_grid=p0_grid, out_dir=tmp_path,
+                        steps=2)
+    assert not any(tmp_path.iterdir())
+
+
+def test_imbalance_panel_reports_the_p0_grid_it_ran():
+    summary = panel_imbalance(seeds=(0,), epsilons=(math.inf,), p0_grid=[0.1], steps=2)
+    assert summary["params"]["p0_grid"] == [0.1]
+    assert [cell["p0"] for cell in summary["cells"]] == [0.1]
 
 
 class TestPanelBound:

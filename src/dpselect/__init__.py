@@ -33,7 +33,6 @@ from .data import (
     load_csv,
     split,
     subsample_class,
-    write_csv,
 )
 from .evaluation import (
     RiskCoverageCurve,

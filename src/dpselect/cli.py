@@ -2,6 +2,7 @@
 
 Every subcommand prints a JSON document on stdout. ``sweep`` and ``train``
 exit nonzero if any cell failed, so shell pipelines can gate on success.
+Input the library rejects exits 2 with a one-line message, as argparse does.
 """
 
 from __future__ import annotations
@@ -56,16 +57,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
-    summary = harness.run(
-        config,
-        args.out,
-        jobs=1,
-        seeds=[args.seed],
-        epsilons=[args.eps],
-    )
-    _emit(summary)
-    return 0 if summary["ok"] else 1
+    args.jobs, args.seed, args.eps = 1, [args.seed], [args.eps]
+    return _cmd_sweep(args)
 
 
 def _cmd_evaluate(args) -> int:
@@ -193,13 +186,11 @@ def main(argv=None) -> int:
         args.eps or len(args.seed or ()) > 1
     ):
         parser.error("panel bound takes at most one --seed and no --eps")
-    if args.command == "panel" and args.which != "bound":
-        # A flag left out takes the panel's default list, which never clashes.
-        try:
-            harness._check_grid(args.seed or [0], args.eps or [math.inf])
-        except ValueError as exc:
-            parser.error(f"panel {args.which}: {exc}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # rejected input: a usage error, not a traceback
+        which = f" {args.which}" if args.command == "panel" else ""
+        parser.error(f"{args.command}{which}: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Dataset construction: synthetic Gaussian mixtures, class subsampling, CSV I/O.
+"""Dataset construction: synthetic Gaussian mixtures, class subsampling, CSV loading.
 
 Feature matrices are float64 throughout, labels are dense class indices in
 ``[0, num_classes)``. Generators are pure functions of their arguments plus a
@@ -28,7 +28,6 @@ __all__ = [
     "subsample_class",
     "split",
     "load_csv",
-    "write_csv",
 ]
 
 
@@ -42,16 +41,11 @@ class EmptyDatasetError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature matrix with integer class labels.
-
-    ``label_names`` preserves the original label values when the dataset came
-    from a file whose labels were re-indexed; position ``i`` names class ``i``.
-    """
+    """Feature matrix with integer class labels."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -81,15 +75,7 @@ class LabeledDataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            self.features[indices],
-            self.labels[indices],
-            self.num_classes,
-            self.label_names,
-        )
-
-    def class_count(self, class_id: int) -> int:
-        return int(np.sum(self.labels == class_id))
+        return LabeledDataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 @dataclass(frozen=True)
@@ -232,7 +218,7 @@ def load_csv(path: str | Path, label_column: int | str = -1) -> LabeledDataset:
     (``label_column`` by position, or by name when a header is present) may be
     arbitrary strings or numbers; they are re-indexed densely to
     ``0..num_classes-1`` in sorted order (numeric sort when every label parses
-    as a number) and the original values are kept in ``label_names``.
+    as a number).
     """
     path = Path(path)
     if not path.exists():
@@ -288,21 +274,5 @@ def load_csv(path: str | Path, label_column: int | str = -1) -> LabeledDataset:
         distinct.sort(key=float)
     index = {v: i for i, v in enumerate(distinct)}
     labels = np.array([index[v] for v in raw_labels], dtype=np.int64)
-    return LabeledDataset(
-        np.array(feats, dtype=np.float64),
-        labels,
-        num_classes=len(distinct),
-        label_names=tuple(distinct),
-    )
+    return LabeledDataset(np.array(feats, dtype=np.float64), labels, num_classes=len(distinct))
 
-
-def write_csv(data: LabeledDataset, path: str | Path) -> None:
-    """Write features plus a final label column; inverse of :func:`load_csv`."""
-    path = Path(path)
-    names = data.label_names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(data.input_dim)] + ["label"])
-        for x, y in zip(data.features, data.labels):
-            label = names[y] if names is not None else int(y)
-            writer.writerow([f"{v:.17g}" for v in x] + [label])

@@ -182,6 +182,9 @@ class ExperimentConfig:
         if raw["dataset"]["kind"] not in ("gaussian_outlier", "mixture", "csv"):
             raise ValueError(f"unknown dataset kind {raw['dataset']['kind']!r}")
         _check_grid(raw["seeds"], raw["privacy"]["epsilons"])
+        delta = raw["privacy"]["delta"]
+        if delta is not None and not 0.0 < float(delta) < 1.0:
+            raise ValueError(f"privacy.delta must be null or in (0, 1), got {delta!r}")
         _reject_shared_tags("accuracy_refs", raw.get("accuracy_refs", ()), _g_tag)
         # Settings that no cell could train fail here, before run() writes anything.
         for name, settings in raw["methods"].items():
@@ -348,7 +351,7 @@ class _Cell:
         self.cell_dir = cell_dir
         self.train_data, self.test_data = _build_dataset(self.raw["dataset"], seed)
         delta = self.raw["privacy"]["delta"]
-        self.delta = float(delta) if delta else 1.0 / len(self.train_data)
+        self.delta = 1.0 / len(self.train_data) if delta is None else float(delta)
         self.refs = self.raw.get("accuracy_refs", ())
         self._trained: dict[str, trainer.TrainResult] = {}
 

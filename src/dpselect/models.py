@@ -32,13 +32,13 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import losses
 from .losses import LossSpec, sigmoid
-from .rng import STREAM_DROPOUT, STREAM_INIT, generator
+from .rng import STREAM_INIT, generator
 
 PARAMS_FORMAT = "dpselect-params"
 PARAMS_VERSION = 1
@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 
-# A dropout seed, or a callable mapping a hidden layer to its mask generator.
-DropoutSeed = Union[int, Callable[[int], np.random.Generator], None]
+# Maps a hidden layer to its dropout mask generator; None turns dropout off.
+DropoutSeed = Optional[Callable[[int], np.random.Generator]]
 
 
 class SelectiveNetOutputs(NamedTuple):
@@ -214,10 +214,8 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     ``acts[l]`` is the (post-dropout) input of hidden layer ``l``; the last
     entry is the representation feeding the heads. A dropout mask zeroes a
     unit with probability ``dropout_rate`` and rescales survivors by
-    ``1 / (1 - rate)``; masks are a function of (seed, layer, batch shape).
-    An integer seed draws layer ``l``'s mask from
-    ``generator(seed, STREAM_DROPOUT, l)``; a callable is handed ``l`` and
-    returns the generator itself, e.g. a step of :class:`rng.RunStreams`.
+    ``1 / (1 - rate)``. Layer ``l``'s mask is drawn from the generator
+    ``dropout_seed(l)``, e.g. a step of :class:`rng.RunStreams`.
     """
     a = x
     acts = [a]
@@ -227,11 +225,7 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
         gate = z > 0
         a = np.where(gate, z, 0.0)
         if dropout_seed is not None and spec.dropout_rate > 0.0:
-            if callable(dropout_seed):
-                rng = dropout_seed(layer)
-            else:
-                rng = generator(dropout_seed, STREAM_DROPOUT, layer)
-            mask = rng.random(a.shape) >= spec.dropout_rate
+            mask = dropout_seed(layer).random(a.shape) >= spec.dropout_rate
             scale = mask / (1.0 - spec.dropout_rate)
             a = a * scale
             scales.append(scale)
@@ -256,8 +250,8 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     """Head pre-activations for one point or a batch.
 
     With ``dropout_seed=None`` the pass is deterministic; otherwise dropout
-    is active and the given seed (or per-layer generator source) fully
-    determines the masks. Returns logits of width ``n_outputs``, or
+    is active and ``dropout_seed(layer)`` gives each hidden layer's mask
+    generator. Returns logits of width ``n_outputs``, or
     :class:`SelectiveNetOutputs` when the spec has selective heads.
     """
     x = np.asarray(x, dtype=np.float64)

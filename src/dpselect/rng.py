@@ -13,8 +13,9 @@ call. A training run needs three or four streams per step, so
 numpy's ``SeedSequence`` hash (O'Neill's ``seed_seq`` mixing, plain uint32
 arithmetic) vectorized over a chunk of steps, turns each step's key into a
 PCG64 state with the PCG set-seq initialization, and loads that state into
-a bit generator it reuses. Every draw is bit-identical to the per-call
-functions; the tests compare both against numpy's own classes.
+a bit generator it reuses, for steps in [0, 2^32) (one uint32 key word).
+Every draw is bit-identical to the per-call functions; the tests compare
+both against numpy's own classes. Model and step functions take generators.
 """
 
 from __future__ import annotations
@@ -140,22 +141,6 @@ def _generate(pool, n_words: int) -> list:
     return out
 
 
-def _spawn_pool(prefix: list[int], steps: np.ndarray) -> list:
-    """Pool of ``SeedSequence(entropy, spawn_key=(*key, t))`` for every ``t`` in ``steps``.
-
-    ``prefix`` holds the entropy words, zero-padded to the pool size, then
-    the key words. A step of 2^32 or more adds a second word to the key.
-    """
-    lo = (steps & _MASK32).astype(np.uint32)
-    pool = _mix_pool([*prefix, lo])
-    hi = steps >> 32
-    wide = hi > 0
-    if wide.any():
-        long_pool = _mix_pool([*prefix, lo, hi.astype(np.uint32)])
-        pool = [np.where(wide, w, p) for w, p in zip(long_pool, pool)]
-    return pool
-
-
 def _pcg_states(words) -> list[tuple[int, int]]:
     """``(state, inc)`` of a ``PCG64`` seeded with eight generated words per step.
 
@@ -186,11 +171,12 @@ class RunStreams:
       pass ``t``;
     * ``noise(t)`` as ``generator(derive_seed(s, STREAM_NOISE, t))``.
 
-    Each stream hashes the keys of :data:`CHUNK_STEPS` steps, from the first
-    step asked for, in one array pass and keeps them until a step outside
-    the chunk is asked for. Each method loads the step's state into a bit
-    generator of its own and returns the same ``Generator`` every time, so a
-    returned generator is valid until the next call of the same method.
+    Steps are in [0, 2^32); others raise ``ValueError``. Each stream hashes
+    the keys of :data:`CHUNK_STEPS` steps, from the first step asked for, in
+    one array pass and keeps them until a step outside the chunk is asked
+    for. Each method loads the step's state into a bit generator of its own
+    and returns the same ``Generator`` every time, so a returned generator
+    is valid until the next call of the same method.
     """
 
     def __init__(self, seed: int):
@@ -212,8 +198,8 @@ class RunStreams:
         start, states = self._chunks.get(key, (0, ()))
         if not 0 <= t - start < len(states):
             t = operator.index(t)
-            if not 0 <= t < 1 << 64:
-                raise ValueError("steps must be in [0, 2^64)")
+            if not 0 <= t < 1 << 32:
+                raise ValueError("steps must be in [0, 2^32)")
             start, states = t, self._chunk_states(*key[1:], t)
             self._chunks[key] = start, states
         gen = self._generators.get(key[0])
@@ -232,8 +218,8 @@ class RunStreams:
         """States of a chunk of steps from ``start``: ``SeedSequence(seed,
         spawn_key=(parent, t))``, or with ``child`` a tuple, the child
         ``SeedSequence(derive_seed(seed, parent, t), spawn_key=child)``."""
-        steps = np.arange(start, min(start + CHUNK_STEPS, 1 << 64), dtype=np.uint64)
-        pool = _spawn_pool(self._entropy + _words(parent), steps)
+        steps = np.arange(start, min(start + CHUNK_STEPS, 1 << 32), dtype=np.uint32)
+        pool = _mix_pool([*self._entropy, *_words(parent), steps])
         if child is not None:
             # The derived seed is two words. numpy zero-pads entropy to the
             # pool size when there is a spawn key; with none, the pool is

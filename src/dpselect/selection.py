@@ -71,9 +71,9 @@ def score_mcdo(
 ) -> np.ndarray:
     """Monte Carlo dropout: average the softmax over ``passes`` stochastic
     passes, then apply the softmax response. A zero dropout rate degenerates
-    to :func:`score_sr` for any number of passes. Pass ``i`` draws its masks
-    as ``forward(..., dropout_seed=derive_seed(seed, STREAM_SCORE, i))``
-    would, from one :class:`rng.RunStreams` of ``seed``."""
+    to :func:`score_sr` for any number of passes. Pass ``i`` draws layer
+    ``l``'s mask from one :class:`rng.RunStreams` of ``seed``, as
+    ``generator(derive_seed(seed, STREAM_SCORE, i), STREAM_DROPOUT, l)``."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
     if dropout_rate is not None:

@@ -208,7 +208,7 @@ def dpsgd_step(
     clip_norm: float,
     sigma: float,
     learning_rate: float,
-    noise_seed: int | np.random.Generator | None,
+    noise_seed: np.random.Generator | None,
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
     dropout_seed: DropoutSeed = None,
@@ -220,24 +220,21 @@ def dpsgd_step(
     factors and contracts each layer as ``(w * U_l)^T A_l``, so the (B, P)
     per-example matrix is never built. The noise ``N(0, (sigma c)^2 I)`` is
     divided by ``max(|B|, 1)``: an empty batch contributes no gradient but
-    still releases a noise draw. ``noise_seed`` is read only when
-    ``sigma > 0``, and is then required: an integer seeds
-    ``generator(noise_seed)``, a ``Generator`` is drawn from as given. With
+    still releases a noise draw. ``noise_seed`` is the noise ``Generator``;
+    it is read only when ``sigma > 0``, and is then required. With
     ``sigma = 0`` and infinite ``clip_norm`` the update degenerates to plain
     minibatch SGD.
     """
     if sigma > 0.0 and not math.isfinite(clip_norm):
         raise ValueError("noise requires a finite clip_norm")
-    if sigma > 0.0 and noise_seed is None:
-        raise ValueError("noise requires a noise_seed")
+    if sigma > 0.0 and not isinstance(noise_seed, np.random.Generator):
+        raise ValueError("noise requires a noise_seed generator")
     grad = models.batch_grad(
         params, spec, x, y, loss,
         entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
         clip_norm=clip_norm,
     )
     if sigma > 0.0:
-        if not isinstance(noise_seed, np.random.Generator):
-            noise_seed = generator(noise_seed)
         noise = noise_seed.normal(0.0, sigma * clip_norm, len(params))
         grad = grad + noise / max(x.shape[0], 1)
     return params.replace(params.values - learning_rate * grad)
@@ -291,10 +288,10 @@ def train(
     finite epsilon target would be exceeded by the realized account.
 
     Batches, dropout masks and noise come from one :class:`rng.RunStreams`
-    of the run seed: the same draws as :func:`poisson_sample` at ``(seed,
-    t)`` and :func:`dpsgd_step` with ``noise_seed=derive_seed(seed,
-    STREAM_NOISE, t)`` and ``dropout_seed=derive_seed(seed, STREAM_DROPOUT,
-    t)``.
+    of the run seed: step ``t`` draws as :func:`poisson_sample` at ``(seed,
+    t)`` and as :func:`dpsgd_step` with ``noise_seed=generator(derive_seed(seed,
+    STREAM_NOISE, t))`` and ``dropout_seed`` mapping layer ``l`` to
+    ``generator(derive_seed(seed, STREAM_DROPOUT, t), STREAM_DROPOUT, l)``.
     """
     if eval_set is None:
         eval_set = data

@@ -12,7 +12,6 @@ from dpselect.data import (
     load_csv,
     split,
     subsample_class,
-    write_csv,
 )
 
 
@@ -39,14 +38,14 @@ class TestLabeledDataset:
         sub = data.subset(np.array([3, 1, 7]))
         assert len(sub) == 3
         np.testing.assert_array_equal(sub.features, data.features[[3, 1, 7]])
-        assert data.class_count(0) + data.class_count(1) == 20
+        assert np.sum(data.labels == 0) + np.sum(data.labels == 1) == 20
 
 
 class TestGaussianOutlier:
     def test_counts_and_single_outlier(self):
         data = gen_gaussian_outlier(1000, [10.0, 0.0], seed=4)
         assert len(data) == 1001
-        assert data.class_count(0) == 1
+        assert np.sum(data.labels == 0) == 1
         # the outlier is appended after the majority block
         assert data.labels[-1] == 0
 
@@ -79,7 +78,7 @@ class TestMixture:
         )
         data = gen_mixture(spec, seed=1)
         assert len(data) == 10
-        assert data.class_count(0) == 5 and data.class_count(1) == 5
+        assert np.sum(data.labels == 0) == 5 and np.sum(data.labels == 1) == 5
         # components are laid out in spec order
         np.testing.assert_array_equal(data.labels, [0] * 5 + [1] * 5)
 
@@ -103,8 +102,8 @@ class TestSubsampleClass:
     def test_other_class_untouched(self):
         data = make_dataset(n=200, seed=3)
         out = subsample_class(data, 0, 0.2, seed=5)
-        assert out.class_count(1) == data.class_count(1)
-        assert out.class_count(0) < data.class_count(0)
+        assert np.sum(out.labels == 1) == np.sum(data.labels == 1)
+        assert np.sum(out.labels == 0) < np.sum(data.labels == 0)
 
     def test_p_one_keeps_everything(self):
         data = make_dataset(n=50, seed=3)
@@ -153,7 +152,8 @@ class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         data = make_dataset(n=17, d=4, seed=8)
         path = tmp_path / "data.csv"
-        write_csv(data, path)
+        np.savetxt(path, np.column_stack([data.features, data.labels]), fmt="%.17g",
+                   delimiter=",")
         loaded = load_csv(path)
         np.testing.assert_array_equal(loaded.features, data.features)
         np.testing.assert_array_equal(loaded.labels, data.labels)
@@ -176,7 +176,6 @@ class TestCsv:
         path.write_text("0.5,-1\n0.6,1\n0.7,-1\n")
         data = load_csv(path)
         np.testing.assert_array_equal(data.labels, [0, 1, 0])
-        assert data.label_names == ("-1", "1")
 
     def test_bad_feature_cell_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"

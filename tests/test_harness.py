@@ -169,25 +169,40 @@ class TestExperimentConfig:
             small_config(**overrides)
 
     @pytest.mark.parametrize(
-        "overrides, error",
+        "overrides, argv, error",
         [
-            ({"training": {"steps": 20}}, "checkpoint_interval exceeds total steps"),
-            ({"training": {"learning_rate": -1, "steps": 20, "checkpoint_interval": 5}},
+            ({"training": {"steps": 20}}, [], "checkpoint_interval exceeds total steps"),
+            ({"training": {"learning_rate": -1, "steps": 20, "checkpoint_interval": 5}}, [],
              "learning_rate must be positive"),
-            ({"privacy": {"epsilons": ["inf"], "sampling_rate": 0}}, "sampling_rate must be in"),
-            ({"methods": {"sat": {"momentum": 1.0}}}, "sat momentum must be in"),
-            ({"methods": {"sn": {"c_targets": [1.5]}}}, "c_target must be in"),
-            ({"methods": {"sn": {"alpha": 2}}}, "alpha in"),
+            ({"privacy": {"epsilons": ["inf"], "sampling_rate": 0}}, [],
+             "sampling_rate must be in"),
+            ({"methods": {"sat": {"momentum": 1.0}}}, [], "sat momentum must be in"),
+            ({"methods": {"sn": {"c_targets": [1.5]}}}, [], "c_target must be in"),
+            ({"methods": {"sn": {"alpha": 2}}}, [], "alpha in"),
+            ({"privacy": {"epsilons": [3], "delta": 0}}, [], "privacy.delta must be null"),
+            ({"privacy": {"epsilons": [3], "delta": -1}}, [], "privacy.delta must be null"),
+            ({"privacy": {"epsilons": [3], "delta": 1.5}}, [], "privacy.delta must be null"),
+            ({}, ["--seed", "0", "--seed", "0"], "seeds 0 and 0 share the tag 0"),
+            ({}, ["accountant", "--eps-target", "0.001", "--q", "0.5", "--steps", "10000",
+                  "--delta", "1e-5"], "epsilon target 0.001 unreachable"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
-             "sn_c_target", "sn_alpha"],
+             "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
+             "repeated_seed", "unreachable_accountant_target"],
     )
-    def test_untrainable_settings_rejected_at_load(self, tmp_path, overrides, error):
-        # Every cell would fail on these, so the sweep must not start.
+    def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
+                                                   error):
+        # Every cell would fail on these, so the sweep must not start, and the
+        # command exits as a usage error instead of a traceback.
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(small_user(**overrides)))
-        with pytest.raises(ValueError, match=error):
-            cli.main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        if argv[:1] != ["accountant"]:
+            argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"), *argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {argv[0]}: " in err and error in err
         assert not (tmp_path / "out").exists()
 
     def test_load_applies_overrides(self, tmp_path):

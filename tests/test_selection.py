@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpselect.models import ModelSpec, forward, init_params, predict_probs, softmax
-from dpselect.rng import STREAM_SCORE, derive_seed
+from dpselect.rng import STREAM_DROPOUT, STREAM_SCORE, derive_seed, generator
 from dpselect.selection import (
     read_scores_csv,
     score_de,
@@ -64,7 +64,8 @@ class TestMonteCarloDropout:
         x = np.random.default_rng(1).normal(size=(5, 2))
         seed = derive_seed(3, 10, 1)
         mean = sum(
-            softmax(forward(params, spec, x, dropout_seed=derive_seed(seed, STREAM_SCORE, i)))
+            softmax(forward(params, spec, x, dropout_seed=lambda layer: generator(
+                derive_seed(seed, STREAM_SCORE, i), STREAM_DROPOUT, layer)))
             for i in range(6)
         )
         assert np.array_equal(score_mcdo(params, spec, x, passes=6, seed=seed), score_sr(mean / 6))

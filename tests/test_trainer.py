@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -89,7 +90,7 @@ class TestStepEquivalence:
         x = np.zeros((0, 2))
         y = np.zeros(0, dtype=int)
         out = dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
-                         sigma=1.0, learning_rate=0.5, noise_seed=3)
+                         sigma=1.0, learning_rate=0.5, noise_seed=rng.generator(3))
         assert not np.array_equal(out.values, params.values)
         quiet = sgd_step(params, spec, x, y, cross_entropy_loss(), learning_rate=0.5)
         np.testing.assert_array_equal(quiet.values, params.values)
@@ -100,7 +101,7 @@ class TestStepEquivalence:
         with pytest.raises(ValueError):
             dpsgd_step(params, spec, np.zeros((1, 2)), np.zeros(1, dtype=int),
                        cross_entropy_loss(), clip_norm=math.inf, sigma=1.0,
-                       learning_rate=0.1, noise_seed=0)
+                       learning_rate=0.1, noise_seed=rng.generator(0))
 
 
     def test_noise_requires_a_seed(self):
@@ -108,22 +109,13 @@ class TestStepEquivalence:
         spec = ModelSpec(input_dim=2, num_classes=2)
         params = init_params(spec, seed=1)
         x, y = np.zeros((2, 2)), np.zeros(2, dtype=int)
-        with pytest.raises(ValueError, match="noise_seed"):
-            dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
-                       sigma=1.0, learning_rate=0.1, noise_seed=None)
+        for seed in (None, 3):  # an integer is not a noise generator
+            with pytest.raises(ValueError, match="noise_seed"):
+                dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
+                           sigma=1.0, learning_rate=0.1, noise_seed=seed)
         quiet = dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
                            sigma=0.0, learning_rate=0.1, noise_seed=None)
         assert np.all(np.isfinite(quiet.values))
-
-    def test_generator_noise_equals_its_seed(self):
-        data = two_blob_data()
-        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(4,))
-        params = init_params(spec, seed=1)
-        kwargs = dict(clip_norm=1.0, sigma=1.0, learning_rate=0.1)
-        args = (params, spec, data.features[:9], data.labels[:9], cross_entropy_loss())
-        by_seed = dpsgd_step(*args, noise_seed=12, **kwargs)
-        by_generator = dpsgd_step(*args, noise_seed=rng.generator(12), **kwargs)
-        assert np.array_equal(by_seed.values, by_generator.values)
 
 
 class TestRunStreamsInTrain:
@@ -160,8 +152,10 @@ class TestRunStreamsInTrain:
                 params, spec, data.features[idx], data.labels[idx], loss,
                 clip_norm=0.8, sigma=sigma, learning_rate=0.2, entropy_beta=0.01,
                 sat_targets=batch_targets,
-                noise_seed=rng.derive_seed(seed, rng.STREAM_NOISE, t),
-                dropout_seed=rng.derive_seed(seed, rng.STREAM_DROPOUT, t),
+                noise_seed=rng.generator(rng.derive_seed(seed, rng.STREAM_NOISE, t)),
+                dropout_seed=functools.partial(
+                    rng.generator, rng.derive_seed(seed, rng.STREAM_DROPOUT, t),
+                    rng.STREAM_DROPOUT),
             )
         assert np.array_equal(result.params.values, params.values)
 
@@ -178,7 +172,8 @@ class TestFactorizedStep:
         params = init_params(spec, seed=1)
         out = dpsgd_step(params, spec, data.features[:10], data.labels[:10],
                          cross_entropy_loss(), clip_norm=1.0, sigma=1.0,
-                         learning_rate=0.1, noise_seed=3, dropout_seed=5)
+                         learning_rate=0.1, noise_seed=rng.generator(3),
+                         dropout_seed=functools.partial(rng.generator, 5, rng.STREAM_DROPOUT))
         assert not np.array_equal(out.values, params.values)
         cfg = TrainConfig(learning_rate=0.3, steps=10, loss=cross_entropy_loss(),
                           checkpoint_interval=5, seed=1)
@@ -192,13 +187,14 @@ class TestFactorizedStep:
         spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(256, 256),
                          dropout_rate=0.1)
         params = init_params(spec, seed=0)
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(750, 2))
-        y = rng.integers(0, 2, size=750)
+        draws = np.random.default_rng(0)
+        x = draws.normal(size=(750, 2))
+        y = draws.integers(0, 2, size=750)
         tracemalloc.start()
         try:
             dpsgd_step(params, spec, x, y, cross_entropy_loss(), clip_norm=1.0,
-                       sigma=1.0, learning_rate=0.1, noise_seed=1, dropout_seed=2)
+                       sigma=1.0, learning_rate=0.1, noise_seed=rng.generator(1),
+                       dropout_seed=functools.partial(rng.generator, 2, rng.STREAM_DROPOUT))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -23,6 +23,7 @@ __all__ = [
     "MixtureSpec",
     "CsvFormatError",
     "EmptyDatasetError",
+    "outlier_spec",
     "gen_gaussian_outlier",
     "gen_mixture",
     "subsample_class",
@@ -150,23 +151,18 @@ def gen_mixture(spec: MixtureSpec, seed: int) -> LabeledDataset:
     )
 
 
-def gen_gaussian_outlier(
-    n_major: int, outlier_mean: Sequence[float], seed: int
-) -> LabeledDataset:
-    """Majority cloud N(0, I) labeled 1 plus a single outlier labeled 0.
-
-    The outlier is one draw from N(outlier_mean, I) and sits in the last row.
-    """
+def outlier_spec(n_major: int, outlier_mean: Sequence[float]) -> MixtureSpec:
+    """Majority cloud N(0, I) labeled 1, then one outlier from N(outlier_mean, I) labeled 0."""
     if n_major < 1:
         raise ValueError("n_major must be >= 1: the outlier needs a majority")
     mean = tuple(float(v) for v in outlier_mean)
-    spec = MixtureSpec(
-        (
-            MixtureComponent((0.0,) * len(mean), 1.0, n_major, 1),
-            MixtureComponent(mean, 1.0, 1, 0),
-        )
-    )
-    return gen_mixture(spec, seed)
+    return MixtureSpec((MixtureComponent((0.0,) * len(mean), 1.0, n_major, 1),
+                        MixtureComponent(mean, 1.0, 1, 0)))
+
+
+def gen_gaussian_outlier(n_major: int, outlier_mean: Sequence[float], seed: int) -> LabeledDataset:
+    """A draw of :func:`outlier_spec`; the outlier sits in the last row."""
+    return gen_mixture(outlier_spec(n_major, outlier_mean), seed)
 
 
 def subsample_class(

@@ -50,6 +50,9 @@ __all__ = [
     "curve_metrics",
     "write_curve_csv",
     "read_curve_csv",
+    "write_atomic",
+    "write_table",
+    "read_table",
     "write_json",
     "write_metrics_json",
 ]
@@ -181,37 +184,61 @@ def curve_metrics(
     }
 
 
+_CURVE_HEADER = "coverage,accuracy,bound,gap"
+
+
 def write_curve_csv(curve: RiskCoverageCurve, path: str | Path) -> None:
     """Columns: coverage, accuracy, bound, gap (bound minus accuracy)."""
     b = bound_values(curve)
-    table = np.column_stack(
-        [curve.coverages, curve.accuracies, b, b - curve.accuracies]
-    )
-    header = "coverage,accuracy,bound,gap"
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    write_table(path, _CURVE_HEADER, [curve.coverages, curve.accuracies, b, b - curve.accuracies])
 
 
 def read_curve_csv(path: str | Path) -> RiskCoverageCurve:
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    table = np.array(read_table(path, _CURVE_HEADER), dtype=np.float64)
     return RiskCoverageCurve(table[:, 0], table[:, 1])
 
 
-def write_json(payload: dict, path: str | Path) -> None:
-    """Sorted, indented JSON, moved into place in one ``os.replace``.
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` whole, making its directory if need be.
 
-    ``metrics.json`` marks a sweep method complete, so a crash mid-write must
-    leave the old file or none, never a truncated one. The text goes to a
-    temporary file beside ``path`` first, which is removed if the write or
-    the move fails.
+    Every file dpselect writes comes through here: a temporary file beside ``path``
+    is moved into place, or removed on failure, so a crash never truncates a file.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        tmp.write_bytes(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_table(path: str | Path, header: str | None, columns, newline: str = "\n") -> None:
+    """Comma-separated rows of ``columns`` (no cell may hold a comma), after ``header``.
+
+    Float columns are written as ``%.17g``, which round-trips float64 exactly,
+    and other columns as ``%s``. A ``None`` header writes no header line.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + newline
+    lines = [] if header is None else [header + newline]
+    lines += [row % cells for cells in zip(*(c.tolist() for c in columns))]
+    write_atomic(path, "".join(lines))
+
+
+def read_table(path: str | Path, header: str | None) -> list[list[str]]:
+    """Each row's cells of a :func:`write_table` file, after its ``header`` line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if header is not None and lines[:1] != [header]:
+        raise ValueError(f"{path} does not start with the header {header!r}")
+    return [line.split(",") for line in lines[header is not None:]]
+
+
+def write_json(payload: dict, path: str | Path) -> None:
+    """Sorted, indented JSON with a trailing newline, written whole."""
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_metrics_json(metrics: dict, path: str | Path) -> None:

@@ -17,8 +17,8 @@ Selective nets emit the files above once per coverage target, in
 
 ``metrics.json`` doubles as the cell's completion marker: re-running an
 unchanged config skips every completed method, so a finished sweep performs
-zero new training. The JSON files are moved into place whole, so a crash
-never leaves a truncated marker. The config hash is taken over the canonical
+zero new training. Every file is moved into place whole, so a crash never
+leaves a truncated marker. The config hash is taken over the canonical
 JSON of the fully defaulted config, which makes it stable under key
 reordering, and over ``trainer.ALGORITHM_VERSION``, so cells trained by
 older arithmetic land in another run directory instead of being skipped.
@@ -49,9 +49,9 @@ from .data import (
     LabeledDataset,
     MixtureComponent,
     MixtureSpec,
-    gen_gaussian_outlier,
     gen_mixture,
     load_csv,
+    outlier_spec,
     split,
     subsample_class,
 )
@@ -179,8 +179,7 @@ class ExperimentConfig:
             raise ValueError(f"config version must be {CONFIG_VERSION}")
         if "dataset" not in raw or "kind" not in raw["dataset"]:
             raise ValueError("config needs a dataset block with a 'kind'")
-        if raw["dataset"]["kind"] not in ("gaussian_outlier", "mixture", "csv"):
-            raise ValueError(f"unknown dataset kind {raw['dataset']['kind']!r}")
+        _dataset_source(raw["dataset"])
         _check_grid(raw["seeds"], raw["privacy"]["epsilons"])
         delta = raw["privacy"]["delta"]
         if delta is not None and not 0.0 < float(delta) < 1.0:
@@ -190,7 +189,7 @@ class ExperimentConfig:
         for name, settings in raw["methods"].items():
             _METHODS[name].runs(settings)
         _train_cfg(raw, cross_entropy_loss(), 0)
-        _privacy_cfg(raw, math.inf, None)
+        _privacy_cfg(raw, min(self.epsilons), 0.5)  # 0.5 stands in for delta, checked above
 
     def hash(self) -> str:
         """Digest of the config and of ``trainer.ALGORITHM_VERSION``.
@@ -211,47 +210,49 @@ class ExperimentConfig:
         return [parse_epsilon(e) for e in self.raw["privacy"]["epsilons"]]
 
 
-def _build_dataset(dcfg: dict, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    base = int(dcfg.get("base_seed", 0))
+def _dataset_source(dcfg: dict) -> MixtureSpec | Path:
+    """The block's mixture or CSV path, checked without drawing or reading data."""
     kind = dcfg["kind"]
+    try:
+        if kind == "csv":
+            return Path(dcfg["path"])
+        if kind == "gaussian_outlier":
+            return outlier_spec(int(dcfg.get("n_major", 1000)),
+                                dcfg.get("outlier_mean", [10.0, 0.0]))
+        if kind == "mixture":
+            return MixtureSpec(tuple(
+                MixtureComponent(tuple(c["mean"]), c.get("covariance", 1.0), int(c["count"]),
+                                 int(c["label"])) for c in dcfg["components"]))
+    except KeyError as exc:
+        raise ValueError(f"a {kind} dataset block needs {exc}") from None
+    raise ValueError(f"unknown dataset kind {kind!r}")
+
+
+def _build_dataset(dcfg: dict, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    kind, base, source = dcfg["kind"], int(dcfg.get("base_seed", 0)), _dataset_source(dcfg)
+    if kind == "csv":
+        data = load_csv(source, dcfg.get("label_column", -1))
+        return split(data, float(dcfg.get("train_fraction", 0.8)), derive_seed(base, seed, 0))
     if kind == "gaussian_outlier":
-        n_major = int(dcfg.get("n_major", 1000))
-        mean = dcfg.get("outlier_mean", [10.0, 0.0])
-        train = gen_gaussian_outlier(n_major, mean, derive_seed(base, seed, 0))
-        test = gen_gaussian_outlier(n_major, mean, derive_seed(base, seed, 1))
-        return train, test
-    if kind == "mixture":
-        comps = tuple(
-            MixtureComponent(
-                mean=tuple(c["mean"]),
-                covariance=c.get("covariance", 1.0),
-                count=int(c["count"]),
-                label=int(c["label"]),
-            )
-            for c in dcfg["components"]
-        )
-        data = gen_mixture(MixtureSpec(comps), derive_seed(base, seed, 0))
-        imbalance = dcfg.get("imbalance")
-        if imbalance:
-            data = subsample_class(
-                data,
-                int(imbalance["class_id"]),
-                float(imbalance["p0"]),
-                derive_seed(base, seed, 1),
-            )
-        return split(data, float(dcfg.get("train_fraction", 0.5)), derive_seed(base, seed, 2))
-    data = load_csv(dcfg["path"], dcfg.get("label_column", -1))
-    return split(data, float(dcfg.get("train_fraction", 0.8)), derive_seed(base, seed, 0))
+        return tuple(gen_mixture(source, derive_seed(base, seed, i)) for i in (0, 1))
+    data = gen_mixture(source, derive_seed(base, seed, 0))
+    imbalance = dcfg.get("imbalance")
+    if imbalance:
+        data = subsample_class(data, int(imbalance["class_id"]), float(imbalance["p0"]),
+                               derive_seed(base, seed, 1))
+    return split(data, float(dcfg.get("train_fraction", 0.5)), derive_seed(base, seed, 2))
 
 
-def _model_spec(raw: dict, data: LabeledDataset, **heads) -> ModelSpec:
+def _model_spec(raw: dict, data: LabeledDataset, loss_kind: str = "cross_entropy") -> ModelSpec:
+    """The ``model`` block's network, with the output heads ``loss_kind`` trains."""
     mcfg = raw["model"]
     return ModelSpec(
         input_dim=data.input_dim,
         num_classes=data.num_classes,
         hidden_sizes=tuple(mcfg["hidden_sizes"]),
         dropout_rate=float(mcfg["dropout_rate"]),
-        **heads,
+        abstention_head=loss_kind == "sat",
+        selectivenet_heads=loss_kind == "selectivenet",
     )
 
 
@@ -289,23 +290,14 @@ def _train_run(raw, data, test, spec, loss, eps, delta, seed, sigma=None) -> tra
 
 
 def _save_run(directory: Path, result: trainer.TrainResult, spec: ModelSpec) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
     models.save_params(result.params, spec, directory / "params.json")
     trainer.save_checkpoint_log(result.log, directory / "log")
     evaluation.write_json(result.report.to_dict(), directory / "privacy.json")
 
 
-def _emit_method(
-    method_dir: Path,
-    method: str,
-    scores: np.ndarray,
-    predicted: np.ndarray,
-    true_labels: np.ndarray,
-    accuracy_refs,
-    privacy_payload: dict,
-) -> dict:
+def _emit_method(method_dir: Path, method: str, scores: np.ndarray, predicted: np.ndarray,
+                 true_labels: np.ndarray, accuracy_refs, privacy_payload: dict) -> dict:
     """Write the full artifact set; metrics.json lands last as the marker."""
-    method_dir.mkdir(parents=True, exist_ok=True)
     correctness = predicted == true_labels
     curve = evaluation.build_curve(scores, correctness)
     selection.write_scores_csv(
@@ -319,12 +311,11 @@ def _emit_method(
 
 
 class _Run(NamedTuple):
-    """A run of a cell, saved in ``<subdir>/checkpoints``; ``heads`` are ModelSpec flags."""
+    """A run of a cell, saved in ``<subdir>/checkpoints``; its loss picks its heads."""
 
     subdir: str
     loss: LossSpec
     stream: tuple[int, ...]  # run seed: derive_seed(cell seed, *stream)
-    heads: dict = {}
 
 
 class _Method(NamedTuple):
@@ -356,7 +347,7 @@ class _Cell:
         self._trained: dict[str, trainer.TrainResult] = {}
 
     def spec(self, run: _Run) -> ModelSpec:
-        return _model_spec(self.raw, self.train_data, **run.heads)
+        return _model_spec(self.raw, self.train_data, run.loss.kind)
 
     def train(self, run: _Run, sigma=None) -> trainer.TrainResult:
         """Train ``run`` (at noise ``sigma`` if given) and save it, once per cell."""
@@ -439,8 +430,8 @@ def _sn_runs(s: dict) -> list[_Run]:
         raise ValueError("sn needs at least one c_target")
     _reject_shared_tags("sn c_targets", s["c_targets"], _g_tag)
     lam, alpha = float(s["lam"]), float(s["alpha"])
-    return [_Run(f"sn/c_{_g_tag(c)}", selectivenet_loss(float(c), lam, alpha), (13, i),
-                 {"selectivenet_heads": True}) for i, c in enumerate(s["c_targets"])]
+    return [_Run(f"sn/c_{_g_tag(c)}", selectivenet_loss(float(c), lam, alpha), (13, i))
+            for i, c in enumerate(s["c_targets"])]
 
 
 # The sweep's methods. Run-seed streams 10-13 keep one cell's runs apart, and
@@ -464,8 +455,7 @@ _METHODS: dict[str, _Method] = {
     ),
     "sat": _Method(
         {"momentum": 0.9, "burn_in_epochs": 0, "native_score": False},
-        lambda s: [_Run("sat", sat_loss(float(s["momentum"]), int(s["burn_in_epochs"])),
-                        (11,), {"abstention_head": True})],
+        lambda s: [_Run("sat", sat_loss(float(s["momentum"]), int(s["burn_in_epochs"])), (11,))],
         _class_scores(lambda log: selection.score_sat(log.final_probs)),
     ),
     "de": _Method({"members": 5}, _de_runs, lambda probs: selection.score_de(probs),
@@ -536,7 +526,6 @@ def run(
     epsilons = config.epsilons if epsilons is None else [parse_epsilon(e) for e in epsilons]
     _check_grid(seeds, epsilons)
     run_dir = Path(out_root) / config.hash()
-    run_dir.mkdir(parents=True, exist_ok=True)
     evaluation.write_json(config.raw, run_dir / "config.json")
     cells = [(config.raw, seed, eps, run_dir) for seed in seeds for eps in epsilons]
     if jobs > 1:
@@ -552,6 +541,8 @@ def run(
 def evaluate_run(method_dir: str | Path) -> dict:
     """Recompute metrics from persisted scores and compare with the stored copy."""
     method_dir = Path(method_dir)
+    if missing := [n for n in ("scores.csv", "metrics.json") if not (method_dir / n).is_file()]:
+        raise ValueError(f"{method_dir} holds no {missing[0]}; pass one method's directory")
     _, scores, predicted, true_labels = selection.read_scores_csv(method_dir / "scores.csv")
     stored = json.loads((method_dir / "metrics.json").read_text())
     curve = evaluation.build_curve(scores, predicted == true_labels)
@@ -613,17 +604,28 @@ def _panel_raw(p: dict) -> dict:
     }
 
 
-def _panel_run(p: dict, data, test, eps: float, seed: int) -> trainer.TrainResult:
-    raw = _panel_raw(p)
-    spec = _model_spec(raw, data)
-    return _train_run(raw, data, test, spec, cross_entropy_loss(), eps, 1.0 / len(data), seed)
+def _panel_cells(p: dict, seeds, epsilons, datasets, stream: int, stats) -> list[dict]:
+    """One run per (seed, dataset, epsilon), seeded by ``derive_seed(base_seed, seed, stream)``.
+
+    ``datasets`` pairs each dataset block with the keys its cells carry; a
+    cell is those keys, the seed and the epsilon, then ``stats(result, test)``.
+    """
+    raw, cells = _panel_raw(p), []
+    for seed in seeds:
+        for keys, block in datasets:
+            data, test = _build_dataset(block, seed)
+            for eps in epsilons:
+                result = _train_run(raw, data, test, _model_spec(raw, data), cross_entropy_loss(),
+                                    eps, 1.0 / len(data), derive_seed(p["base_seed"], seed, stream))
+                cells.append({"seed": seed, **keys, "epsilon": epsilon_tag(eps),
+                              **stats(result, test)})
+    return cells
 
 
 def _write_panel(summary: dict, out_dir: str | Path | None) -> dict:
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"panel_{summary['panel']}.json").write_text(json.dumps(summary, indent=2) + "\n")
+        path = Path(out_dir) / f"panel_{summary['panel']}.json"
+        evaluation.write_atomic(path, json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -641,26 +643,20 @@ def panel_outlier(
     """
     _check_grid(seeds, epsilons)
     p = {**OUTLIER_PANEL_DEFAULTS, **overrides}
-    dataset = {"kind": "gaussian_outlier", **p}
-    cells = []
-    for seed in seeds:
-        train_data, test_data = _build_dataset(dataset, seed)
-        outlier_idx = int(np.flatnonzero(test_data.labels == 0)[0])
-        for eps in epsilons:
-            result = _panel_run(p, train_data, test_data, eps, derive_seed(p["base_seed"], seed, 2))
-            prob_correct = float(result.log.final_probs[outlier_idx, 0])
-            predicted = int(result.log.predictions[-1][outlier_idx])
-            cells.append(
-                {
-                    "seed": seed,
-                    "epsilon": epsilon_tag(eps),
-                    "outlier_correct_prob": prob_correct,
-                    "outlier_predicted": predicted,
-                    "outlier_correct": predicted == 0,
-                    "realized_epsilon": result.report.epsilon,
-                    "sigma": result.report.sigma,
-                }
-            )
+
+    def stats(result, test) -> dict:
+        outlier_idx = int(np.flatnonzero(test.labels == 0)[0])
+        predicted = int(result.log.predictions[-1][outlier_idx])
+        return {
+            "outlier_correct_prob": float(result.log.final_probs[outlier_idx, 0]),
+            "outlier_predicted": predicted,
+            "outlier_correct": predicted == 0,
+            "realized_epsilon": result.report.epsilon,
+            "sigma": result.report.sigma,
+        }
+
+    datasets = [({}, {"kind": "gaussian_outlier", **p})]
+    cells = _panel_cells(p, seeds, epsilons, datasets, 2, stats)
     by_eps = {}
     for eps in epsilons:
         tag = epsilon_tag(eps)
@@ -701,39 +697,27 @@ def panel_imbalance(
         "train_fraction": p["train_fraction"],
         "base_seed": p["base_seed"],
     }
-    cells = []
-    for seed in seeds:
-        run_seed = derive_seed(p["base_seed"], seed, 3)
-        for p0 in p["p0_grid"]:
-            imbalanced = {**dataset, "imbalance": {"class_id": 0, "p0": p0}}
-            train_data, test_data = _build_dataset(imbalanced, seed)
-            for eps in epsilons:
-                result = _panel_run(p, train_data, test_data, eps, run_seed)
-                scores = selection.score_sr(result.log.final_probs)
-                predicted = result.log.predictions[-1]
-                correctness = predicted == test_data.labels
-                curve = evaluation.build_curve(scores, correctness)
-                order = np.lexsort((np.arange(len(scores)), scores))
-                ranks = np.empty(len(scores))
-                ranks[order] = np.arange(len(scores)) / max(len(scores) - 1, 1)
-                minority = test_data.labels == 0
-                cells.append(
-                    {
-                        "seed": seed,
-                        "p0": p0,
-                        "epsilon": epsilon_tag(eps),
-                        "minority_test_count": int(minority.sum()),
-                        "minority_mean_rank": float(ranks[minority].mean())
-                        if minority.any()
-                        else None,
-                        "minority_accuracy": float(correctness[minority].mean())
-                        if minority.any()
-                        else None,
-                        "sr_normalized_score": evaluation.normalized_score(curve),
-                        "a_full": curve.a_full,
-                        "realized_epsilon": result.report.epsilon,
-                    }
-                )
+
+    def stats(result, test) -> dict:
+        scores = selection.score_sr(result.log.final_probs)
+        correctness = result.log.predictions[-1] == test.labels
+        curve = evaluation.build_curve(scores, correctness)
+        order = np.lexsort((np.arange(len(scores)), scores))
+        ranks = np.empty(len(scores))
+        ranks[order] = np.arange(len(scores)) / max(len(scores) - 1, 1)
+        minority = test.labels == 0
+        return {
+            "minority_test_count": int(minority.sum()),
+            "minority_mean_rank": float(ranks[minority].mean()) if minority.any() else None,
+            "minority_accuracy": float(correctness[minority].mean()) if minority.any() else None,
+            "sr_normalized_score": evaluation.normalized_score(curve),
+            "a_full": curve.a_full,
+            "realized_epsilon": result.report.epsilon,
+        }
+
+    datasets = [({"p0": p0}, {**dataset, "imbalance": {"class_id": 0, "p0": p0}})
+                for p0 in p["p0_grid"]]
+    cells = _panel_cells(p, seeds, epsilons, datasets, 3, stats)
     summary = {"panel": "imbalance", "params": p, "cells": cells}
     return _write_panel(summary, out_dir)
 

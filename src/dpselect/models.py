@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import losses
+from .evaluation import write_atomic
 from .losses import LossSpec, sigmoid
 from .rng import STREAM_INIT, generator
 
@@ -426,7 +427,7 @@ def batch_grad(
 
 
 def save_params(params: ParamVector, spec: ModelSpec, path: str | Path) -> None:
-    """Versioned JSON checkpoint: spec descriptor, layout, flat values."""
+    """Versioned compact JSON checkpoint: spec descriptor, layout, flat values."""
     payload = {
         "format": PARAMS_FORMAT,
         "version": PARAMS_VERSION,
@@ -434,7 +435,7 @@ def save_params(params: ParamVector, spec: ModelSpec, path: str | Path) -> None:
         "layout": [[name, list(shape)] for name, shape in params.layout],
         "values": params.values.tolist(),
     }
-    Path(path).write_text(json.dumps(payload))
+    write_atomic(path, json.dumps(payload))
 
 
 def load_params(path: str | Path) -> tuple[ParamVector, ModelSpec]:

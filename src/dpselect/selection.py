@@ -20,13 +20,13 @@ scored by default; their native scores stay available behind a flag.
 
 from __future__ import annotations
 
-import csv
 import functools
 from pathlib import Path
 
 import numpy as np
 
 from . import models
+from .evaluation import read_table, write_table
 from .losses import renormalized_class_probs, sigmoid
 from .models import ModelSpec, ParamVector
 from .rng import STREAM_SCORE, RunStreams
@@ -136,27 +136,26 @@ def score_sn(selection_raw: np.ndarray) -> np.ndarray:
     return sigmoid(-np.atleast_1d(np.asarray(selection_raw, dtype=np.float64)))
 
 
-def write_scores_csv(
-    path: str | Path,
-    method: str,
-    scores: np.ndarray,
-    predicted: np.ndarray,
-    true_labels: np.ndarray,
-) -> None:
-    """Rows of (point index, method, score, predicted label, true label)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "method", "score", "predicted_label", "true_label"])
-        for i, (s, p, t) in enumerate(zip(scores, predicted, true_labels)):
-            writer.writerow([i, method, f"{s:.17g}", int(p), int(t)])
+_SCORES_HEADER = "point_index,method,score,predicted_label,true_label"
+
+
+def write_scores_csv(path: str | Path, method: str, scores: np.ndarray, predicted: np.ndarray,
+                     true_labels: np.ndarray) -> None:
+    """Rows of (point index, method, score, predicted label, true label).
+
+    A :func:`evaluation.write_table` file with CRLF line ends, moved into
+    place whole; scores keep 17 significant digits, so they round-trip exactly.
+    """
+    n, labels = len(scores), np.asarray([predicted, true_labels], dtype=np.int64)
+    columns = [range(n), [method] * n, np.asarray(scores, dtype=np.float64), *labels]
+    write_table(path, _SCORES_HEADER, columns, newline="\r\n")
 
 
 def read_scores_csv(path: str | Path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of :func:`write_scores_csv`; float64 values round-trip exactly."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
+    rows = read_table(path, _SCORES_HEADER)
     method = rows[0][1] if rows else ""
-    scores = np.array([float(r[2]) for r in rows])
-    predicted = np.array([int(r[3]) for r in rows], dtype=np.int64)
-    true_labels = np.array([int(r[4]) for r in rows], dtype=np.int64)
+    scores = np.array([r[2] for r in rows], dtype=np.float64)
+    predicted = np.array([r[3] for r in rows], dtype=np.int64)
+    true_labels = np.array([r[4] for r in rows], dtype=np.int64)
     return method, scores, predicted, true_labels

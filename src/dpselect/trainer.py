@@ -26,6 +26,7 @@ import numpy as np
 
 from . import accountant, losses, models
 from .data import LabeledDataset
+from .evaluation import read_table, write_atomic, write_table
 from .losses import LossSpec
 from .models import DropoutSeed, ModelSpec, ParamVector
 from .rng import STREAM_BATCH, RunStreams, generator
@@ -377,13 +378,13 @@ def train(
 
 
 def save_checkpoint_log(log: CheckpointLog, directory: str | Path) -> None:
-    """Header JSON plus integer prediction matrix (and float CSVs) on disk.
+    """``log.json`` plus headerless tables, each file moved into place whole.
 
-    Floats are written with 17 significant digits, which round-trips float64
-    exactly; reloading and rescoring reproduces metrics bit for bit.
+    ``predictions.csv`` has a row per checkpoint, ``final_probs.csv`` and (for
+    selective nets) ``final_selection.csv`` a row per evaluation point. Floats
+    keep 17 significant digits, so rescoring a reload is bit for bit exact.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     header = {
         "format": CHECKPOINT_LOG_FORMAT,
         "version": CHECKPOINT_LOG_VERSION,
@@ -393,13 +394,11 @@ def save_checkpoint_log(log: CheckpointLog, directory: str | Path) -> None:
         "num_outputs": int(log.final_probs.shape[1]),
         "has_selection": log.final_selection is not None,
     }
-    (directory / "log.json").write_text(json.dumps(header, indent=2))
-    np.savetxt(directory / "predictions.csv", log.predictions, fmt="%d", delimiter=",")
-    np.savetxt(directory / "final_probs.csv", log.final_probs, fmt="%.17g", delimiter=",")
+    write_atomic(directory / "log.json", json.dumps(header, indent=2))
+    write_table(directory / "predictions.csv", None, log.predictions.T)
+    write_table(directory / "final_probs.csv", None, log.final_probs.T)
     if log.final_selection is not None:
-        np.savetxt(
-            directory / "final_selection.csv", log.final_selection, fmt="%.17g"
-        )
+        write_table(directory / "final_selection.csv", None, [log.final_selection])
 
 
 def load_checkpoint_log(directory: str | Path) -> CheckpointLog:
@@ -409,13 +408,12 @@ def load_checkpoint_log(directory: str | Path) -> CheckpointLog:
         raise ValueError(f"{directory} does not hold a checkpoint log")
     if header.get("version") != CHECKPOINT_LOG_VERSION:
         raise ValueError(f"unsupported log version {header.get('version')}")
-    preds = np.loadtxt(
-        directory / "predictions.csv", dtype=np.int64, delimiter=",", ndmin=2
-    )
-    probs = np.loadtxt(directory / "final_probs.csv", delimiter=",", ndmin=2)
+    preds = np.array(read_table(directory / "predictions.csv", None), dtype=np.int64)
+    probs = np.array(read_table(directory / "final_probs.csv", None), dtype=np.float64)
     selection = None
     if header["has_selection"]:
-        selection = np.loadtxt(directory / "final_selection.csv", ndmin=1)
+        table = read_table(directory / "final_selection.csv", None)
+        selection = np.array(table, dtype=np.float64).ravel()
     return CheckpointLog(
         checkpoint_times=np.array(header["checkpoint_times"], dtype=np.int64),
         predictions=preds,

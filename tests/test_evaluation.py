@@ -19,8 +19,10 @@ from dpselect.evaluation import (
     ideal_score_oracle,
     normalized_score,
     read_curve_csv,
+    read_table,
     write_curve_csv,
     write_metrics_json,
+    write_table,
 )
 
 
@@ -172,6 +174,37 @@ class TestCurveCsv:
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(table[:, 3], table[:, 2] - table[:, 1], atol=1e-16)
 
+    def test_golden_bytes(self, tmp_path):
+        curve = build_curve(np.array([0.3, 0.1, 0.2]), np.array([True, False, True]))
+        write_curve_csv(curve, tmp_path / "curves.csv")
+        assert (tmp_path / "curves.csv").read_bytes() == (
+            b"coverage,accuracy,bound,gap\n"
+            b"0.33333333333333331,0,1,1\n"
+            b"0.66666666666666663,0.5,1,0.5\n"
+            b"1,0.66666666666666663,0.66666666666666663,0\n"
+        )
+
+
+class TestTable:
+    def test_formats_floats_exactly_and_other_columns_as_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        columns = [np.array([0.1, -0.0]), np.array([3, -4]), ["a", "b"], range(2)]
+        write_table(path, "x,n,s,i", columns, newline="\r\n")
+        assert path.read_bytes() == b"x,n,s,i\r\n0.10000000000000001,3,a,0\r\n-0,-4,b,1\r\n"
+        assert read_table(path, "x,n,s,i") == [["0.10000000000000001", "3", "a", "0"],
+                                               ["-0", "-4", "b", "1"]]
+
+    def test_headerless_round_trip(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal((4, 3)) * 10.0 ** np.arange(-100, 200, 100)
+        write_table(tmp_path / "t.csv", None, values.T)
+        loaded = np.array(read_table(tmp_path / "t.csv", None), dtype=np.float64)
+        assert loaded.tobytes() == values.tobytes()
+
+    def test_reader_checks_the_header(self, tmp_path):
+        write_table(tmp_path / "t.csv", "a,b", [[1], [2]])
+        with pytest.raises(ValueError, match="does not start with the header 'coverage,"):
+            read_curve_csv(tmp_path / "t.csv")
+
 
 class TestMetricsJson:
     def test_writes_sorted_json(self, tmp_path):
@@ -186,6 +219,8 @@ class TestMetricsJson:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="disk full"):
-            write_metrics_json({"a": 1}, tmp_path / "metrics.json")
-        assert list(tmp_path.iterdir()) == []
+        for write in (lambda: write_metrics_json({"a": 1}, tmp_path / "metrics.json"),
+                      lambda: write_table(tmp_path / "t.csv", "x", [[0.5, 1.5]])):
+            with pytest.raises(OSError, match="disk full"):
+                write()
+            assert list(tmp_path.iterdir()) == []

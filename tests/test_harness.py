@@ -182,12 +182,22 @@ class TestExperimentConfig:
             ({"privacy": {"epsilons": [3], "delta": 0}}, [], "privacy.delta must be null"),
             ({"privacy": {"epsilons": [3], "delta": -1}}, [], "privacy.delta must be null"),
             ({"privacy": {"epsilons": [3], "delta": 1.5}}, [], "privacy.delta must be null"),
+            ({"privacy": {"epsilons": [3], "clip_norm": 0}}, [], "finite positive clip_norm"),
+            ({"privacy": {"epsilons": [3], "clip_norm": -1}}, [], "finite positive clip_norm"),
+            ({"privacy": {"epsilons": [3], "clip_norm": "inf"}}, [], "finite positive clip_norm"),
+            ({"dataset": {"kind": "mixture"}}, [], "a mixture dataset block needs 'components'"),
+            ({"dataset": {"kind": "mixture", "components": [{"mean": [0.0], "label": 0}]}}, [],
+             "a mixture dataset block needs 'count'"),
+            ({"dataset": {"kind": "csv"}}, [], "a csv dataset block needs 'path'"),
+            ({"dataset": {"kind": "gaussian_outlier", "n_major": 0}}, [], "n_major must be >= 1"),
             ({}, ["--seed", "0", "--seed", "0"], "seeds 0 and 0 share the tag 0"),
             ({}, ["accountant", "--eps-target", "0.001", "--q", "0.5", "--steps", "10000",
                   "--delta", "1e-5"], "epsilon target 0.001 unreachable"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
              "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
+             "clip_norm_zero", "clip_norm_negative", "clip_norm_inf", "mixture_no_components",
+             "mixture_component_no_count", "csv_no_path", "outlier_no_majority",
              "repeated_seed", "unreachable_accountant_target"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
@@ -410,6 +420,27 @@ class TestCli:
         assert rc == 0
         expected = json.dumps(evaluate_run(sr_dir), indent=2, default=str) + "\n"
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("case, missing", [("no_dir", "scores.csv"), ("sn", "scores.csv"),
+                                               ("no_metrics", "metrics.json")])
+    def test_evaluate_command_rejects_an_incomplete_directory(self, capsys, tmp_path, case,
+                                                              missing):
+        if case == "no_dir":
+            method_dir = tmp_path / "nonexistent"
+        else:
+            methods = {"sn": {"c_targets": [0.5]}, "sr": {}}
+            summary = run(small_config(methods=methods), tmp_path)
+            dirs = {r["method"]: Path(r["dir"]) for r in summary["records"]}
+            assert evaluate_run(dirs["sn"] / "c_0.5")["matches_stored"]
+            method_dir = dirs["sn" if case == "sn" else "sr"]
+            if case == "no_metrics":
+                (method_dir / "metrics.json").unlink()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--dir", str(method_dir)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: evaluate: {method_dir} holds no {missing}" in err
+        assert "Traceback" not in err
 
     def test_oracle_command(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"

@@ -292,6 +292,16 @@ class TestPersistence:
         assert spec == MLP
         np.testing.assert_array_equal(loaded.values, params.values)
 
+    def test_golden_bytes(self, tmp_path):
+        spec = ModelSpec(input_dim=1, num_classes=2)
+        save_params(init_params(spec, seed=0), spec, tmp_path / "params.json")
+        assert (tmp_path / "params.json").read_bytes() == (
+            b'{"format": "dpselect-params", "version": 1, "spec": {"input_dim": 1, '
+            b'"num_classes": 2, "hidden_sizes": [], "abstention_head": false, '
+            b'"selectivenet_heads": false, "dropout_rate": 0.0}, "layout": [["out.W", [2, 1]], '
+            b'["out.b", [2]]], "values": [1.1385684507554432, -2.704060077435391, 0.0, 0.0]}'
+        )
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text("{}")

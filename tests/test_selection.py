@@ -193,3 +193,12 @@ class TestScoresCsv:
         write_scores_csv(path, "sr", np.array([0.5]), np.array([1]), np.array([0]))
         first = path.read_text().splitlines()[0]
         assert first == "point_index,method,score,predicted_label,true_label"
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, "sr", [0.1, 0.5], [1, 0], [1, 1])
+        assert path.read_bytes() == (
+            b"point_index,method,score,predicted_label,true_label\r\n"
+            b"0,sr,0.10000000000000001,1,1\r\n"
+            b"1,sr,0.5,0,1\r\n"
+        )

@@ -323,6 +323,27 @@ class TestLogPersistence:
         np.testing.assert_array_equal(loaded.final_selection, log.final_selection)
         assert loaded.eval_set_id == log.eval_set_id
 
+    def test_golden_bytes(self, tmp_path):
+        log = CheckpointLog(
+            checkpoint_times=np.array([5, 10]),
+            predictions=np.array([[0, 1, 2], [1, 1, 0]]),
+            final_probs=np.array([[0.25, 0.75], [0.1, 0.9], [1 / 3, 2 / 3]]),
+            eval_set_id="abc",
+            final_selection=np.array([0.5, -1, 2]),
+        )
+        save_checkpoint_log(log, tmp_path / "log")
+        files = {p.name: p.read_bytes() for p in (tmp_path / "log").iterdir()}
+        assert files == {
+            "log.json": b'{\n  "format": "dpselect-checkpoint-log",\n  "version": 1,\n'
+                        b'  "checkpoint_times": [\n    5,\n    10\n  ],\n'
+                        b'  "eval_set_id": "abc",\n  "eval_size": 3,\n  "num_outputs": 2,\n'
+                        b'  "has_selection": true\n}',
+            "predictions.csv": b"0,1,2\n1,1,0\n",
+            "final_probs.csv": b"0.25,0.75\n0.10000000000000001,0.90000000000000002\n"
+                               b"0.33333333333333331,0.66666666666666663\n",
+            "final_selection.csv": b"0.5\n-1\n2\n",
+        }
+
     def test_rejects_foreign_directory(self, tmp_path):
         (tmp_path / "log.json").write_text("{}")
         with pytest.raises(ValueError):

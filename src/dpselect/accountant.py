@@ -47,22 +47,6 @@ CALIBRATION_RTOL = 1e-3
 # a few dozen entries (one per bisection step).
 ACCOUNT_CACHE_SIZE = 4096
 
-__all__ = [
-    "RdpCurve",
-    "PrivacyReport",
-    "BudgetSplit",
-    "CalibrationError",
-    "rdp_gaussian",
-    "rdp_subsampled_gaussian",
-    "gaussian_curve",
-    "subsampled_gaussian_curve",
-    "compose",
-    "rdp_to_dp",
-    "account",
-    "calibrate_sigma",
-    "split_budget",
-]
-
 
 class CalibrationError(ValueError):
     """Noise calibration cannot meet the target within the sigma bracket."""
@@ -97,16 +81,6 @@ class PrivacyReport:
     sampling_rate: float
     steps: int
     optimal_order: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "sigma": self.sigma,
-            "sampling_rate": self.sampling_rate,
-            "steps": self.steps,
-            "optimal_order": self.optimal_order,
-        }
 
 
 def rdp_gaussian(sigma: float, alpha: float) -> float:
@@ -289,15 +263,6 @@ class BudgetSplit:
     total: PrivacyReport
     per_run: PrivacyReport
     heuristic_epsilon: float
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "n_runs": self.n_runs,
-            "total": self.total.to_dict(),
-            "per_run": self.per_run.to_dict(),
-            "heuristic_epsilon": self.heuristic_epsilon,
-        }
 
 
 def split_budget(

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import accountant, evaluation, harness
 
@@ -21,7 +22,7 @@ def _parse_set(pairs: list[str]) -> dict:
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep:
-            raise SystemExit(f"--set expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -73,16 +74,16 @@ def _cmd_accountant(args) -> int:
             bs = accountant.split_budget(
                 args.eps_target, args.delta, args.split, args.q, args.steps
             )
-            _emit(bs.to_dict())
+            _emit(asdict(bs))
         else:
             sigma = accountant.calibrate_sigma(args.eps_target, args.delta, args.q, args.steps)
             report = accountant.account(sigma, args.q, args.steps, args.delta)
-            _emit(report.to_dict())
+            _emit(asdict(report))
         return 0
     if args.sigma is None:
-        raise SystemExit("accountant needs either --sigma or --eps-target")
+        raise ValueError("accountant needs either --sigma or --eps-target")
     report = accountant.account(args.sigma, args.q, args.steps, args.delta)
-    _emit(report.to_dict())
+    _emit(asdict(report))
     return 0
 
 

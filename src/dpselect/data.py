@@ -9,27 +9,13 @@ the same dataset, bit for bit.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .rng import generator
-
-__all__ = [
-    "LabeledDataset",
-    "MixtureComponent",
-    "MixtureSpec",
-    "CsvFormatError",
-    "EmptyDatasetError",
-    "outlier_spec",
-    "gen_gaussian_outlier",
-    "gen_mixture",
-    "subsample_class",
-    "split",
-    "load_csv",
-]
 
 
 class CsvFormatError(ValueError):
@@ -95,7 +81,10 @@ class MixtureComponent:
 
 @dataclass(frozen=True)
 class MixtureSpec:
+    """Components drawn in order; ``factors`` holds each one's checked covariance factor."""
+
     components: tuple[MixtureComponent, ...]
+    factors: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
@@ -108,6 +97,8 @@ class MixtureSpec:
                 raise ValueError("component count must be >= 1")
             if c.label < 0:
                 raise ValueError("component label must be >= 0")
+        factors = tuple(_component_factor(c.covariance, self.input_dim) for c in self.components)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def input_dim(self) -> int:
@@ -141,9 +132,8 @@ def gen_mixture(spec: MixtureSpec, seed: int) -> LabeledDataset:
     rng = generator(seed)
     blocks, labels = [], []
     dim = spec.input_dim
-    for comp in spec.components:
+    for comp, factor in zip(spec.components, spec.factors):
         z = rng.standard_normal((comp.count, dim))
-        factor = _component_factor(comp.covariance, dim)
         blocks.append(np.asarray(comp.mean, dtype=np.float64) + z @ factor.T)
         labels.append(np.full(comp.count, comp.label, dtype=np.int64))
     return LabeledDataset(
@@ -165,6 +155,14 @@ def gen_gaussian_outlier(n_major: int, outlier_mean: Sequence[float], seed: int)
     return gen_mixture(outlier_spec(n_major, outlier_mean), seed)
 
 
+def check_subsample(num_classes: int, class_id: int, p0: float) -> None:
+    """Reject a ``class_id`` outside ``[0, num_classes)`` or a ``p0`` outside [0, 1]."""
+    if not 0 <= class_id < num_classes:
+        raise ValueError(f"class_id {class_id} outside [0, {num_classes})")
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError(f"p0 must be in [0, 1], got {p0!r}")
+
+
 def subsample_class(
     data: LabeledDataset, class_id: int, p0: float, seed: int
 ) -> LabeledDataset:
@@ -173,23 +171,23 @@ def subsample_class(
     Points of every other class are kept unconditionally; relative order is
     preserved. ``p0 = 1`` reproduces the input exactly.
     """
-    if not 0 <= class_id < data.num_classes:
-        raise ValueError(
-            f"class_id {class_id} outside [0, {data.num_classes})"
-        )
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must be in [0, 1]")
+    check_subsample(data.num_classes, class_id, p0)
     u = generator(seed).random(len(data))
     keep = (data.labels != class_id) | (u < p0)
     return data.subset(np.flatnonzero(keep))
+
+
+def check_train_fraction(train_fraction: float) -> None:
+    """Reject a train fraction outside (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
 
 
 def split(
     data: LabeledDataset, train_fraction: float, seed: int
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Seeded shuffle into disjoint (train, test) with |train| = floor(f * N)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+    check_train_fraction(train_fraction)
     n = len(data)
     n_train = int(np.floor(train_fraction * n))
     if n_train == 0 or n_train == n:

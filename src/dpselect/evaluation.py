@@ -37,26 +37,6 @@ import numpy as np
 
 from .rng import generator
 
-__all__ = [
-    "RiskCoverageCurve",
-    "build_curve",
-    "auc",
-    "bound",
-    "bound_values",
-    "normalized_score",
-    "coverage_at_accuracy",
-    "accuracy_at_coverage",
-    "ideal_score_oracle",
-    "curve_metrics",
-    "write_curve_csv",
-    "read_curve_csv",
-    "write_atomic",
-    "write_table",
-    "read_table",
-    "write_json",
-    "write_metrics_json",
-]
-
 
 @dataclass(frozen=True)
 class RiskCoverageCurve:

@@ -39,6 +39,7 @@ import copy
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -49,6 +50,8 @@ from .data import (
     LabeledDataset,
     MixtureComponent,
     MixtureSpec,
+    check_subsample,
+    check_train_fraction,
     gen_mixture,
     load_csv,
     outlier_spec,
@@ -77,20 +80,6 @@ _BLOCK_DEFAULTS: dict[str, dict] = {
         "sampling_rate": 0.05,
     },
 }
-
-__all__ = [
-    "ExperimentConfig",
-    "parse_epsilon",
-    "epsilon_tag",
-    "run",
-    "run_cell",
-    "evaluate_run",
-    "panel_outlier",
-    "panel_imbalance",
-    "panel_bound",
-    "OUTLIER_PANEL_DEFAULTS",
-    "IMBALANCE_PANEL_DEFAULTS",
-]
 
 
 def parse_epsilon(value) -> float:
@@ -168,6 +157,8 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
+        if not Path(path).is_file():
+            raise ValueError(f"no config file {path}")
         user = json.loads(Path(path).read_text())
         if overrides:
             user = _deep_merge(user, overrides)
@@ -210,37 +201,47 @@ class ExperimentConfig:
         return [parse_epsilon(e) for e in self.raw["privacy"]["epsilons"]]
 
 
-def _dataset_source(dcfg: dict) -> MixtureSpec | Path:
-    """The block's mixture or CSV path, checked without drawing or reading data."""
+def _dataset_source(dcfg: dict) -> tuple[MixtureSpec | Path, float | None, tuple | None]:
+    """The block's mixture or CSV path, train fraction and imbalance ``(class_id, p0)``.
+
+    Each is checked without drawing or reading data. A ``gaussian_outlier``
+    block has no train fraction: it draws its test set apart.
+    """
     kind = dcfg["kind"]
     try:
-        if kind == "csv":
-            return Path(dcfg["path"])
         if kind == "gaussian_outlier":
             return outlier_spec(int(dcfg.get("n_major", 1000)),
-                                dcfg.get("outlier_mean", [10.0, 0.0]))
-        if kind == "mixture":
-            return MixtureSpec(tuple(
+                                dcfg.get("outlier_mean", [10.0, 0.0])), None, None
+        if kind == "csv":
+            source = Path(dcfg["path"])
+        elif kind == "mixture":
+            source = MixtureSpec(tuple(
                 MixtureComponent(tuple(c["mean"]), c.get("covariance", 1.0), int(c["count"]),
                                  int(c["label"])) for c in dcfg["components"]))
+        else:
+            raise ValueError(f"unknown dataset kind {kind!r}")
+        fraction = float(dcfg.get("train_fraction", 0.8 if kind == "csv" else 0.5))
+        check_train_fraction(fraction)
+        imbalance = dcfg.get("imbalance") if kind == "mixture" else None
+        if imbalance:
+            imbalance = int(imbalance["class_id"]), float(imbalance["p0"])
+            check_subsample(source.num_classes, *imbalance)
     except KeyError as exc:
         raise ValueError(f"a {kind} dataset block needs {exc}") from None
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    return source, fraction, imbalance or None
 
 
 def _build_dataset(dcfg: dict, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    kind, base, source = dcfg["kind"], int(dcfg.get("base_seed", 0)), _dataset_source(dcfg)
-    if kind == "csv":
-        data = load_csv(source, dcfg.get("label_column", -1))
-        return split(data, float(dcfg.get("train_fraction", 0.8)), derive_seed(base, seed, 0))
-    if kind == "gaussian_outlier":
+    base, (source, fraction, imbalance) = int(dcfg.get("base_seed", 0)), _dataset_source(dcfg)
+    if fraction is None:
         return tuple(gen_mixture(source, derive_seed(base, seed, i)) for i in (0, 1))
+    if isinstance(source, Path):
+        data = load_csv(source, dcfg.get("label_column", -1))
+        return split(data, fraction, derive_seed(base, seed, 0))
     data = gen_mixture(source, derive_seed(base, seed, 0))
-    imbalance = dcfg.get("imbalance")
     if imbalance:
-        data = subsample_class(data, int(imbalance["class_id"]), float(imbalance["p0"]),
-                               derive_seed(base, seed, 1))
-    return split(data, float(dcfg.get("train_fraction", 0.5)), derive_seed(base, seed, 2))
+        data = subsample_class(data, *imbalance, derive_seed(base, seed, 1))
+    return split(data, fraction, derive_seed(base, seed, 2))
 
 
 def _model_spec(raw: dict, data: LabeledDataset, loss_kind: str = "cross_entropy") -> ModelSpec:
@@ -292,7 +293,7 @@ def _train_run(raw, data, test, spec, loss, eps, delta, seed, sigma=None) -> tra
 def _save_run(directory: Path, result: trainer.TrainResult, spec: ModelSpec) -> None:
     models.save_params(result.params, spec, directory / "params.json")
     trainer.save_checkpoint_log(result.log, directory / "log")
-    evaluation.write_json(result.report.to_dict(), directory / "privacy.json")
+    evaluation.write_json(asdict(result.report), directory / "privacy.json")
 
 
 def _emit_method(method_dir: Path, method: str, scores: np.ndarray, predicted: np.ndarray,
@@ -371,7 +372,7 @@ class _Cell:
         bs = accountant.split_budget(
             self.eps, self.delta, n_runs, privacy.sampling_rate, privacy.steps
         )
-        return bs.sigma, {"target_epsilon": epsilon_tag(self.eps), "split": bs.to_dict()}
+        return bs.sigma, {"target_epsilon": epsilon_tag(self.eps), "split": asdict(bs)}
 
     def run_method(self, method: str, settings: dict) -> dict:
         row = _METHODS[method]
@@ -380,7 +381,7 @@ class _Cell:
             (run,) = runs
             result = self.train(run)
             payload = {"target_epsilon": epsilon_tag(self.eps), "delta": self.delta,
-                       "report": result.report.to_dict()}
+                       "report": asdict(result.report)}
             scores = row.score(self, run, result, settings)
             return self._emit(method, method, scores, result.log.predictions[-1], payload)
         sigma, payload = self._ensemble_sigma(len(runs))
@@ -389,7 +390,7 @@ class _Cell:
 
     def _emit_ensemble(self, method, row, settings, trained, payload) -> dict:
         """One output for the members' mean; ``row.score`` takes their stacked probs."""
-        payload["member_reports"] = [result.report.to_dict() for _, result in trained]
+        payload["member_reports"] = [asdict(result.report) for _, result in trained]
         member_probs = np.stack([result.log.final_probs for _, result in trained])
         predicted = np.argmax(member_probs.mean(axis=0), axis=1)
         return self._emit(method, method, row.score(member_probs), predicted, payload)
@@ -400,7 +401,7 @@ class _Cell:
         payload["run_reports"], metrics = {}, {"c_targets": {}}
         for c_target, (run, result) in zip(payload["c_targets"], trained):
             tag = _g_tag(c_target)
-            report = payload["run_reports"][tag] = result.report.to_dict()
+            report = payload["run_reports"][tag] = asdict(result.report)
             scores = row.score(self, run, result, settings)
             metrics["c_targets"][tag] = self._emit(
                 run.subdir, method, scores, result.log.predictions[-1],
@@ -472,17 +473,14 @@ _METHODS: dict[str, _Method] = {
 def run_cell(raw_config: dict, seed: int, eps: float, run_dir: str | Path) -> list[dict]:
     """Execute one (seed, epsilon) cell; one record per method.
 
-    A method whose ``metrics.json`` already exists is skipped. A method that
-    raises is recorded as failed and the remaining methods still run.
+    A method whose ``metrics.json`` already exists is skipped, and the cell's
+    data is drawn only for the first method that is not. A method that raises
+    (building the cell included) is recorded as failed and the remaining
+    methods still run.
     """
     config = ExperimentConfig(raw_config)
     cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{epsilon_tag(eps)}"
-    records = []
-    try:
-        cell = _Cell(config, seed, eps, cell_dir)
-    except Exception as exc:  # a broken cell must not kill the sweep
-        cell = None
-        cell_error = f"{type(exc).__name__}: {exc}"
+    records, cell = [], None
     for method, settings in sorted(config.raw["methods"].items()):
         record = {
             "seed": seed,
@@ -495,13 +493,11 @@ def run_cell(raw_config: dict, seed: int, eps: float, run_dir: str | Path) -> li
             if marker.exists():
                 record["status"] = "skipped"
                 record["metrics"] = json.loads(marker.read_text())
-            elif cell is None:
-                record["status"] = "failed"
-                record["error"] = cell_error
             else:
+                cell = cell or _Cell(config, seed, eps, cell_dir)
                 record["status"] = "ok"
                 record["metrics"] = cell.run_method(method, settings)
-        except Exception as exc:
+        except Exception as exc:  # a broken method must not kill the sweep
             record["status"] = "failed"
             record["error"] = f"{type(exc).__name__}: {exc}"
         records.append(record)

@@ -29,22 +29,6 @@ LOG_CLAMP = 1e-12
 # Floor for the empirical coverage wherever it appears in a denominator.
 COVERAGE_FLOOR = 1e-6
 
-__all__ = [
-    "LOG_CLAMP",
-    "COVERAGE_FLOOR",
-    "LossSpec",
-    "cross_entropy_loss",
-    "sat_loss",
-    "selectivenet_loss",
-    "loss_ce_entropy",
-    "loss_sat",
-    "loss_selectivenet",
-    "sat_update_targets",
-    "renormalized_class_probs",
-    "entropy",
-    "sigmoid",
-]
-
 
 @dataclass(frozen=True)
 class LossSpec:

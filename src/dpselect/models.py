@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
@@ -43,21 +43,6 @@ from .rng import STREAM_INIT, generator
 
 PARAMS_FORMAT = "dpselect-params"
 PARAMS_VERSION = 1
-
-__all__ = [
-    "ModelSpec",
-    "ParamVector",
-    "SelectiveNetOutputs",
-    "init_params",
-    "softmax",
-    "forward",
-    "predict",
-    "predict_probs",
-    "per_sample_grad",
-    "batch_grad",
-    "save_params",
-    "load_params",
-]
 
 
 # Maps a hidden layer to its dropout mask generator; None turns dropout off.
@@ -117,27 +102,6 @@ class ModelSpec:
     @property
     def param_count(self) -> int:
         return _layout_slices(self.layout())[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "hidden_sizes": list(self.hidden_sizes),
-            "abstention_head": self.abstention_head,
-            "selectivenet_heads": self.selectivenet_heads,
-            "dropout_rate": self.dropout_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            num_classes=int(d["num_classes"]),
-            hidden_sizes=tuple(d.get("hidden_sizes", ())),
-            abstention_head=bool(d.get("abstention_head", False)),
-            selectivenet_heads=bool(d.get("selectivenet_heads", False)),
-            dropout_rate=float(d.get("dropout_rate", 0.0)),
-        )
 
 
 @functools.lru_cache(maxsize=64)
@@ -431,7 +395,7 @@ def save_params(params: ParamVector, spec: ModelSpec, path: str | Path) -> None:
     payload = {
         "format": PARAMS_FORMAT,
         "version": PARAMS_VERSION,
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "layout": [[name, list(shape)] for name, shape in params.layout],
         "values": params.values.tolist(),
     }
@@ -444,7 +408,7 @@ def load_params(path: str | Path) -> tuple[ParamVector, ModelSpec]:
         raise ValueError(f"{path} is not a parameter checkpoint")
     if payload.get("version") != PARAMS_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    spec = ModelSpec.from_dict(payload["spec"])
+    spec = ModelSpec(**payload["spec"])
     layout = tuple((name, tuple(shape)) for name, shape in payload["layout"])
     if layout != spec.layout():
         raise ValueError("checkpoint layout does not match its model spec")

@@ -32,18 +32,6 @@ STREAM_NOISE = 3
 STREAM_DROPOUT = 4
 STREAM_SCORE = 5
 
-__all__ = [
-    "STREAM_DATA",
-    "STREAM_INIT",
-    "STREAM_BATCH",
-    "STREAM_NOISE",
-    "STREAM_DROPOUT",
-    "STREAM_SCORE",
-    "generator",
-    "derive_seed",
-    "RunStreams",
-]
-
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5

@@ -20,6 +20,7 @@ scored by default; their native scores stay available behind a flag.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -31,19 +32,6 @@ from .losses import renormalized_class_probs, sigmoid
 from .models import ModelSpec, ParamVector
 from .rng import STREAM_SCORE, RunStreams
 from .trainer import CheckpointLog
-
-__all__ = [
-    "score_sr",
-    "score_mcdo",
-    "score_de",
-    "score_sctd",
-    "score_sat",
-    "score_sn",
-    "score_sr_of",
-    "sctd_disagreement_score",
-    "write_scores_csv",
-    "read_scores_csv",
-]
 
 
 def score_sr(probs: np.ndarray) -> np.ndarray:
@@ -77,7 +65,7 @@ def score_mcdo(
     if passes < 1:
         raise ValueError("passes must be >= 1")
     if dropout_rate is not None:
-        spec = ModelSpec(**{**spec.to_dict(), "dropout_rate": dropout_rate})
+        spec = dataclasses.replace(spec, dropout_rate=dropout_rate)
     streams = RunStreams(seed)
     mean = None
     for i in range(passes):

@@ -38,22 +38,6 @@ CHECKPOINT_LOG_VERSION = 1
 # gradients from per-layer factors instead of materialized rows.
 ALGORITHM_VERSION = 2
 
-__all__ = [
-    "PrivacyConfig",
-    "TrainConfig",
-    "CheckpointLog",
-    "TrainResult",
-    "poisson_sample",
-    "clip_rows",
-    "dpsgd_step",
-    "sgd_step",
-    "train",
-    "steps_per_epoch",
-    "eval_set_id",
-    "save_checkpoint_log",
-    "load_checkpoint_log",
-]
-
 
 @dataclass(frozen=True)
 class PrivacyConfig:

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, asdict
 
 import mpmath
 import numpy as np
@@ -140,9 +140,9 @@ class TestCache:
         as_int = account(1, *args)
         for sigma, report in [(1.0, as_float), (1, as_int)]:
             fresh = account.__wrapped__(sigma, *args)
-            assert json.dumps(report.to_dict()) == json.dumps(fresh.to_dict())
-        assert '"sigma": 1,' in json.dumps(as_int.to_dict())
-        assert '"sigma": 1.0,' in json.dumps(as_float.to_dict())
+            assert json.dumps(asdict(report)) == json.dumps(asdict(fresh))
+        assert '"sigma": 1,' in json.dumps(asdict(as_int))
+        assert '"sigma": 1.0,' in json.dumps(asdict(as_float))
 
     def test_repeat_call_is_a_hit(self):
         first = account(1.3, 0.02, 700, 1e-5)

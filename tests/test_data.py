@@ -91,11 +91,10 @@ class TestMixture:
 
     def test_invalid_covariance_rejected(self):
         # symmetric but indefinite: eigenvalues 3 and -1
-        spec = MixtureSpec(
-            (MixtureComponent((0.0, 0.0), np.array([[1.0, 2.0], [2.0, 1.0]]), 5, 0),)
-        )
         with pytest.raises(ValueError, match="semi-definite"):
-            gen_mixture(spec, seed=0)
+            MixtureSpec(
+                (MixtureComponent((0.0, 0.0), np.array([[1.0, 2.0], [2.0, 1.0]]), 5, 0),)
+            )
 
 
 class TestSubsampleClass:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,33 @@ def small_user(**overrides):
 
 def small_config(**overrides):
     return ExperimentConfig.from_dict(small_user(**overrides))
+
+
+def mixture(covariance=1.0, **block):
+    """small_user's dataset, with the first component's covariance and more block keys."""
+    components = [
+        {"mean": [-1.5, 0.0], "count": 60, "label": 0, "covariance": covariance},
+        {"mean": [1.5, 0.0], "count": 60, "label": 1},
+    ]
+    return {"dataset": {"kind": "mixture", "components": components, "base_seed": 5, **block}}
+
+
+def key_tree(obj: dict) -> list:
+    """A JSON object's keys in order; a nested object (or list of them) keeps its own."""
+    tree = []
+    for key, value in obj.items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            value = value[0]
+        tree.append((key, key_tree(value)) if isinstance(value, dict) else key)
+    return tree
+
+
+# Report key order on stdout, and in privacy.json (written with sorted keys), pinned as
+# literals so that a change to a report's fields or their order shows.
+REPORT_KEYS = ["epsilon", "delta", "sigma", "sampling_rate", "steps", "optimal_order"]
+SORTED_REPORT_KEYS = sorted(REPORT_KEYS)
+SORTED_SPLIT_KEYS = ["heuristic_epsilon", "n_runs", ("per_run", SORTED_REPORT_KEYS), "sigma",
+                     ("total", SORTED_REPORT_KEYS)]
 
 
 RUN_FILES = ("log/final_probs.csv", "log/log.json", "log/predictions.csv", "params.json",
@@ -190,29 +218,47 @@ class TestExperimentConfig:
              "a mixture dataset block needs 'count'"),
             ({"dataset": {"kind": "csv"}}, [], "a csv dataset block needs 'path'"),
             ({"dataset": {"kind": "gaussian_outlier", "n_major": 0}}, [], "n_major must be >= 1"),
+            (mixture(-1), [], "scalar covariance must be >= 0"),
+            (mixture([[1.0]]), [], "covariance shape (1, 1), expected (2, 2)"),
+            (mixture([[1.0, 0.5], [0.0, 1.0]]), [], "covariance matrix must be symmetric"),
+            (mixture([[1.0, 2.0], [2.0, 1.0]]), [], "must be positive semi-definite"),
+            (mixture(train_fraction=1.0), [], "train_fraction must be in (0, 1), got 1.0"),
+            ({"dataset": {"kind": "csv", "path": "no.csv", "train_fraction": 0}}, [],
+             "train_fraction must be in (0, 1), got 0.0"),
+            (mixture(imbalance={"class_id": 0, "p0": 1.5}), [], "p0 must be in [0, 1], got 1.5"),
+            (mixture(imbalance={"class_id": 2, "p0": 0.5}), [], "class_id 2 outside [0, 2)"),
             ({}, ["--seed", "0", "--seed", "0"], "seeds 0 and 0 share the tag 0"),
             ({}, ["accountant", "--eps-target", "0.001", "--q", "0.5", "--steps", "10000",
                   "--delta", "1e-5"], "epsilon target 0.001 unreachable"),
+            ({}, ["--set", "training.steps"], "--set expects KEY=VALUE, got 'training.steps'"),
+            ({}, ["--config", "TMP/missing.json"], "no config file TMP/missing.json"),
+            ({}, ["accountant", "--q", "0.02", "--steps", "100", "--delta", "1e-5"],
+             "accountant needs either --sigma or --eps-target"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
              "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
              "clip_norm_zero", "clip_norm_negative", "clip_norm_inf", "mixture_no_components",
              "mixture_component_no_count", "csv_no_path", "outlier_no_majority",
-             "repeated_seed", "unreachable_accountant_target"],
+             "covariance_negative", "covariance_misshaped", "covariance_asymmetric",
+             "covariance_not_psd", "mixture_train_fraction", "csv_train_fraction", "imbalance_p0",
+             "imbalance_class_id", "repeated_seed", "unreachable_accountant_target",
+             "set_without_equals", "missing_config_file", "accountant_without_sigma"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
                                                    error):
         # Every cell would fail on these, so the sweep must not start, and the
-        # command exits as a usage error instead of a traceback.
+        # command exits as a usage error instead of a traceback. A later
+        # --config replaces the written one.
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(small_user(**overrides)))
+        argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
         if argv[:1] != ["accountant"]:
             argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"), *argv]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: {argv[0]}: " in err and error in err
+        assert f"error: {argv[0]}: " in err and error.replace("TMP", str(tmp_path)) in err
         assert not (tmp_path / "out").exists()
 
     def test_load_applies_overrides(self, tmp_path):
@@ -268,6 +314,33 @@ class TestRunSweep:
         again = run(cfg, tmp_path)
         assert {r["status"] for r in again["records"]} == {"skipped"}
         assert tree_digest(tmp_path) == before
+
+    def test_finished_rerun_draws_no_data(self, tmp_path, monkeypatch):
+        cfg = small_config(seeds=[0, 1])
+        assert run(cfg, tmp_path)["ok"]
+        calls, build = [], harness._build_dataset
+        monkeypatch.setattr(harness, "_build_dataset", lambda *a: calls.append(a) or build(*a))
+        again = run(cfg, tmp_path)
+        assert {r["status"] for r in again["records"]} == {"skipped"}
+        assert calls == []
+
+    def test_privacy_json_keys(self, tmp_path):
+        cfg = small_config(
+            privacy={"epsilons": [3], "sampling_rate": 0.2},
+            methods={"sr": {}, "de": {"members": 2}, "sn": {"c_targets": [0.5, 1.0]}},
+        )
+        cell = Path(run(cfg, tmp_path)["run_dir"]) / "seed_0" / "eps_3"
+        expected = {
+            "base/checkpoints": SORTED_REPORT_KEYS,
+            "sr": ["delta", ("report", SORTED_REPORT_KEYS), "target_epsilon"],
+            "de": [("member_reports", SORTED_REPORT_KEYS), ("split", SORTED_SPLIT_KEYS),
+                   "target_epsilon"],
+            "sn": ["c_targets", ("run_reports", [("0.5", SORTED_REPORT_KEYS),
+                                                 ("1", SORTED_REPORT_KEYS)]),
+                   ("split", SORTED_SPLIT_KEYS), "target_epsilon"],
+        }
+        for subdir, keys in expected.items():
+            assert key_tree(json.loads((cell / subdir / "privacy.json").read_text())) == keys
 
     def test_failure_is_isolated(self, tmp_path):
         cfg = small_config(dataset={"kind": "csv", "path": str(tmp_path / "no.csv")})
@@ -388,7 +461,7 @@ class TestCli:
         }
 
     def test_set_flag_requires_equals(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="--set expects KEY=VALUE"):
             cli._parse_set(["training.steps"])
 
     def test_accountant_command(self, capsys):
@@ -399,19 +472,23 @@ class TestCli:
         assert 0.999 * 3 <= payload["epsilon"] <= 3
 
     @pytest.mark.parametrize(
-        "flags, expected",
+        "flags, expected, keys",
         [
-            (["--sigma", "1.1"], lambda: accountant.account(1.1, 0.02, 100, 1e-5).to_dict()),
+            (["--sigma", "1.1"], lambda: accountant.account(1.1, 0.02, 100, 1e-5), REPORT_KEYS),
             (["--eps-target", "3", "--split", "5"],
-             lambda: accountant.split_budget(3.0, 1e-5, 5, 0.02, 100).to_dict()),
+             lambda: accountant.split_budget(3.0, 1e-5, 5, 0.02, 100),
+             ["sigma", "n_runs", ("total", REPORT_KEYS), ("per_run", REPORT_KEYS),
+              "heuristic_epsilon"]),
         ],
         ids=["sigma", "split"],
     )
-    def test_accountant_command_prints_library_json(self, capsys, flags, expected):
+    def test_accountant_command_prints_library_json(self, capsys, flags, expected, keys):
         rc = cli.main(["accountant", *flags, "--q", "0.02", "--steps", "100",
                        "--delta", "1e-5"])
         assert rc == 0
-        assert json.loads(capsys.readouterr().out) == expected()
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == asdict(expected())
+        assert key_tree(payload) == keys
 
     def test_evaluate_command(self, capsys, tmp_path):
         summary = run(small_config(), tmp_path)

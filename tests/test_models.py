@@ -1,4 +1,5 @@
 import functools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestSpec:
     def test_dict_round_trip(self):
         spec = ModelSpec(input_dim=3, num_classes=4, hidden_sizes=(5, 6),
                          dropout_rate=0.1)
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec(**asdict(spec)) == spec
 
 
 class TestInit:

@@ -1,7 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def library_use_block() -> str:
@@ -18,3 +22,12 @@ def test_library_use_example_runs_within_its_budget(capsys):
     match = re.search(r"PrivacyReport\(epsilon=([^,]+),", out)
     assert match, out
     assert float(match.group(1)) <= 3.0
+
+
+def test_importing_the_package_loads_no_module():
+    # The README's promise: the submodules are the API and the package is empty.
+    code = "import sys, dpselect; print(sorted(m for m in sys.modules if 'dpselect.' in m))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -8,6 +8,12 @@ on) against each tree's ``src/`` and compares every ``<config-hash>/``
 directory that both trees write. A hash that only one tree writes is fine:
 its cells land in a fresh directory.
 
+The acceptance panels write no run tree, but the same training arithmetic
+decides their numbers. A small ``panel_outlier`` (linear model) and
+``panel_imbalance`` (ReLU MLP), two seeds at epsilon in {inf, 1} and 60
+steps each, run in both trees too; their JSON must be identical unless
+``trainer.ALGORITHM_VERSION`` differs between the trees.
+
     python3 .github/scripts/stale_cells.py BASE_TREE HEAD_TREE
 """
 
@@ -23,6 +29,17 @@ import time
 from pathlib import Path
 
 METHODS = ("sr", "mcdo", "sctd", "sat", "de", "sn")
+PANELS = ("outlier", "imbalance")
+PANEL_SCRIPT = """
+import json, math
+from dpselect import harness, trainer
+grid = {"seeds": (0, 1), "epsilons": (math.inf, 1.0), "steps": 60}
+print(json.dumps({
+    "algorithm_version": trainer.ALGORITHM_VERSION,
+    "outlier": harness.panel_outlier(**grid),
+    "imbalance": harness.panel_imbalance(p0_grid=[0.1], **grid),
+}))
+"""
 
 
 def sweep_config(native: bool) -> dict:
@@ -47,8 +64,12 @@ def sweep_config(native: bool) -> dict:
     }
 
 
+def tree_env(tree: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+
+
 def run_sweeps(tree: Path, out: Path, work: Path) -> None:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = tree_env(tree)
     for native in (False, True):
         config = work / f"config_{native}.json"
         config.write_text(json.dumps(sweep_config(native), indent=2))
@@ -57,6 +78,33 @@ def run_sweeps(tree: Path, out: Path, work: Path) -> None:
         done = subprocess.run(argv, env=env, cwd=work, capture_output=True, text=True)
         if done.returncode != 0:
             sys.exit(f"sweep failed in {tree}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+
+
+def run_panels(tree: Path, work: Path) -> dict:
+    argv = [sys.executable, "-c", PANEL_SCRIPT]
+    done = subprocess.run(argv, env=tree_env(tree), cwd=work, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"panels failed in {tree}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    return json.loads(done.stdout)
+
+
+def stale_panels(panels: dict[str, dict]) -> list[str]:
+    """Panels whose JSON differs between the trees at one ``ALGORITHM_VERSION``."""
+    versions = {label: result["algorithm_version"] for label, result in panels.items()}
+    if versions["base"] != versions["head"]:
+        print(f"panels: ALGORITHM_VERSION {versions['base']} -> {versions['head']}, "
+              "not compared")
+        return []
+    stale = []
+    for name in PANELS:
+        base, head = (json.dumps(panels[label][name], sort_keys=True).encode()
+                      for label in ("base", "head"))
+        print(f"panel_{name}: base {hashlib.sha256(base).hexdigest()[:16]} "
+              f"head {hashlib.sha256(head).hexdigest()[:16]}, "
+              f"{'same' if base == head else 'differs'}")
+        if base != head:
+            stale.append(f"panel_{name}")
+    return stale
 
 
 def files(root: Path) -> dict[str, bytes]:
@@ -74,12 +122,13 @@ def digest(tree: dict[str, bytes]) -> str:
 def main(base: str, head: str) -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        outs = {}
+        outs, panels = {}, {}
         for label, tree in (("base", base), ("head", head)):
             work = Path(tmp) / label
             work.mkdir()
             outs[label] = work / "out"
             run_sweeps(Path(tree).resolve(), outs[label], work)
+            panels[label] = run_panels(Path(tree).resolve(), work)
         hashes = {label: {d.name for d in out.iterdir()} for label, out in outs.items()}
         stale = []
         for name in sorted(hashes["base"] | hashes["head"]):
@@ -92,12 +141,14 @@ def main(base: str, head: str) -> int:
             print(f"{name}: base {digest(base_files)} head {digest(head_files)}, "
                   f"{len(differ)} of {len(base_files | head_files)} files differ")
             stale += [f"{name}/{f}" for f in differ]
+        moved = stale_panels(panels)
     print(f"compared in {time.perf_counter() - start:.1f} s")
     if stale:
         print("same config hash, different bytes (a re-run would trust stale cells):")
         print("\n".join(f"  {f}" for f in stale[:20]))
-        return 1
-    return 0
+    if moved:
+        print("same ALGORITHM_VERSION, different panel numbers: " + ", ".join(moved))
+    return 1 if stale or moved else 0
 
 
 if __name__ == "__main__":

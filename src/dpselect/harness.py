@@ -118,6 +118,12 @@ def _check_grid(seeds, epsilons) -> None:
     _reject_shared_tags("epsilons", epsilons, lambda e: epsilon_tag(parse_epsilon(e)))
 
 
+def _json_object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -144,14 +150,15 @@ class ExperimentConfig:
             "accuracy_refs": [0.9, 0.95],
             "methods": {"sr": {}},
         }
-        raw.update(copy.deepcopy(user))
+        raw.update(copy.deepcopy(_json_object("a config", user)))
         for block, defaults in _BLOCK_DEFAULTS.items():
-            raw[block] = _deep_merge(defaults, raw.get(block, {}))
+            raw[block] = _deep_merge(defaults, _json_object(block, raw.get(block, {})))
         methods = {}
-        for name, settings in raw["methods"].items():
+        for name, settings in _json_object("methods", raw["methods"]).items():
             if name not in _METHODS:
                 raise ValueError(f"unknown method {name!r}; known: {tuple(_METHODS)}")
-            methods[name] = _deep_merge(_METHODS[name].defaults, settings or {})
+            settings = _json_object(f"methods.{name}", settings or {})
+            methods[name] = _deep_merge(_METHODS[name].defaults, settings)
         raw["methods"] = methods
         return cls(raw)
 
@@ -168,7 +175,7 @@ class ExperimentConfig:
         raw = self.raw
         if raw.get("version") != CONFIG_VERSION:
             raise ValueError(f"config version must be {CONFIG_VERSION}")
-        if "dataset" not in raw or "kind" not in raw["dataset"]:
+        if "kind" not in _json_object("dataset", raw.get("dataset", {})):
             raise ValueError("config needs a dataset block with a 'kind'")
         _dataset_source(raw["dataset"])
         _check_grid(raw["seeds"], raw["privacy"]["epsilons"])
@@ -201,38 +208,49 @@ class ExperimentConfig:
         return [parse_epsilon(e) for e in self.raw["privacy"]["epsilons"]]
 
 
-def _dataset_source(dcfg: dict) -> tuple[MixtureSpec | Path, float | None, tuple | None]:
-    """The block's mixture or CSV path, train fraction and imbalance ``(class_id, p0)``.
+def _dataset_source(dcfg: dict) -> tuple[int, MixtureSpec | Path, float | None, tuple | None]:
+    """The block's base seed, mixture or CSV path, train fraction and imbalance ``(class_id, p0)``.
 
-    Each is checked without drawing or reading data. A ``gaussian_outlier``
-    block has no train fraction: it draws its test set apart.
+    Each is checked without drawing or reading data; a value of the wrong
+    JSON type is a ``ValueError`` too. A ``gaussian_outlier`` block has no
+    train fraction: it draws its test set apart.
     """
     kind = dcfg["kind"]
+    base = dcfg.get("base_seed", 0)
+    if isinstance(base, bool) or not isinstance(base, int) or base < 0:
+        raise ValueError(f"dataset.base_seed must be a non-negative integer, got {base!r}")
     try:
         if kind == "gaussian_outlier":
-            return outlier_spec(int(dcfg.get("n_major", 1000)),
-                                dcfg.get("outlier_mean", [10.0, 0.0])), None, None
+            return base, outlier_spec(int(dcfg.get("n_major", 1000)),
+                                      dcfg.get("outlier_mean", [10.0, 0.0])), None, None
         if kind == "csv":
             source = Path(dcfg["path"])
         elif kind == "mixture":
+            components = dcfg["components"]
+            if not isinstance(components, list) or not all(isinstance(c, dict)
+                                                           for c in components):
+                raise ValueError("dataset.components must be a list of JSON objects, "
+                                 f"got {components!r}")
             source = MixtureSpec(tuple(
                 MixtureComponent(tuple(c["mean"]), c.get("covariance", 1.0), int(c["count"]),
-                                 int(c["label"])) for c in dcfg["components"]))
+                                 int(c["label"])) for c in components))
         else:
             raise ValueError(f"unknown dataset kind {kind!r}")
         fraction = float(dcfg.get("train_fraction", 0.8 if kind == "csv" else 0.5))
         check_train_fraction(fraction)
         imbalance = dcfg.get("imbalance") if kind == "mixture" else None
-        if imbalance:
+        if imbalance is not None and _json_object("dataset.imbalance", imbalance):
             imbalance = int(imbalance["class_id"]), float(imbalance["p0"])
             check_subsample(source.num_classes, *imbalance)
     except KeyError as exc:
         raise ValueError(f"a {kind} dataset block needs {exc}") from None
-    return source, fraction, imbalance or None
+    except TypeError as exc:
+        raise ValueError(f"a {kind} dataset block has a value of the wrong type: {exc}") from None
+    return base, source, fraction, imbalance or None
 
 
 def _build_dataset(dcfg: dict, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    base, (source, fraction, imbalance) = int(dcfg.get("base_seed", 0)), _dataset_source(dcfg)
+    base, source, fraction, imbalance = _dataset_source(dcfg)
     if fraction is None:
         return tuple(gen_mixture(source, derive_seed(base, seed, i)) for i in (0, 1))
     if isinstance(source, Path):

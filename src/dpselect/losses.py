@@ -77,28 +77,31 @@ def selectivenet_loss(
 
 
 def _log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, LOG_CLAMP))
+    out = np.maximum(p, LOG_CLAMP)
+    return np.log(out, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + e^-x)`` for ``x >= 0`` and ``e^x / (1 + e^x)`` below, from one ``exp``."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, np.divide(e, d, out=e))
 
 
 def entropy(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy in nats along the last axis."""
     p = np.asarray(probs, dtype=np.float64)
-    return -np.sum(p * _log(p), axis=-1)
+    return -(p * _log(p)).sum(axis=-1)
 
 
 def _rows(probs, y):
-    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    yv = np.atleast_1d(np.asarray(y, dtype=np.int64))
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim < 2:
+        p = np.atleast_2d(p)
+    yv = np.asarray(y, dtype=np.int64)
+    if yv.ndim < 1:
+        yv = np.atleast_1d(yv)
     if yv.shape[0] != p.shape[0]:
         raise ValueError("probs and labels disagree on batch size")
     return p, yv
@@ -190,12 +193,19 @@ def loss_selectivenet(
 # ---------------------------------------------------------------------------
 
 
-def _entropy_penalty_grad(p: np.ndarray, beta: float) -> np.ndarray:
-    """d(-beta * H(p))/d logits for softmax probabilities ``p``."""
+def _entropy_penalty_grad(p: np.ndarray, beta: float) -> np.ndarray | float:
+    """d(-beta * H(p))/d logits for softmax probabilities ``p``.
+
+    ``beta * p * (log p + H(p))``, taking ``log p`` once; ``0.0`` when
+    ``beta`` is 0, for the caller to add like an array of zeros.
+    """
     if beta == 0.0:
-        return np.zeros_like(p)
-    h = entropy(p)
-    return beta * p * (_log(p) + h[:, None])
+        return 0.0
+    log_p = _log(p)
+    p_log_p = p * log_p
+    log_p -= p_log_p.sum(axis=-1)[:, None]
+    log_p *= np.multiply(beta, p, out=p_log_p)
+    return log_p
 
 
 def ce_entropy_head_grads(probs: np.ndarray, y, beta: float = 0.0) -> np.ndarray:
@@ -240,9 +250,9 @@ def selectivenet_head_grads(
     idx = np.arange(len(yv))
     ce_f = -_log(fp[idx, yv])
 
-    cov = float(np.mean(g))
+    cov = float(g.mean())
     cov_f = max(cov, COVERAGE_FLOOR)
-    sel_mean = float(np.mean(g * ce_f))
+    sel_mean = float((g * ce_f).mean())
 
     onehot_grad_f = fp.copy()
     onehot_grad_f[idx, yv] -= 1.0

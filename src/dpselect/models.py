@@ -167,47 +167,50 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _dense(params: ParamVector, name: str, a: np.ndarray) -> np.ndarray:
+    """``a @ W.T + b`` of layer ``name``, into one new array."""
+    z = a @ params.view(f"{name}.W").T
+    z += params.view(f"{name}.b")
+    return z
 
 
 def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
                     dropout_seed: DropoutSeed):
-    """Run the hidden stack; returns layer inputs, ReLU gates, dropout scales.
+    """Run the hidden stack; returns layer inputs and dropout scales.
 
     ``acts[l]`` is the (post-dropout) input of hidden layer ``l``; the last
     entry is the representation feeding the heads. A dropout mask zeroes a
     unit with probability ``dropout_rate`` and rescales survivors by
     ``1 / (1 - rate)``. Layer ``l``'s mask is drawn from the generator
-    ``dropout_seed(l)``, e.g. a step of :class:`rng.RunStreams`.
+    ``dropout_seed(l)``, e.g. a step of :class:`rng.RunStreams`. ReLU is
+    ``np.maximum(z, 0)``, so a NaN pre-activation stays NaN.
     """
-    a = x
-    acts = [a]
-    gates, scales = [], []
-    for layer, _ in enumerate(spec.hidden_sizes):
-        z = a @ params.view(f"h{layer}.W").T + params.view(f"h{layer}.b")
-        gate = z > 0
-        a = np.where(gate, z, 0.0)
-        if dropout_seed is not None and spec.dropout_rate > 0.0:
-            mask = dropout_seed(layer).random(a.shape) >= spec.dropout_rate
-            scale = mask / (1.0 - spec.dropout_rate)
-            a = a * scale
-            scales.append(scale)
-        else:
-            scales.append(None)
-        gates.append(gate)
+    rate = spec.dropout_rate if dropout_seed is not None else 0.0
+    acts, scales = [x], []
+    for layer in range(len(spec.hidden_sizes)):
+        a = _dense(params, f"h{layer}", acts[-1])
+        np.maximum(a, 0.0, out=a)
+        scale = None
+        if rate > 0.0:
+            mask = dropout_seed(layer).random(a.shape) >= rate
+            scale = mask / (1.0 - rate)
+            a *= scale
+        scales.append(scale)
         acts.append(a)
-    return acts, gates, scales
+    return acts, scales
 
 
 def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray):
     if spec.selectivenet_heads:
-        f = rep @ params.view("f.W").T + params.view("f.b")
-        g = rep @ params.view("g.W").T + params.view("g.b")
-        h = rep @ params.view("h.W").T + params.view("h.b")
+        f, g, h = (_dense(params, name, rep) for name in ("f", "g", "h"))
         return SelectiveNetOutputs(f, g[..., 0], h)
-    return rep @ params.view("out.W").T + params.view("out.b")
+    return _dense(params, "out", rep)
 
 
 def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
@@ -224,7 +227,7 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     xb = x[None, :] if single else x
     if xb.shape[1] != spec.input_dim:
         raise ValueError(f"expected {spec.input_dim} features, got {xb.shape[1]}")
-    acts, _, _ = _hidden_forward(params, spec, xb, dropout_seed)
+    acts, _ = _hidden_forward(params, spec, xb, dropout_seed)
     out = _head_outputs(params, spec, acts[-1])
     if single:
         if isinstance(out, SelectiveNetOutputs):
@@ -256,7 +259,7 @@ def _check_loss_compat(spec: ModelSpec, loss: LossSpec) -> None:
 
 
 def _head_factors(params, spec, rep, loss, y, entropy_beta, sat_targets):
-    """Per-example upstream vectors of the heads, plus the gradient entering the stack."""
+    """Per-example upstream vectors of the heads, by head layer name."""
     if spec.selectivenet_heads:
         out = _head_outputs(params, spec, rep)
         fp = softmax(out.f_logits)
@@ -277,10 +280,7 @@ def _head_factors(params, spec, rep, loss, y, entropy_beta, sat_targets):
         else:
             raise ValueError(f"loss kind {loss.kind!r} incompatible with this head")
         heads = {"out": s}
-    upstream = functools.reduce(
-        np.add, (u @ params.view(f"{name}.W") for name, u in heads.items())
-    )
-    return heads, upstream
+    return heads
 
 
 def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
@@ -293,17 +293,26 @@ def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
     the batch-loss gradient in every case.
     """
     _check_loss_compat(spec, loss)
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    yb = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    acts, gates, scales = _hidden_forward(params, spec, xb, dropout_seed)
-    heads, upstream = _head_factors(
-        params, spec, acts[-1], loss, yb, entropy_beta, sat_targets
-    )
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim < 2:
+        xb = np.atleast_2d(xb)
+    yb = np.asarray(y, dtype=np.int64)
+    if yb.ndim < 1:
+        yb = np.atleast_1d(yb)
+    acts, scales = _hidden_forward(params, spec, xb, dropout_seed)
+    heads = _head_factors(params, spec, acts[-1], loss, yb, entropy_beta, sat_targets)
     factors = [(name, u, acts[-1]) for name, u in heads.items()]
+    if spec.hidden_sizes:
+        upstream = functools.reduce(
+            np.add, (u @ params.view(f"{name}.W") for name, u in heads.items())
+        )
     for layer in reversed(range(len(spec.hidden_sizes))):
         if scales[layer] is not None:
-            upstream = upstream * scales[layer]
-        upstream = upstream * gates[layer]
+            upstream *= scales[layer]
+        # The ReLU gate z > 0, read off the layer's output: the dropout scale
+        # is at least 1 where it is not 0, and a dropped unit's upstream is
+        # already a zero of the same sign either way.
+        upstream *= acts[layer + 1] > 0
         factors.append((f"h{layer}", upstream, acts[layer]))
         if layer > 0:
             upstream = upstream @ params.view(f"h{layer}.W")
@@ -311,11 +320,16 @@ def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
 
 
 def _sq_norms(factors) -> np.ndarray:
-    """Squared L2 norm of each example's full gradient, from the layer factors."""
-    return sum(
-        np.einsum("bo,bo->b", u, u) * (np.einsum("bi,bi->b", a, a) + 1.0)
-        for _, u, a in factors
-    )
+    """Squared L2 norm of each example's full gradient, from the layer factors.
+
+    Heads that share one input (the selective heads) share its norm.
+    """
+    total, a_seen = 0.0, None
+    for _, u, a in factors:
+        if a is not a_seen:
+            a_seen, a_term = a, np.einsum("bi,bi->b", a, a) + 1.0
+        total = total + np.einsum("bo,bo->b", u, u) * a_term
+    return total
 
 
 def per_sample_grad(
@@ -372,7 +386,9 @@ def batch_grad(
     """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        x = np.atleast_2d(x)
     n = x.shape[0]
     if n == 0:
         return np.zeros(len(params))
@@ -383,11 +399,12 @@ def batch_grad(
         factors = [(name, u * weights[:, None], a) for name, u, a in factors]
     out = np.empty(len(params), dtype=np.float64)
     for name, u, a in factors:
-        w_start, w_stop, _ = params._slices[f"{name}.W"]
+        w_start, w_stop, shape = params._slices[f"{name}.W"]
         b_start, b_stop, _ = params._slices[f"{name}.b"]
-        out[w_start:w_stop] = (u.T @ a).ravel()
-        out[b_start:b_stop] = u.sum(axis=0)
-    return out / n
+        np.matmul(u.T, a, out=out[w_start:w_stop].reshape(shape))
+        u.sum(axis=0, out=out[b_start:b_stop])
+    out /= n
+    return out
 
 
 def save_params(params: ParamVector, spec: ModelSpec, path: str | Path) -> None:

@@ -221,8 +221,9 @@ def dpsgd_step(
     )
     if sigma > 0.0:
         noise = noise_seed.normal(0.0, sigma * clip_norm, len(params))
-        grad = grad + noise / max(x.shape[0], 1)
-    return params.replace(params.values - learning_rate * grad)
+        noise /= max(x.shape[0], 1)
+        grad += noise
+    return _descend(params, grad, learning_rate)
 
 
 def sgd_step(
@@ -244,7 +245,13 @@ def sgd_step(
         params, spec, x, y, loss,
         entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
     )
-    return params.replace(params.values - learning_rate * grad)
+    return _descend(params, grad, learning_rate)
+
+
+def _descend(params: ParamVector, grad: np.ndarray, learning_rate: float) -> ParamVector:
+    """``params - learning_rate * grad``, computed in ``grad``'s own buffer."""
+    grad *= learning_rate
+    return params.replace(np.subtract(params.values, grad, out=grad))
 
 
 def _resolve_sigma(privacy: PrivacyConfig) -> float:
@@ -325,13 +332,12 @@ def train(
             sat_targets=batch_targets,
             dropout_seed=functools.partial(streams.dropout, t),
         )
-        if t % train_cfg.checkpoint_interval == 0 or t == train_cfg.steps:
+        if t % train_cfg.checkpoint_interval == 0 and t != train_cfg.steps:
             times.append(t)
             preds.append(models.predict(params, spec, eval_set.features))
-    if not times:
-        times.append(0)
-        preds.append(models.predict(params, spec, eval_set.features))
 
+    # The last checkpoint is the final model (step 0 when untrained); its
+    # predictions come from the same pass as its probabilities.
     out = models.forward(params, spec, eval_set.features)
     if isinstance(out, models.SelectiveNetOutputs):
         final_probs = models.softmax(out.f_logits)
@@ -339,6 +345,8 @@ def train(
     else:
         final_probs = models.softmax(out)
         final_selection = None
+    times.append(train_cfg.steps)
+    preds.append(np.argmax(final_probs[:, : spec.num_classes], axis=-1))
     log = CheckpointLog(
         checkpoint_times=np.array(times),
         predictions=np.stack(preds),

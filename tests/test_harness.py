@@ -53,6 +53,9 @@ def mixture(covariance=1.0, **block):
     return {"dataset": {"kind": "mixture", "components": components, "base_seed": 5, **block}}
 
 
+BASE_SEED_ERROR = "dataset.base_seed must be a non-negative integer, got"
+
+
 def key_tree(obj: dict) -> list:
     """A JSON object's keys in order; a nested object (or list of them) keeps its own."""
     tree = []
@@ -227,6 +230,21 @@ class TestExperimentConfig:
              "train_fraction must be in (0, 1), got 0.0"),
             (mixture(imbalance={"class_id": 0, "p0": 1.5}), [], "p0 must be in [0, 1], got 1.5"),
             (mixture(imbalance={"class_id": 2, "p0": 0.5}), [], "class_id 2 outside [0, 2)"),
+            (mixture(imbalance=0.1), [], "dataset.imbalance must be a JSON object, got 0.1"),
+            ({"dataset": {"kind": "mixture", "components": {"a": 1}}}, [],
+             "dataset.components must be a list of JSON objects"),
+            ({"dataset": {"kind": "mixture", "components": [[-1.5, 0.0, 60, 0]]}}, [],
+             "dataset.components must be a list of JSON objects"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": -1.5, "count": 60, "label": 0}]}}, [],
+             "a mixture dataset block has a value of the wrong type"),
+            ({"dataset": 5}, [], "dataset must be a JSON object, got 5"),
+            ({"training": [20, 5]}, [], "training must be a JSON object"),
+            ({"methods": {"sr": 1}}, [], "methods.sr must be a JSON object, got 1"),
+            (mixture(base_seed="x"), [], f"{BASE_SEED_ERROR} 'x'"),
+            (mixture(base_seed=-1), [], f"{BASE_SEED_ERROR} -1"),
+            (mixture(base_seed=1.5), [], f"{BASE_SEED_ERROR} 1.5"),
+            (mixture(base_seed=True), [], f"{BASE_SEED_ERROR} True"),
             ({}, ["--seed", "0", "--seed", "0"], "seeds 0 and 0 share the tag 0"),
             ({}, ["accountant", "--eps-target", "0.001", "--q", "0.5", "--steps", "10000",
                   "--delta", "1e-5"], "epsilon target 0.001 unreachable"),
@@ -241,7 +259,10 @@ class TestExperimentConfig:
              "mixture_component_no_count", "csv_no_path", "outlier_no_majority",
              "covariance_negative", "covariance_misshaped", "covariance_asymmetric",
              "covariance_not_psd", "mixture_train_fraction", "csv_train_fraction", "imbalance_p0",
-             "imbalance_class_id", "repeated_seed", "unreachable_accountant_target",
+             "imbalance_class_id", "imbalance_not_object", "components_object",
+             "component_list", "component_mean_scalar", "dataset_not_object",
+             "training_not_object", "method_not_object", "base_seed_string",
+             "base_seed_negative", "base_seed_fraction", "base_seed_bool", "repeated_seed", "unreachable_accountant_target",
              "set_without_equals", "missing_config_file", "accountant_without_sigma"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,

@@ -11,7 +11,9 @@ its cells land in a fresh directory.
 The acceptance panels write no run tree, but the same training arithmetic
 decides their numbers. A small ``panel_outlier`` (linear model) and
 ``panel_imbalance`` (ReLU MLP), two seeds at epsilon in {inf, 1} and 60
-steps each, run in both trees too; their JSON must be identical unless
+steps each, run in both trees too. A panel's summary can hide a moved bit,
+so the script also records a sha256 of every panel run's parameters and
+final probabilities. Summaries and run digests must be identical unless
 ``trainer.ALGORITHM_VERSION`` differs between the trees.
 
     python3 .github/scripts/stale_cells.py BASE_TREE HEAD_TREE
@@ -31,13 +33,26 @@ from pathlib import Path
 METHODS = ("sr", "mcdo", "sctd", "sat", "de", "sn")
 PANELS = ("outlier", "imbalance")
 PANEL_SCRIPT = """
-import json, math
+import hashlib, json, math
 from dpselect import harness, trainer
+runs, train = [], trainer.train
+
+def recording_train(*args, **kwargs):
+    result = train(*args, **kwargs)
+    digest = hashlib.sha256(result.params.values.tobytes())
+    digest.update(result.log.final_probs.tobytes())
+    runs.append(digest.hexdigest())
+    return result
+
+trainer.train = recording_train
 grid = {"seeds": (0, 1), "epsilons": (math.inf, 1.0), "steps": 60}
+outlier = harness.panel_outlier(**grid)
+outlier_runs, runs[:] = runs[:], []
+imbalance = harness.panel_imbalance(p0_grid=[0.1], **grid)
 print(json.dumps({
     "algorithm_version": trainer.ALGORITHM_VERSION,
-    "outlier": harness.panel_outlier(**grid),
-    "imbalance": harness.panel_imbalance(p0_grid=[0.1], **grid),
+    "outlier": {"summary": outlier, "runs": outlier_runs},
+    "imbalance": {"summary": imbalance, "runs": runs},
 }))
 """
 
@@ -89,7 +104,7 @@ def run_panels(tree: Path, work: Path) -> dict:
 
 
 def stale_panels(panels: dict[str, dict]) -> list[str]:
-    """Panels whose JSON differs between the trees at one ``ALGORITHM_VERSION``."""
+    """Panels whose summary or run digests differ between the trees at one ``ALGORITHM_VERSION``."""
     versions = {label: result["algorithm_version"] for label, result in panels.items()}
     if versions["base"] != versions["head"]:
         print(f"panels: ALGORITHM_VERSION {versions['base']} -> {versions['head']}, "
@@ -97,13 +112,15 @@ def stale_panels(panels: dict[str, dict]) -> list[str]:
         return []
     stale = []
     for name in PANELS:
-        base, head = (json.dumps(panels[label][name], sort_keys=True).encode()
-                      for label in ("base", "head"))
-        print(f"panel_{name}: base {hashlib.sha256(base).hexdigest()[:16]} "
-              f"head {hashlib.sha256(head).hexdigest()[:16]}, "
-              f"{'same' if base == head else 'differs'}")
-        if base != head:
-            stale.append(f"panel_{name}")
+        for part in ("summary", "runs"):
+            base, head = (json.dumps(panels[label][name][part], sort_keys=True).encode()
+                          for label in ("base", "head"))
+            count = f" ({len(panels['head'][name]['runs'])})" if part == "runs" else ""
+            print(f"panel_{name} {part}{count}: base {hashlib.sha256(base).hexdigest()[:16]} "
+                  f"head {hashlib.sha256(head).hexdigest()[:16]}, "
+                  f"{'same' if base == head else 'differs'}")
+            if base != head:
+                stale.append(f"panel_{name} {part}")
     return stale
 
 

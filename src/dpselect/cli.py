@@ -30,7 +30,8 @@ def _parse_set(pairs: list[str]) -> dict:
         node = overrides
         parts = key.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if not isinstance(node := node.setdefault(part, {}), dict):
+                raise ValueError(f"--set {key}: {part} was set to {node!r}, not an object")
         node[parts[-1]] = value
     return overrides
 

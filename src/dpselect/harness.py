@@ -39,7 +39,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -65,20 +65,18 @@ from .trainer import PrivacyConfig, TrainConfig
 
 CONFIG_VERSION = 1
 
-_BLOCK_DEFAULTS: dict[str, dict] = {
+# Every config setting's default; a user's ``methods`` replaces the default one whole.
+_DEFAULTS = {
+    "version": CONFIG_VERSION,
+    "name": "experiment",
+    "seeds": [0, 1, 2, 3, 4],
+    "accuracy_refs": [0.9, 0.95],
+    "methods": {"sr": {}},
     "model": {"hidden_sizes": [64], "dropout_rate": 0.1},
-    "training": {
-        "learning_rate": 0.5,
-        "steps": 400,
-        "checkpoint_interval": 50,
-        "entropy_beta": 0.01,
-    },
-    "privacy": {
-        "epsilons": ["inf", 7, 3, 1],
-        "delta": None,
-        "clip_norm": 1.0,
-        "sampling_rate": 0.05,
-    },
+    "training": {"learning_rate": 0.5, "steps": 400, "checkpoint_interval": 50,
+                 "entropy_beta": 0.01},
+    "privacy": {"epsilons": ["inf", 7, 3, 1], "delta": None, "clip_norm": 1.0,
+                "sampling_rate": 0.05},
 }
 
 
@@ -110,10 +108,30 @@ def _reject_shared_tags(what: str, values, tag) -> None:
         seen[key] = value
 
 
+def _integer(what: str, value, low: int = 0) -> int:
+    """``value`` if it is a JSON integer of at least ``low``; a bool or a float is not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        kind = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _check_types(what: str, defaults: dict, settings: dict) -> None:
+    """A setting whose default is a JSON object, integer, bool or list must be one too."""
+    for key, default in defaults.items():
+        value = settings[key]
+        if isinstance(default, dict):
+            _check_types(f"{what}{key}.", default, _json_object(what + key, value))
+        elif type(default) in (int, bool, list) and type(value) is not type(default):
+            raise ValueError(f"{what}{key} must be a JSON {type(default).__name__}, got {value!r}")
+
+
 def _check_grid(seeds, epsilons) -> None:
     """Every (seed, epsilon) cell of the grid gets a directory of its own."""
     if not seeds or not epsilons:
         raise ValueError("need at least one seed and one epsilon")
+    for seed in seeds:
+        _integer("a seed", seed)
     _reject_shared_tags("seeds", seeds, int)
     _reject_shared_tags("epsilons", epsilons, lambda e: epsilon_tag(parse_epsilon(e)))
 
@@ -134,32 +152,95 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+class _Recipe(NamedTuple):
+    """The model, training and privacy settings every run of a sweep or panel shares.
+
+    ``template`` is the runs' ``TrainConfig``; each run sets its own loss and seed.
+    """
+
+    hidden_sizes: tuple[int, ...]
+    dropout_rate: float
+    clip_norm: float
+    sampling_rate: float
+    template: TrainConfig
+
+    @classmethod
+    def build(cls, hidden_sizes, dropout_rate, clip_norm, sampling_rate, learning_rate, steps,
+              checkpoint_interval, entropy_beta) -> "_Recipe":
+        template = TrainConfig(learning_rate=float(learning_rate), steps=int(steps),
+                               loss=cross_entropy_loss(), entropy_beta=float(entropy_beta),
+                               checkpoint_interval=int(checkpoint_interval))
+        hidden_sizes = tuple(_integer("a hidden size", h, low=1) for h in hidden_sizes)
+        return cls(hidden_sizes, float(dropout_rate), float(clip_norm), float(sampling_rate),
+                   template)
+
+    def spec(self, data: LabeledDataset, loss_kind: str = "cross_entropy") -> ModelSpec:
+        """The network for ``data``, with the output heads ``loss_kind`` trains."""
+        return ModelSpec(input_dim=data.input_dim, num_classes=data.num_classes,
+                         hidden_sizes=self.hidden_sizes, dropout_rate=self.dropout_rate,
+                         abstention_head=loss_kind == "sat",
+                         selectivenet_heads=loss_kind == "selectivenet")
+
+    def privacy(self, eps: float, delta: float, sigma=None) -> PrivacyConfig:
+        if math.isinf(eps):
+            return PrivacyConfig.non_private(self.template.steps, self.sampling_rate)
+        return PrivacyConfig(epsilon=eps, delta=delta, clip_norm=self.clip_norm,
+                             sampling_rate=self.sampling_rate, steps=self.template.steps,
+                             noise_multiplier="auto" if sigma is None else sigma)
+
+    def train(self, data, test, spec, loss, eps, delta, seed, sigma=None) -> trainer.TrainResult:
+        """One run of ``loss`` on ``data`` at (eps, delta), its checkpoints predicting ``test``."""
+        train_cfg = replace(self.template, loss=loss, seed=seed)
+        return trainer.train(data, spec, train_cfg, self.privacy(eps, delta, sigma), eval_set=test)
+
+
 class ExperimentConfig:
-    """Fully defaulted experiment description with a content-stable hash."""
+    """A fully defaulted experiment, parsed once, with a content-stable hash.
+
+    ``raw`` is the defaulted JSON that ``hash()`` digests. Parsing it checks
+    every setting and builds what the cells train from: the dataset
+    ``source``, one run ``recipe`` and ``methods[name] = (settings, runs)``.
+    The parsed config pickles, so cells can run in worker processes.
+    """
 
     def __init__(self, raw: dict):
         self.raw = raw
-        self._validate()
+        if raw.get("version") != CONFIG_VERSION:
+            raise ValueError(f"config version must be {CONFIG_VERSION}")
+        if "kind" not in _json_object("dataset", raw.get("dataset", {})):
+            raise ValueError("config needs a dataset block with a 'kind'")
+        self.source = _dataset_source(raw["dataset"])
+        methods = {name: _METHODS[name].defaults for name in raw["methods"]}
+        _check_types("", {**_DEFAULTS, "methods": methods}, raw)
+        model, training, privacy = raw["model"], raw["training"], raw["privacy"]
+        _check_grid(raw["seeds"], privacy["epsilons"])
+        self.seeds = list(raw["seeds"])
+        self.epsilons = [parse_epsilon(e) for e in privacy["epsilons"]]
+        self.delta = privacy["delta"]  # None: 1/n of each cell's training set
+        if self.delta is not None and not 0.0 < float(self.delta) < 1.0:
+            raise ValueError(f"privacy.delta must be null or in (0, 1), got {self.delta!r}")
+        self.refs = tuple(raw["accuracy_refs"])
+        _reject_shared_tags("accuracy_refs", self.refs, _g_tag)
+        if lossy := [r for r in self.refs if float(_g_tag(r)) != float(r)]:  # see evaluate_run
+            raise ValueError(f"accuracy_refs {lossy[0]!r} would be stored as {_g_tag(lossy[0])!r}")
+        self.recipe = _Recipe.build(
+            model["hidden_sizes"], model["dropout_rate"], privacy["clip_norm"],
+            privacy["sampling_rate"], training["learning_rate"], training["steps"],
+            training["checkpoint_interval"], training["entropy_beta"],
+        )
+        self.recipe.privacy(min(self.epsilons), 0.5)  # 0.5 stands in for delta, checked above
+        self.methods = {name: (settings, _METHODS[name].runs(settings))
+                        for name, settings in raw["methods"].items()}
 
     @classmethod
     def from_dict(cls, user: dict) -> "ExperimentConfig":
-        raw = {
-            "version": CONFIG_VERSION,
-            "name": "experiment",
-            "seeds": [0, 1, 2, 3, 4],
-            "accuracy_refs": [0.9, 0.95],
-            "methods": {"sr": {}},
-        }
-        raw.update(copy.deepcopy(_json_object("a config", user)))
-        for block, defaults in _BLOCK_DEFAULTS.items():
-            raw[block] = _deep_merge(defaults, _json_object(block, raw.get(block, {})))
-        methods = {}
-        for name, settings in _json_object("methods", raw["methods"]).items():
+        raw = _deep_merge(_DEFAULTS, _json_object("a config", user))
+        methods, raw["methods"] = user.get("methods", _DEFAULTS["methods"]), {}
+        for name, settings in _json_object("methods", methods).items():
             if name not in _METHODS:
                 raise ValueError(f"unknown method {name!r}; known: {tuple(_METHODS)}")
             settings = _json_object(f"methods.{name}", settings or {})
-            methods[name] = _deep_merge(_METHODS[name].defaults, settings)
-        raw["methods"] = methods
+            raw["methods"][name] = _deep_merge(_METHODS[name].defaults, settings)
         return cls(raw)
 
     @classmethod
@@ -171,24 +252,6 @@ class ExperimentConfig:
             user = _deep_merge(user, overrides)
         return cls.from_dict(user)
 
-    def _validate(self):
-        raw = self.raw
-        if raw.get("version") != CONFIG_VERSION:
-            raise ValueError(f"config version must be {CONFIG_VERSION}")
-        if "kind" not in _json_object("dataset", raw.get("dataset", {})):
-            raise ValueError("config needs a dataset block with a 'kind'")
-        _dataset_source(raw["dataset"])
-        _check_grid(raw["seeds"], raw["privacy"]["epsilons"])
-        delta = raw["privacy"]["delta"]
-        if delta is not None and not 0.0 < float(delta) < 1.0:
-            raise ValueError(f"privacy.delta must be null or in (0, 1), got {delta!r}")
-        _reject_shared_tags("accuracy_refs", raw.get("accuracy_refs", ()), _g_tag)
-        # Settings that no cell could train fail here, before run() writes anything.
-        for name, settings in raw["methods"].items():
-            _METHODS[name].runs(settings)
-        _train_cfg(raw, cross_entropy_loss(), 0)
-        _privacy_cfg(raw, min(self.epsilons), 0.5)  # 0.5 stands in for delta, checked above
-
     def hash(self) -> str:
         """Digest of the config and of ``trainer.ALGORITHM_VERSION``.
 
@@ -199,30 +262,20 @@ class ExperimentConfig:
         stamped = f"{trainer.ALGORITHM_VERSION}\0{canonical}"
         return hashlib.sha256(stamped.encode()).hexdigest()[:12]
 
-    @property
-    def seeds(self) -> list[int]:
-        return [int(s) for s in self.raw["seeds"]]
 
-    @property
-    def epsilons(self) -> list[float]:
-        return [parse_epsilon(e) for e in self.raw["privacy"]["epsilons"]]
-
-
-def _dataset_source(dcfg: dict) -> tuple[int, MixtureSpec | Path, float | None, tuple | None]:
-    """The block's base seed, mixture or CSV path, train fraction and imbalance ``(class_id, p0)``.
+def _dataset_source(dcfg: dict) -> tuple:
+    """The block's base seed, data, train fraction, ``(class_id, p0)`` imbalance and label column.
 
     Each is checked without drawing or reading data; a value of the wrong
     JSON type is a ``ValueError`` too. A ``gaussian_outlier`` block has no
     train fraction: it draws its test set apart.
     """
     kind = dcfg["kind"]
-    base = dcfg.get("base_seed", 0)
-    if isinstance(base, bool) or not isinstance(base, int) or base < 0:
-        raise ValueError(f"dataset.base_seed must be a non-negative integer, got {base!r}")
+    base = _integer("dataset.base_seed", dcfg.get("base_seed", 0))
     try:
         if kind == "gaussian_outlier":
             return base, outlier_spec(int(dcfg.get("n_major", 1000)),
-                                      dcfg.get("outlier_mean", [10.0, 0.0])), None, None
+                                      dcfg.get("outlier_mean", [10.0, 0.0])), None, None, None
         if kind == "csv":
             source = Path(dcfg["path"])
         elif kind == "mixture":
@@ -246,66 +299,20 @@ def _dataset_source(dcfg: dict) -> tuple[int, MixtureSpec | Path, float | None, 
         raise ValueError(f"a {kind} dataset block needs {exc}") from None
     except TypeError as exc:
         raise ValueError(f"a {kind} dataset block has a value of the wrong type: {exc}") from None
-    return base, source, fraction, imbalance or None
+    return base, source, fraction, imbalance or None, dcfg.get("label_column", -1)
 
 
-def _build_dataset(dcfg: dict, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    base, source, fraction, imbalance = _dataset_source(dcfg)
+def _build_dataset(source: tuple, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """The (train, test) split of cell ``seed`` from a ``_dataset_source``."""
+    base, data, fraction, imbalance, label_column = source
     if fraction is None:
-        return tuple(gen_mixture(source, derive_seed(base, seed, i)) for i in (0, 1))
-    if isinstance(source, Path):
-        data = load_csv(source, dcfg.get("label_column", -1))
-        return split(data, fraction, derive_seed(base, seed, 0))
-    data = gen_mixture(source, derive_seed(base, seed, 0))
+        return tuple(gen_mixture(data, derive_seed(base, seed, i)) for i in (0, 1))
+    if isinstance(data, Path):
+        return split(load_csv(data, label_column), fraction, derive_seed(base, seed, 0))
+    data = gen_mixture(data, derive_seed(base, seed, 0))
     if imbalance:
         data = subsample_class(data, *imbalance, derive_seed(base, seed, 1))
     return split(data, fraction, derive_seed(base, seed, 2))
-
-
-def _model_spec(raw: dict, data: LabeledDataset, loss_kind: str = "cross_entropy") -> ModelSpec:
-    """The ``model`` block's network, with the output heads ``loss_kind`` trains."""
-    mcfg = raw["model"]
-    return ModelSpec(
-        input_dim=data.input_dim,
-        num_classes=data.num_classes,
-        hidden_sizes=tuple(mcfg["hidden_sizes"]),
-        dropout_rate=float(mcfg["dropout_rate"]),
-        abstention_head=loss_kind == "sat",
-        selectivenet_heads=loss_kind == "selectivenet",
-    )
-
-
-def _train_cfg(raw: dict, loss: LossSpec, run_seed: int) -> TrainConfig:
-    tcfg = raw["training"]
-    return TrainConfig(
-        learning_rate=float(tcfg["learning_rate"]),
-        steps=int(tcfg["steps"]),
-        loss=loss,
-        entropy_beta=float(tcfg["entropy_beta"]),
-        checkpoint_interval=int(tcfg["checkpoint_interval"]),
-        seed=run_seed,
-    )
-
-
-def _privacy_cfg(raw: dict, eps: float, delta: float, sigma=None) -> PrivacyConfig:
-    pcfg = raw["privacy"]
-    steps = int(raw["training"]["steps"])
-    if math.isinf(eps):
-        return PrivacyConfig.non_private(steps, float(pcfg["sampling_rate"]))
-    return PrivacyConfig(
-        epsilon=eps,
-        delta=delta,
-        clip_norm=float(pcfg["clip_norm"]),
-        sampling_rate=float(pcfg["sampling_rate"]),
-        steps=steps,
-        noise_multiplier="auto" if sigma is None else sigma,
-    )
-
-
-def _train_run(raw, data, test, spec, loss, eps, delta, seed, sigma=None) -> trainer.TrainResult:
-    """One training run under the ``training`` and ``privacy`` blocks of ``raw``."""
-    train_cfg, privacy = _train_cfg(raw, loss, seed), _privacy_cfg(raw, eps, delta, sigma)
-    return trainer.train(data, spec, train_cfg, privacy, eval_set=test)
 
 
 def _save_run(directory: Path, result: trainer.TrainResult, spec: ModelSpec) -> None:
@@ -355,25 +362,21 @@ class _Cell:
     """One (seed, epsilon) grid cell; trains each of its runs at most once."""
 
     def __init__(self, config: ExperimentConfig, seed: int, eps: float, cell_dir: Path):
-        self.raw = config.raw
-        self.seed = seed
-        self.eps = eps
-        self.cell_dir = cell_dir
-        self.train_data, self.test_data = _build_dataset(self.raw["dataset"], seed)
-        delta = self.raw["privacy"]["delta"]
-        self.delta = 1.0 / len(self.train_data) if delta is None else float(delta)
-        self.refs = self.raw.get("accuracy_refs", ())
+        self.recipe, self.refs = config.recipe, config.refs
+        self.seed, self.eps, self.cell_dir = seed, eps, cell_dir
+        self.train_data, self.test_data = _build_dataset(config.source, seed)
+        self.delta = 1.0 / len(self.train_data) if config.delta is None else float(config.delta)
         self._trained: dict[str, trainer.TrainResult] = {}
 
     def spec(self, run: _Run) -> ModelSpec:
-        return _model_spec(self.raw, self.train_data, run.loss.kind)
+        return self.recipe.spec(self.train_data, run.loss.kind)
 
     def train(self, run: _Run, sigma=None) -> trainer.TrainResult:
         """Train ``run`` (at noise ``sigma`` if given) and save it, once per cell."""
         if run.subdir not in self._trained:
             spec, seed = self.spec(run), derive_seed(self.seed, *run.stream)
-            result = _train_run(self.raw, self.train_data, self.test_data, spec, run.loss,
-                                self.eps, self.delta, seed, sigma)
+            result = self.recipe.train(self.train_data, self.test_data, spec, run.loss,
+                                       self.eps, self.delta, seed, sigma)
             _save_run(self.cell_dir / run.subdir / "checkpoints", result, spec)
             self._trained[run.subdir] = result
         return self._trained[run.subdir]
@@ -386,15 +389,12 @@ class _Cell:
         """Shared noise level plus its accounting payload for n_runs runs."""
         if math.isinf(self.eps):
             return None, {"target_epsilon": "inf", "n_runs": n_runs}
-        privacy = _privacy_cfg(self.raw, self.eps, self.delta)
-        bs = accountant.split_budget(
-            self.eps, self.delta, n_runs, privacy.sampling_rate, privacy.steps
-        )
+        bs = accountant.split_budget(self.eps, self.delta, n_runs, self.recipe.sampling_rate,
+                                     self.recipe.template.steps)
         return bs.sigma, {"target_epsilon": epsilon_tag(self.eps), "split": asdict(bs)}
 
-    def run_method(self, method: str, settings: dict) -> dict:
+    def run_method(self, method: str, settings: dict, runs: list[_Run]) -> dict:
         row = _METHODS[method]
-        runs = row.runs(settings)
         if row.emit is None:
             (run,) = runs
             result = self.train(run)
@@ -439,9 +439,9 @@ def _class_scores(native):
 
 
 def _de_runs(s: dict) -> list[_Run]:
-    if int(s["members"]) < 1:
+    if s["members"] < 1:
         raise ValueError("de needs at least one member")
-    return [_Run(f"de/member_{m}", cross_entropy_loss(), (12, m)) for m in range(int(s["members"]))]
+    return [_Run(f"de/member_{m}", cross_entropy_loss(), (12, m)) for m in range(s["members"])]
 
 
 def _sn_runs(s: dict) -> list[_Run]:
@@ -464,7 +464,7 @@ _METHODS: dict[str, _Method] = {
     "mcdo": _Method(
         {"passes": 20, "dropout_rate": None}, lambda s: [_BASE_RUN],
         lambda cell, run, result, s: selection.score_mcdo(
-            result.params, cell.spec(run), cell.test_data.features, passes=int(s["passes"]),
+            result.params, cell.spec(run), cell.test_data.features, passes=s["passes"],
             seed=derive_seed(cell.seed, *run.stream, 1), dropout_rate=s.get("dropout_rate"),
         ),
     ),
@@ -474,7 +474,7 @@ _METHODS: dict[str, _Method] = {
     ),
     "sat": _Method(
         {"momentum": 0.9, "burn_in_epochs": 0, "native_score": False},
-        lambda s: [_Run("sat", sat_loss(float(s["momentum"]), int(s["burn_in_epochs"])), (11,))],
+        lambda s: [_Run("sat", sat_loss(float(s["momentum"]), s["burn_in_epochs"]), (11,))],
         _class_scores(lambda log: selection.score_sat(log.final_probs)),
     ),
     "de": _Method({"members": 5}, _de_runs, lambda probs: selection.score_de(probs),
@@ -488,7 +488,7 @@ _METHODS: dict[str, _Method] = {
 }
 
 
-def run_cell(raw_config: dict, seed: int, eps: float, run_dir: str | Path) -> list[dict]:
+def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Path) -> list[dict]:
     """Execute one (seed, epsilon) cell; one record per method.
 
     A method whose ``metrics.json`` already exists is skipped, and the cell's
@@ -496,10 +496,9 @@ def run_cell(raw_config: dict, seed: int, eps: float, run_dir: str | Path) -> li
     (building the cell included) is recorded as failed and the remaining
     methods still run.
     """
-    config = ExperimentConfig(raw_config)
     cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{epsilon_tag(eps)}"
     records, cell = [], None
-    for method, settings in sorted(config.raw["methods"].items()):
+    for method, (settings, runs) in sorted(config.methods.items()):
         record = {
             "seed": seed,
             "epsilon": epsilon_tag(eps),
@@ -514,7 +513,7 @@ def run_cell(raw_config: dict, seed: int, eps: float, run_dir: str | Path) -> li
             else:
                 cell = cell or _Cell(config, seed, eps, cell_dir)
                 record["status"] = "ok"
-                record["metrics"] = cell.run_method(method, settings)
+                record["metrics"] = cell.run_method(method, settings, runs)
         except Exception as exc:  # a broken method must not kill the sweep
             record["status"] = "failed"
             record["error"] = f"{type(exc).__name__}: {exc}"
@@ -541,7 +540,7 @@ def run(
     _check_grid(seeds, epsilons)
     run_dir = Path(out_root) / config.hash()
     evaluation.write_json(config.raw, run_dir / "config.json")
-    cells = [(config.raw, seed, eps, run_dir) for seed in seeds for eps in epsilons]
+    cells = [(config, seed, eps, run_dir) for seed in seeds for eps in epsilons]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             per_cell = list(pool.map(run_cell, *zip(*cells)))
@@ -603,19 +602,11 @@ IMBALANCE_PANEL_DEFAULTS = {
 _DEFAULT_EPSILONS = (math.inf, 7.0, 3.0, 1.0)
 
 
-def _panel_raw(p: dict) -> dict:
-    """The model, training and privacy blocks a panel's runs train under."""
-    steps = int(p["steps"])
-    return {
-        "model": {"hidden_sizes": p.get("hidden_sizes", []), "dropout_rate": 0.0},
-        "training": {
-            "learning_rate": p["learning_rate"],
-            "steps": steps,
-            "checkpoint_interval": max(1, min(50, steps)),
-            "entropy_beta": p["entropy_beta"],
-        },
-        "privacy": {"clip_norm": p["clip_norm"], "sampling_rate": p["sampling_rate"]},
-    }
+def _panel_params(defaults: dict, overrides: dict) -> dict:
+    """The panel's defaults under ``overrides``; a key outside the defaults is a typo."""
+    if unknown := sorted(set(overrides) - set(defaults)):
+        raise ValueError(f"unknown panel settings {unknown}; known: {sorted(defaults)}")
+    return {**defaults, **overrides}
 
 
 def _panel_cells(p: dict, seeds, epsilons, datasets, stream: int, stats) -> list[dict]:
@@ -624,13 +615,17 @@ def _panel_cells(p: dict, seeds, epsilons, datasets, stream: int, stats) -> list
     ``datasets`` pairs each dataset block with the keys its cells carry; a
     cell is those keys, the seed and the epsilon, then ``stats(result, test)``.
     """
-    raw, cells = _panel_raw(p), []
+    steps = int(p["steps"])
+    recipe = _Recipe.build(p.get("hidden_sizes", ()), 0.0, p["clip_norm"], p["sampling_rate"],
+                           p["learning_rate"], steps, max(1, min(50, steps)), p["entropy_beta"])
+    sources, cells = [(keys, _dataset_source(block)) for keys, block in datasets], []
     for seed in seeds:
-        for keys, block in datasets:
-            data, test = _build_dataset(block, seed)
+        for keys, source in sources:
+            data, test = _build_dataset(source, seed)
+            spec, run_seed = recipe.spec(data), derive_seed(p["base_seed"], seed, stream)
             for eps in epsilons:
-                result = _train_run(raw, data, test, _model_spec(raw, data), cross_entropy_loss(),
-                                    eps, 1.0 / len(data), derive_seed(p["base_seed"], seed, stream))
+                result = recipe.train(data, test, spec, cross_entropy_loss(), eps, 1.0 / len(data),
+                                      run_seed)
                 cells.append({"seed": seed, **keys, "epsilon": epsilon_tag(eps),
                               **stats(result, test)})
     return cells
@@ -656,7 +651,7 @@ def panel_outlier(
     outlier's prediction and inflates wrong-class confidence.
     """
     _check_grid(seeds, epsilons)
-    p = {**OUTLIER_PANEL_DEFAULTS, **overrides}
+    p = _panel_params(OUTLIER_PANEL_DEFAULTS, overrides)
 
     def stats(result, test) -> dict:
         outlier_idx = int(np.flatnonzero(test.labels == 0)[0])
@@ -697,7 +692,7 @@ def panel_imbalance(
     selective score.
     """
     _check_grid(seeds, epsilons)
-    p = {**IMBALANCE_PANEL_DEFAULTS, **overrides}
+    p = _panel_params(IMBALANCE_PANEL_DEFAULTS, overrides)
     if not p["p0_grid"]:
         raise ValueError("need at least one p0")
     _reject_shared_tags("p0_grid", p["p0_grid"], _g_tag)

@@ -54,6 +54,7 @@ def mixture(covariance=1.0, **block):
 
 
 BASE_SEED_ERROR = "dataset.base_seed must be a non-negative integer, got"
+SEED_ERROR = "a seed must be a non-negative integer, got"
 
 
 def key_tree(obj: dict) -> list:
@@ -252,6 +253,32 @@ class TestExperimentConfig:
             ({}, ["--config", "TMP/missing.json"], "no config file TMP/missing.json"),
             ({}, ["accountant", "--q", "0.02", "--steps", "100", "--delta", "1e-5"],
              "accountant needs either --sigma or --eps-target"),
+            ({"accuracy_refs": [0.895000001]}, [],
+             "accuracy_refs 0.895000001 would be stored as '0.895'"),
+            ({"training": {"steps": 20.7, "checkpoint_interval": 5}}, [],
+             "training.steps must be a JSON int, got 20.7"),
+            ({"training": {"steps": 20, "checkpoint_interval": "10"}}, [],
+             "training.checkpoint_interval must be a JSON int, got '10'"),
+            ({"seeds": [0.5]}, [], f"{SEED_ERROR} 0.5"),
+            ({"seeds": [-1]}, [], f"{SEED_ERROR} -1"),
+            ({"seeds": [True]}, [], f"{SEED_ERROR} True"),
+            ({}, ["--seed", "-1"], f"{SEED_ERROR} -1"),
+            ({"methods": {"de": {"members": 2.5}}}, [],
+             "methods.de.members must be a JSON int, got 2.5"),
+            ({"methods": {"de": {"members": True}}}, [],
+             "methods.de.members must be a JSON int, got True"),
+            ({"methods": {"mcdo": {"passes": 2.5}}}, [],
+             "methods.mcdo.passes must be a JSON int, got 2.5"),
+            ({"model": {"hidden_sizes": [8.5]}}, [],
+             "a hidden size must be an integer >= 1, got 8.5"),
+            ({"model": {"hidden_sizes": 8}}, [], "model.hidden_sizes must be a JSON list, got 8"),
+            ({"methods": {"sat": {"native_score": "false"}}}, [],
+             "methods.sat.native_score must be a JSON bool, got 'false'"),
+            ({"accuracy_refs": 0.9}, [], "accuracy_refs must be a JSON list, got 0.9"),
+            ({"methods": {"sn": {"c_targets": 0.5}}}, [],
+             "methods.sn.c_targets must be a JSON list, got 0.5"),
+            ({}, ["--set", "training=1", "--set", "training.steps=5"],
+             "--set training.steps: training was set to 1, not an object"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
              "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
@@ -263,7 +290,12 @@ class TestExperimentConfig:
              "component_list", "component_mean_scalar", "dataset_not_object",
              "training_not_object", "method_not_object", "base_seed_string",
              "base_seed_negative", "base_seed_fraction", "base_seed_bool", "repeated_seed", "unreachable_accountant_target",
-             "set_without_equals", "missing_config_file", "accountant_without_sigma"],
+             "set_without_equals", "missing_config_file", "accountant_without_sigma",
+             "accuracy_ref_tag_loses_digits", "steps_fraction", "checkpoint_interval_string",
+             "seed_fraction", "seed_negative", "seed_bool", "seed_flag_negative",
+             "de_members_fraction", "de_members_bool", "mcdo_passes_fraction",
+             "hidden_size_fraction", "hidden_sizes_not_list", "native_score_string",
+             "accuracy_refs_not_list", "c_targets_not_list", "set_below_a_number"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
                                                    error):
@@ -343,6 +375,14 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "_build_dataset", lambda *a: calls.append(a) or build(*a))
         again = run(cfg, tmp_path)
         assert {r["status"] for r in again["records"]} == {"skipped"}
+        assert calls == []
+
+    def test_config_is_parsed_once(self, tmp_path, monkeypatch):
+        # Cells train from the config parsed at load: no cell re-reads its dataset block.
+        cfg = small_config(seeds=[0, 1], privacy={"epsilons": ["inf", 3], "sampling_rate": 0.2})
+        calls, parse = [], harness._dataset_source
+        monkeypatch.setattr(harness, "_dataset_source", lambda *a: calls.append(a) or parse(*a))
+        assert run(cfg, tmp_path)["ok"]
         assert calls == []
 
     def test_privacy_json_keys(self, tmp_path):
@@ -432,6 +472,14 @@ def test_panels_reject_repeated_cells(tmp_path, panel, grid, clash):
     # A repeated seed would be counted twice in the panel's summary.
     with pytest.raises(ValueError, match=clash):
         panel(**{"epsilons": (math.inf,), **grid}, out_dir=tmp_path, steps=2)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("panel", [panel_outlier, panel_imbalance])
+def test_panels_reject_unknown_overrides(tmp_path, panel):
+    # A typo would otherwise run the default and record the typo in params.
+    with pytest.raises(ValueError, match=r"unknown panel settings \['stpes'\]; known: .*'steps'"):
+        panel(seeds=(0,), epsilons=(math.inf,), out_dir=tmp_path, steps=2, stpes=5)
     assert not any(tmp_path.iterdir())
 
 

@@ -36,6 +36,12 @@ def _parse_set(pairs: list[str]) -> dict:
     return overrides
 
 
+def _at_least_one(flag: str, count: int) -> int:
+    if count < 1:
+        raise ValueError(f"{flag} must be >= 1, got {count}")
+    return count
+
+
 def _load_config(args) -> harness.ExperimentConfig:
     return harness.ExperimentConfig.load(args.config, _parse_set(args.set))
 
@@ -50,7 +56,7 @@ def _cmd_sweep(args) -> int:
     summary = harness.run(
         config,
         args.out,
-        jobs=args.jobs,
+        jobs=_at_least_one("--jobs", args.jobs),
         seeds=args.seed or None,
         epsilons=args.eps or None,
     )
@@ -71,7 +77,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_accountant(args) -> int:
     if args.eps_target is not None:
-        if args.split > 1:
+        if _at_least_one("--split", args.split) > 1:
             bs = accountant.split_budget(
                 args.eps_target, args.delta, args.split, args.q, args.steps
             )

@@ -81,8 +81,11 @@ _DEFAULTS = {
 
 
 def parse_epsilon(value) -> float:
+    """A positive epsilon from a number, ``"inf"`` or a number's string; a bool is none."""
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
         return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"an epsilon must be a number or 'inf', got {value!r}")
     eps = float(value)
     if not eps > 0:  # also rejects nan
         raise ValueError("epsilon must be positive")
@@ -93,9 +96,9 @@ def epsilon_tag(eps: float) -> str:
     return "inf" if math.isinf(eps) else f"{eps:g}"
 
 
-def _g_tag(value) -> str:
+def _g_tag(value: float) -> str:
     """Directory and metrics-key tag of a coverage target or accuracy ref."""
-    return f"{float(value):g}"
+    return f"{value:g}"
 
 
 def _reject_shared_tags(what: str, values, tag) -> None:
@@ -108,31 +111,54 @@ def _reject_shared_tags(what: str, values, tag) -> None:
         seen[key] = value
 
 
-def _integer(what: str, value, low: int = 0) -> int:
-    """``value`` if it is a JSON integer of at least ``low``; a bool or a float is not."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        kind = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+# The integer settings held to a floor: (what a message calls one, the kind it names, floor).
+_FLOORS = {"seeds": ("a seed", "a non-negative integer", 0),
+           "hidden_sizes": ("a hidden size", "an integer >= 1", 1),
+           "base_seed": (None, "a non-negative integer", 0)}
+
+
+def _checked(what: str, default, value, floor: tuple | None = None):
+    """``value`` if it has the JSON kind of ``default``, as that kind; else a ``ValueError``.
+
+    An object's default keys are checked in turn, and a list's items against
+    the default's first (epsilons where it holds ``"inf"``). A bool is no
+    number, a float takes any number and returns a float, and null takes null
+    or a number. A ``_FLOORS`` integer has a floor; a string (a name) takes
+    anything. Ranges are checked by what the parse builds from the values.
+    """
+    if isinstance(default, dict):
+        value = _json_object(what, value)
+        return {key: _checked(f"{what}.{key}".lstrip("."), item, value[key], _FLOORS.get(key))
+                for key, item in default.items()}
+    if isinstance(default, str):
+        return value
+    if isinstance(default, list) and isinstance(value, (list, tuple)):  # tuple: a panel's
+        if "inf" in default:
+            return [parse_epsilon(item) for item in value]
+        return [_checked(f"{what}[{i}]", default[0], item, floor) for i, item in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        fits, kind = isinstance(value, bool), "a JSON bool"
+    elif isinstance(default, int):
+        name, kind, low = floor or (what, "a JSON int", None)
+        fits = number and isinstance(value, int) and (low is None or value >= low)
+        what = name or what
+    elif isinstance(default, list):
+        fits, kind = False, "a JSON list"
+    else:
+        fits = number or value is default is None
+        kind = "a JSON number" if default is not None else "null or a JSON number"
+    if not fits:
         raise ValueError(f"{what} must be {kind}, got {value!r}")
-    return value
-
-
-def _check_types(what: str, defaults: dict, settings: dict) -> None:
-    """A setting whose default is a JSON object, integer, bool or list must be one too."""
-    for key, default in defaults.items():
-        value = settings[key]
-        if isinstance(default, dict):
-            _check_types(f"{what}{key}.", default, _json_object(what + key, value))
-        elif type(default) in (int, bool, list) and type(value) is not type(default):
-            raise ValueError(f"{what}{key} must be a JSON {type(default).__name__}, got {value!r}")
+    return value if isinstance(default, int) or value is None else float(value)
 
 
 def _check_grid(seeds, epsilons) -> None:
     """Every (seed, epsilon) cell of the grid gets a directory of its own."""
     if not seeds or not epsilons:
         raise ValueError("need at least one seed and one epsilon")
-    for seed in seeds:
-        _integer("a seed", seed)
-    _reject_shared_tags("seeds", seeds, int)
+    _checked("seeds", _DEFAULTS["seeds"], list(seeds), _FLOORS["seeds"])
+    _reject_shared_tags("seeds", seeds, lambda seed: seed)
     _reject_shared_tags("epsilons", epsilons, lambda e: epsilon_tag(parse_epsilon(e)))
 
 
@@ -155,11 +181,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
 class _Recipe(NamedTuple):
     """The model, training and privacy settings every run of a sweep or panel shares.
 
-    ``template`` is the runs' ``TrainConfig``; each run sets its own loss and seed.
+    ``model`` and ``template`` are the runs' ``ModelSpec`` (on a stand-in
+    shape) and ``TrainConfig``; each run sets its data's shape, its loss and
+    its seed. Building them checks the settings' ranges.
     """
 
-    hidden_sizes: tuple[int, ...]
-    dropout_rate: float
+    model: ModelSpec
     clip_norm: float
     sampling_rate: float
     template: TrainConfig
@@ -167,19 +194,17 @@ class _Recipe(NamedTuple):
     @classmethod
     def build(cls, hidden_sizes, dropout_rate, clip_norm, sampling_rate, learning_rate, steps,
               checkpoint_interval, entropy_beta) -> "_Recipe":
-        template = TrainConfig(learning_rate=float(learning_rate), steps=int(steps),
-                               loss=cross_entropy_loss(), entropy_beta=float(entropy_beta),
-                               checkpoint_interval=int(checkpoint_interval))
-        hidden_sizes = tuple(_integer("a hidden size", h, low=1) for h in hidden_sizes)
-        return cls(hidden_sizes, float(dropout_rate), float(clip_norm), float(sampling_rate),
-                   template)
+        model = ModelSpec(input_dim=1, num_classes=2, hidden_sizes=tuple(hidden_sizes),
+                          dropout_rate=dropout_rate)
+        template = TrainConfig(learning_rate=learning_rate, steps=steps, loss=cross_entropy_loss(),
+                               entropy_beta=entropy_beta, checkpoint_interval=checkpoint_interval)
+        return cls(model, clip_norm, sampling_rate, template)
 
     def spec(self, data: LabeledDataset, loss_kind: str = "cross_entropy") -> ModelSpec:
         """The network for ``data``, with the output heads ``loss_kind`` trains."""
-        return ModelSpec(input_dim=data.input_dim, num_classes=data.num_classes,
-                         hidden_sizes=self.hidden_sizes, dropout_rate=self.dropout_rate,
-                         abstention_head=loss_kind == "sat",
-                         selectivenet_heads=loss_kind == "selectivenet")
+        return replace(self.model, input_dim=data.input_dim, num_classes=data.num_classes,
+                       abstention_head=loss_kind == "sat",
+                       selectivenet_heads=loss_kind == "selectivenet")
 
     def privacy(self, eps: float, delta: float, sigma=None) -> PrivacyConfig:
         if math.isinf(eps):
@@ -211,26 +236,22 @@ class ExperimentConfig:
             raise ValueError("config needs a dataset block with a 'kind'")
         self.source = _dataset_source(raw["dataset"])
         methods = {name: _METHODS[name].defaults for name in raw["methods"]}
-        _check_types("", {**_DEFAULTS, "methods": methods}, raw)
-        model, training, privacy = raw["model"], raw["training"], raw["privacy"]
-        _check_grid(raw["seeds"], privacy["epsilons"])
-        self.seeds = list(raw["seeds"])
-        self.epsilons = [parse_epsilon(e) for e in privacy["epsilons"]]
+        checked = _checked("", {**_DEFAULTS, "methods": methods}, raw)
+        model, training, privacy = checked["model"], checked["training"], checked["privacy"]
+        _check_grid(checked["seeds"], raw["privacy"]["epsilons"])  # messages quote raw values
+        self.seeds, self.epsilons = checked["seeds"], privacy["epsilons"]
         self.delta = privacy["delta"]  # None: 1/n of each cell's training set
-        if self.delta is not None and not 0.0 < float(self.delta) < 1.0:
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"privacy.delta must be null or in (0, 1), got {self.delta!r}")
-        self.refs = tuple(raw["accuracy_refs"])
+        self.refs = tuple(checked["accuracy_refs"])
         _reject_shared_tags("accuracy_refs", self.refs, _g_tag)
-        if lossy := [r for r in self.refs if float(_g_tag(r)) != float(r)]:  # see evaluate_run
+        if lossy := [r for r in self.refs if float(_g_tag(r)) != r]:  # see evaluate_run
             raise ValueError(f"accuracy_refs {lossy[0]!r} would be stored as {_g_tag(lossy[0])!r}")
-        self.recipe = _Recipe.build(
-            model["hidden_sizes"], model["dropout_rate"], privacy["clip_norm"],
-            privacy["sampling_rate"], training["learning_rate"], training["steps"],
-            training["checkpoint_interval"], training["entropy_beta"],
-        )
+        self.recipe = _Recipe.build(**model, **training, clip_norm=privacy["clip_norm"],
+                                    sampling_rate=privacy["sampling_rate"])
         self.recipe.privacy(min(self.epsilons), 0.5)  # 0.5 stands in for delta, checked above
         self.methods = {name: (settings, _METHODS[name].runs(settings))
-                        for name, settings in raw["methods"].items()}
+                        for name, settings in checked["methods"].items()}
 
     @classmethod
     def from_dict(cls, user: dict) -> "ExperimentConfig":
@@ -263,6 +284,16 @@ class ExperimentConfig:
         return hashlib.sha256(stamped.encode()).hexdigest()[:12]
 
 
+# Each dataset kind's optional settings and their defaults. A mixture's
+# components and ``imbalance`` block are checked below; ``MixtureSpec`` checks
+# the means and covariances, and ``load_csv`` the ``label_column``.
+_DATASET_DEFAULTS = {
+    "gaussian_outlier": {"base_seed": 0, "n_major": 1000, "outlier_mean": [10.0, 0.0]},
+    "mixture": {"base_seed": 0, "train_fraction": 0.5},
+    "csv": {"base_seed": 0, "train_fraction": 0.8},
+}
+
+
 def _dataset_source(dcfg: dict) -> tuple:
     """The block's base seed, data, train fraction, ``(class_id, p0)`` imbalance and label column.
 
@@ -271,35 +302,38 @@ def _dataset_source(dcfg: dict) -> tuple:
     train fraction: it draws its test set apart.
     """
     kind = dcfg["kind"]
-    base = _integer("dataset.base_seed", dcfg.get("base_seed", 0))
+    if not isinstance(kind, str) or kind not in _DATASET_DEFAULTS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    defaults = _DATASET_DEFAULTS[kind]
     try:
+        settings = _checked("dataset", defaults, {**defaults, **dcfg})
         if kind == "gaussian_outlier":
-            return base, outlier_spec(int(dcfg.get("n_major", 1000)),
-                                      dcfg.get("outlier_mean", [10.0, 0.0])), None, None, None
+            source = outlier_spec(settings["n_major"], settings["outlier_mean"])
+            return settings["base_seed"], source, None, None, None
         if kind == "csv":
             source = Path(dcfg["path"])
-        elif kind == "mixture":
+        else:
             components = dcfg["components"]
             if not isinstance(components, list) or not all(isinstance(c, dict)
                                                            for c in components):
                 raise ValueError("dataset.components must be a list of JSON objects, "
                                  f"got {components!r}")
-            source = MixtureSpec(tuple(
-                MixtureComponent(tuple(c["mean"]), c.get("covariance", 1.0), int(c["count"]),
-                                 int(c["label"])) for c in components))
-        else:
-            raise ValueError(f"unknown dataset kind {kind!r}")
-        fraction = float(dcfg.get("train_fraction", 0.8 if kind == "csv" else 0.5))
-        check_train_fraction(fraction)
+            source = MixtureSpec(tuple(MixtureComponent(
+                tuple(c["mean"]), c.get("covariance", 1.0),
+                **_checked(f"dataset.components[{i}]", {"count": 1, "label": 0}, c),
+            ) for i, c in enumerate(components)))
+        check_train_fraction(settings["train_fraction"])
         imbalance = dcfg.get("imbalance") if kind == "mixture" else None
         if imbalance is not None and _json_object("dataset.imbalance", imbalance):
-            imbalance = int(imbalance["class_id"]), float(imbalance["p0"])
+            imbalance = _checked("dataset.imbalance", {"class_id": 0, "p0": 1.0}, imbalance)
+            imbalance = imbalance["class_id"], imbalance["p0"]
             check_subsample(source.num_classes, *imbalance)
     except KeyError as exc:
         raise ValueError(f"a {kind} dataset block needs {exc}") from None
     except TypeError as exc:
         raise ValueError(f"a {kind} dataset block has a value of the wrong type: {exc}") from None
-    return base, source, fraction, imbalance or None, dcfg.get("label_column", -1)
+    return (settings["base_seed"], source, settings["train_fraction"], imbalance or None,
+            dcfg.get("label_column", -1))
 
 
 def _build_dataset(source: tuple, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -326,9 +360,7 @@ def _emit_method(method_dir: Path, method: str, scores: np.ndarray, predicted: n
     """Write the full artifact set; metrics.json lands last as the marker."""
     correctness = predicted == true_labels
     curve = evaluation.build_curve(scores, correctness)
-    selection.write_scores_csv(
-        method_dir / "scores.csv", method, scores, predicted, true_labels
-    )
+    selection.write_scores_csv(method_dir / "scores.csv", method, scores, predicted, true_labels)
     evaluation.write_curve_csv(curve, method_dir / "curves.csv")
     evaluation.write_json(privacy_payload, method_dir / "privacy.json")
     metrics = evaluation.curve_metrics(curve, tuple(accuracy_refs))
@@ -365,7 +397,7 @@ class _Cell:
         self.recipe, self.refs = config.recipe, config.refs
         self.seed, self.eps, self.cell_dir = seed, eps, cell_dir
         self.train_data, self.test_data = _build_dataset(config.source, seed)
-        self.delta = 1.0 / len(self.train_data) if config.delta is None else float(config.delta)
+        self.delta = 1.0 / len(self.train_data) if config.delta is None else config.delta
         self._trained: dict[str, trainer.TrainResult] = {}
 
     def spec(self, run: _Run) -> ModelSpec:
@@ -415,7 +447,7 @@ class _Cell:
 
     def _emit_per_target(self, method, row, settings, trained, payload) -> dict:
         """One output per coverage target, then the joint account and all targets' metrics."""
-        payload["c_targets"] = [float(c) for c in settings["c_targets"]]
+        payload["c_targets"] = settings["c_targets"]
         payload["run_reports"], metrics = {}, {"c_targets": {}}
         for c_target, (run, result) in zip(payload["c_targets"], trained):
             tag = _g_tag(c_target)
@@ -444,12 +476,19 @@ def _de_runs(s: dict) -> list[_Run]:
     return [_Run(f"de/member_{m}", cross_entropy_loss(), (12, m)) for m in range(s["members"])]
 
 
+def _mcdo_runs(s: dict) -> list[_Run]:
+    """The base run; ``score_mcdo`` first checks ``passes`` and ``dropout_rate`` on one row."""
+    probe = ModelSpec(input_dim=1, num_classes=2)
+    selection.score_mcdo(models.init_params(probe, 0), probe, np.zeros((1, 1)), s["passes"], 0,
+                         s["dropout_rate"])
+    return [_BASE_RUN]
+
+
 def _sn_runs(s: dict) -> list[_Run]:
     if not s["c_targets"]:
         raise ValueError("sn needs at least one c_target")
     _reject_shared_tags("sn c_targets", s["c_targets"], _g_tag)
-    lam, alpha = float(s["lam"]), float(s["alpha"])
-    return [_Run(f"sn/c_{_g_tag(c)}", selectivenet_loss(float(c), lam, alpha), (13, i))
+    return [_Run(f"sn/c_{_g_tag(c)}", selectivenet_loss(c, s["lam"], s["alpha"]), (13, i))
             for i, c in enumerate(s["c_targets"])]
 
 
@@ -462,19 +501,19 @@ _METHODS: dict[str, _Method] = {
         lambda cell, run, result, s: selection.score_sr(result.log.final_probs),
     ),
     "mcdo": _Method(
-        {"passes": 20, "dropout_rate": None}, lambda s: [_BASE_RUN],
+        {"passes": 20, "dropout_rate": None}, _mcdo_runs,
         lambda cell, run, result, s: selection.score_mcdo(
             result.params, cell.spec(run), cell.test_data.features, passes=s["passes"],
-            seed=derive_seed(cell.seed, *run.stream, 1), dropout_rate=s.get("dropout_rate"),
+            seed=derive_seed(cell.seed, *run.stream, 1), dropout_rate=s["dropout_rate"],
         ),
     ),
     "sctd": _Method(
         {"k": 3.0}, lambda s: [_BASE_RUN],
-        lambda cell, run, result, s: selection.score_sctd(result.log, float(s["k"])),
+        lambda cell, run, result, s: selection.score_sctd(result.log, s["k"]),
     ),
     "sat": _Method(
         {"momentum": 0.9, "burn_in_epochs": 0, "native_score": False},
-        lambda s: [_Run("sat", sat_loss(float(s["momentum"]), s["burn_in_epochs"]), (11,))],
+        lambda s: [_Run("sat", sat_loss(s["momentum"], s["burn_in_epochs"]), (11,))],
         _class_scores(lambda log: selection.score_sat(log.final_probs)),
     ),
     "de": _Method({"members": 5}, _de_runs, lambda probs: selection.score_de(probs),
@@ -499,12 +538,8 @@ def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Pat
     cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{epsilon_tag(eps)}"
     records, cell = [], None
     for method, (settings, runs) in sorted(config.methods.items()):
-        record = {
-            "seed": seed,
-            "epsilon": epsilon_tag(eps),
-            "method": method,
-            "dir": str(cell_dir / method),
-        }
+        record = {"seed": seed, "epsilon": epsilon_tag(eps), "method": method,
+                  "dir": str(cell_dir / method)}
         marker = cell_dir / method / "metrics.json"
         try:
             if marker.exists():
@@ -521,13 +556,8 @@ def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Pat
     return records
 
 
-def run(
-    config: ExperimentConfig,
-    out_root: str | Path,
-    jobs: int = 1,
-    seeds=None,
-    epsilons=None,
-) -> dict:
+def run(config: ExperimentConfig, out_root: str | Path, jobs: int = 1, seeds=None,
+        epsilons=None) -> dict:
     """Run the full sweep grid; returns a machine-readable summary.
 
     ``seeds`` and ``epsilons`` restrict the grid (command-line overrides).
@@ -575,38 +605,24 @@ def evaluate_run(method_dir: str | Path) -> dict:
 # break that ordering, so the panel runs closer-in than the motivating
 # illustration.
 OUTLIER_PANEL_DEFAULTS = {
-    "n_major": 300,
-    "outlier_mean": [6.0, 0.0],
-    "learning_rate": 0.5,
-    "steps": 600,
-    "sampling_rate": 0.1,
-    "clip_norm": 1.25,
-    "entropy_beta": 0.01,
-    "base_seed": 33,
+    "n_major": 300, "outlier_mean": [6.0, 0.0], "learning_rate": 0.5, "steps": 600,
+    "sampling_rate": 0.1, "clip_norm": 1.25, "entropy_beta": 0.01, "base_seed": 33,
 }
 
 IMBALANCE_PANEL_DEFAULTS = {
-    "count_per_class": 1500,
-    "class_separation": 1.25,
-    "p0_grid": [0.5, 0.25, 0.1, 0.01],
-    "hidden_sizes": [32],
-    "learning_rate": 0.25,
-    "steps": 600,
-    "sampling_rate": 0.05,
-    "clip_norm": 1.0,
-    "entropy_beta": 0.01,
-    "train_fraction": 0.5,
-    "base_seed": 13,
+    "count_per_class": 1500, "class_separation": 1.25, "p0_grid": [0.5, 0.25, 0.1, 0.01],
+    "hidden_sizes": [32], "learning_rate": 0.25, "steps": 600, "sampling_rate": 0.05,
+    "clip_norm": 1.0, "entropy_beta": 0.01, "train_fraction": 0.5, "base_seed": 13,
 }
 
 _DEFAULT_EPSILONS = (math.inf, 7.0, 3.0, 1.0)
 
 
 def _panel_params(defaults: dict, overrides: dict) -> dict:
-    """The panel's defaults under ``overrides``; a key outside the defaults is a typo."""
+    """The panel's defaults under ``overrides``, checked; a key outside the defaults is a typo."""
     if unknown := sorted(set(overrides) - set(defaults)):
         raise ValueError(f"unknown panel settings {unknown}; known: {sorted(defaults)}")
-    return {**defaults, **overrides}
+    return _checked("", defaults, {**defaults, **overrides})
 
 
 def _panel_cells(p: dict, seeds, epsilons, datasets, stream: int, stats) -> list[dict]:
@@ -615,9 +631,10 @@ def _panel_cells(p: dict, seeds, epsilons, datasets, stream: int, stats) -> list
     ``datasets`` pairs each dataset block with the keys its cells carry; a
     cell is those keys, the seed and the epsilon, then ``stats(result, test)``.
     """
-    steps = int(p["steps"])
+    steps = p["steps"]
     recipe = _Recipe.build(p.get("hidden_sizes", ()), 0.0, p["clip_norm"], p["sampling_rate"],
                            p["learning_rate"], steps, max(1, min(50, steps)), p["entropy_beta"])
+    recipe.privacy(min(epsilons), 0.5)  # each run's delta is 1/n, in (0, 1)
     sources, cells = [(keys, _dataset_source(block)) for keys, block in datasets], []
     for seed in seeds:
         for keys, source in sources:
@@ -638,12 +655,8 @@ def _write_panel(summary: dict, out_dir: str | Path | None) -> dict:
     return summary
 
 
-def panel_outlier(
-    seeds=(0, 1, 2, 3, 4),
-    epsilons=_DEFAULT_EPSILONS,
-    out_dir: str | Path | None = None,
-    **overrides,
-) -> dict:
+def panel_outlier(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
+                  out_dir: str | Path | None = None, **overrides) -> dict:
     """Single-outlier logistic regression across the privacy grid.
 
     Trains on the majority cloud plus one outlier, evaluates on a fresh draw
@@ -679,12 +692,8 @@ def panel_outlier(
     return _write_panel(summary, out_dir)
 
 
-def panel_imbalance(
-    seeds=(0, 1, 2, 3, 4),
-    epsilons=_DEFAULT_EPSILONS,
-    out_dir: str | Path | None = None,
-    **overrides,
-) -> dict:
+def panel_imbalance(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
+                    out_dir: str | Path | None = None, **overrides) -> dict:
     """Class-imbalanced mixture with MLPs across (p0, epsilon).
 
     Per cell: where the softmax-response order places minority points (mean
@@ -696,16 +705,10 @@ def panel_imbalance(
     if not p["p0_grid"]:
         raise ValueError("need at least one p0")
     _reject_shared_tags("p0_grid", p["p0_grid"], _g_tag)
-    sep = p["class_separation"]
-    dataset = {
-        "kind": "mixture",
-        "components": [
-            {"mean": [-sep, 0.0], "count": p["count_per_class"], "label": 0},
-            {"mean": [sep, 0.0], "count": p["count_per_class"], "label": 1},
-        ],
-        "train_fraction": p["train_fraction"],
-        "base_seed": p["base_seed"],
-    }
+    sep, count = p["class_separation"], p["count_per_class"]
+    components = [{"mean": [-sep, 0.0], "count": count, "label": 0},
+                  {"mean": [sep, 0.0], "count": count, "label": 1}]
+    dataset = {"kind": "mixture", "components": components, **p}
 
     def stats(result, test) -> dict:
         scores = selection.score_sr(result.log.final_probs)
@@ -731,27 +734,16 @@ def panel_imbalance(
     return _write_panel(summary, out_dir)
 
 
-def panel_bound(
-    a_fulls=(0.5, 0.7, 0.9),
-    n: int = 10_000,
-    seed: int = 0,
-    out_dir: str | Path | None = None,
-) -> dict:
+def panel_bound(a_fulls=(0.5, 0.7, 0.9), n: int = 10_000, seed: int = 0,
+                out_dir: str | Path | None = None) -> dict:
     """Ideal-score oracle curves against the achievability bound."""
     rows = []
     for a_full in a_fulls:
         scores, correctness = evaluation.ideal_score_oracle(a_full, n, seed)
         curve = evaluation.build_curve(scores, correctness)
-        deviation = float(
-            np.max(np.abs(curve.accuracies - evaluation.bound_values(curve)))
-        )
-        rows.append(
-            {
-                "a_full": a_full,
-                "max_deviation": deviation,
-                "normalized_score": evaluation.normalized_score(curve),
-                "auc": evaluation.auc(curve),
-            }
-        )
+        deviation = float(np.max(np.abs(curve.accuracies - evaluation.bound_values(curve))))
+        rows.append({"a_full": a_full, "max_deviation": deviation,
+                     "normalized_score": evaluation.normalized_score(curve),
+                     "auc": evaluation.auc(curve)})
     summary = {"panel": "bound", "n": n, "seed": seed, "rows": rows}
     return _write_panel(summary, out_dir)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -216,7 +217,10 @@ class TestExperimentConfig:
             ({"privacy": {"epsilons": [3], "delta": 1.5}}, [], "privacy.delta must be null"),
             ({"privacy": {"epsilons": [3], "clip_norm": 0}}, [], "finite positive clip_norm"),
             ({"privacy": {"epsilons": [3], "clip_norm": -1}}, [], "finite positive clip_norm"),
-            ({"privacy": {"epsilons": [3], "clip_norm": "inf"}}, [], "finite positive clip_norm"),
+            ({"privacy": {"epsilons": [3], "clip_norm": math.inf}}, [],
+             "finite positive clip_norm"),
+            ({"privacy": {"epsilons": [3], "clip_norm": "inf"}}, [],
+             "privacy.clip_norm must be a JSON number, got 'inf'"),
             ({"dataset": {"kind": "mixture"}}, [], "a mixture dataset block needs 'components'"),
             ({"dataset": {"kind": "mixture", "components": [{"mean": [0.0], "label": 0}]}}, [],
              "a mixture dataset block needs 'count'"),
@@ -279,10 +283,46 @@ class TestExperimentConfig:
              "methods.sn.c_targets must be a JSON list, got 0.5"),
             ({}, ["--set", "training=1", "--set", "training.steps=5"],
              "--set training.steps: training was set to 1, not an object"),
+            ({}, ["--set", "training.learning_rate=[1]"],
+             "training.learning_rate must be a JSON number, got [1]"),
+            ({}, ["--set", 'privacy.delta={"a":1}'],
+             "privacy.delta must be null or a JSON number, got {'a': 1}"),
+            ({"methods": {"sctd": {"k": "x"}}}, [],
+             "methods.sctd.k must be a JSON number, got 'x'"),
+            ({"model": {"dropout_rate": 1.5}}, [], "dropout_rate must be in [0, 1)"),
+            ({"methods": {"mcdo": {"passes": 0}}}, [], "passes must be >= 1"),
+            ({"methods": {"mcdo": {"dropout_rate": 1.5}}}, [], "dropout_rate must be in [0, 1)"),
+            ({"training": {"learning_rate": True, "steps": 20, "checkpoint_interval": 5}}, [],
+             "training.learning_rate must be a JSON number, got True"),
+            ({"training": {"learning_rate": "0.5", "steps": 20, "checkpoint_interval": 5}}, [],
+             "training.learning_rate must be a JSON number, got '0.5'"),
+            ({"privacy": {"epsilons": [True]}}, [],
+             "an epsilon must be a number or 'inf', got True"),
+            ({"accuracy_refs": [True]}, [], "accuracy_refs[0] must be a JSON number, got True"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": [0.0], "count": 30.7, "label": 0}]}}, [],
+             "dataset.components[0].count must be a JSON int, got 30.7"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": [0.0], "count": True, "label": 0}]}}, [],
+             "dataset.components[0].count must be a JSON int, got True"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": [0.0], "count": 30, "label": 1.9}]}}, [],
+             "dataset.components[0].label must be a JSON int, got 1.9"),
+            ({"dataset": {"kind": "gaussian_outlier", "n_major": 50.5}}, [],
+             "dataset.n_major must be a JSON int, got 50.5"),
+            (mixture(imbalance={"class_id": 0.7, "p0": 0.5}), [],
+             "dataset.imbalance.class_id must be a JSON int, got 0.7"),
+            ({}, ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            ({}, ["--jobs", "-1"], "--jobs must be >= 1, got -1"),
+            ({}, ["accountant", "--eps-target", "3", "--q", "0.02", "--steps", "100", "--delta",
+                  "1e-5", "--split", "0"], "--split must be >= 1, got 0"),
+            ({}, ["accountant", "--eps-target", "3", "--q", "0.02", "--steps", "100", "--delta",
+                  "1e-5", "--split", "-2"], "--split must be >= 1, got -2"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
              "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
-             "clip_norm_zero", "clip_norm_negative", "clip_norm_inf", "mixture_no_components",
+             "clip_norm_zero", "clip_norm_negative", "clip_norm_inf", "clip_norm_string",
+             "mixture_no_components",
              "mixture_component_no_count", "csv_no_path", "outlier_no_majority",
              "covariance_negative", "covariance_misshaped", "covariance_asymmetric",
              "covariance_not_psd", "mixture_train_fraction", "csv_train_fraction", "imbalance_p0",
@@ -295,7 +335,13 @@ class TestExperimentConfig:
              "seed_fraction", "seed_negative", "seed_bool", "seed_flag_negative",
              "de_members_fraction", "de_members_bool", "mcdo_passes_fraction",
              "hidden_size_fraction", "hidden_sizes_not_list", "native_score_string",
-             "accuracy_refs_not_list", "c_targets_not_list", "set_below_a_number"],
+             "accuracy_refs_not_list", "c_targets_not_list", "set_below_a_number",
+             "set_learning_rate_list", "set_delta_object", "sctd_k_string",
+             "dropout_rate_above_one", "mcdo_passes_zero", "mcdo_dropout_rate_above_one",
+             "learning_rate_bool", "learning_rate_string", "epsilon_bool", "accuracy_ref_bool",
+             "component_count_fraction", "component_count_bool", "component_label_fraction",
+             "n_major_fraction", "imbalance_class_id_fraction", "jobs_zero", "jobs_negative",
+             "accountant_split_zero", "accountant_split_negative"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
                                                    error):
@@ -320,6 +366,69 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.load(path, {"training": {"steps": 40}})
         assert cfg.raw["training"]["steps"] == 40
         assert cfg.raw["training"]["checkpoint_interval"] == 5
+
+
+# Configs whose hash and bytes are pinned at values measured before settings were
+# checked by kind: the README example, the perfbench sweep workload at seed 0, and a
+# config that writes every float setting as a JSON integer.
+README_CONFIG = json.loads(
+    Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
+    .split("```json\n", 1)[1].split("```", 1)[0]
+)
+PERFBENCH_SWEEP_CONFIG = {
+    "name": "perfbench-sweep",
+    "seeds": [0],
+    "dataset": {
+        "kind": "mixture",
+        "components": [{"mean": [-1.25, 0.0], "count": 1500, "label": 0},
+                       {"mean": [1.25, 0.0], "count": 1500, "label": 1}],
+        "train_fraction": 0.5,
+        "base_seed": 13,
+    },
+    "privacy": {"epsilons": ["inf", 3]},
+    "methods": {"sr": {}, "mcdo": {"passes": 20}, "sctd": {"k": 3.0},
+                "sat": {"momentum": 0.9, "burn_in_epochs": 0}, "de": {"members": 5},
+                "sn": {"c_targets": [0.1, 0.25, 0.5, 0.75, 1.0]}},
+}
+INTEGER_FLOATS_CONFIG = {
+    "name": "t",
+    "seeds": [0],
+    "dataset": {"kind": "mixture",
+                "components": [{"mean": [-1, 0], "count": 30, "label": 0},
+                               {"mean": [1, 0], "count": 30, "label": 1}],
+                "train_fraction": 0.5, "base_seed": 13},
+    "privacy": {"epsilons": ["inf", 3], "clip_norm": 1, "sampling_rate": 1},
+    "model": {"hidden_sizes": [4], "dropout_rate": 0},
+    "training": {"learning_rate": 1, "steps": 2, "checkpoint_interval": 1, "entropy_beta": 0},
+    "accuracy_refs": [1],
+    "methods": {"sr": {}, "sctd": {"k": 3}, "sat": {"momentum": 0},
+                "sn": {"c_targets": [1], "lam": 32, "alpha": 1}},
+}
+
+
+@pytest.mark.parametrize(
+    "user, expected",
+    [(README_CONFIG, "b318da880737"), (PERFBENCH_SWEEP_CONFIG, "d35dbf269191"),
+     (INTEGER_FLOATS_CONFIG, "99e79ee9cbc1")],
+    ids=["readme", "perfbench_sweep", "integer_floats"],
+)
+def test_config_hash_is_pinned(user, expected):
+    assert ExperimentConfig.from_dict(user).hash() == expected
+
+
+def test_integer_floats_run_tree_is_pinned(tmp_path):
+    # Digested as perfbench/workloads.py tree_summary does. The floats that sn/privacy.json
+    # writes for JSON integers ("c_targets": [1.0], "sampling_rate": 1.0) are in it.
+    summary = run(ExperimentConfig.from_dict(INTEGER_FLOATS_CONFIG), tmp_path)
+    assert summary["ok"]
+    digest, files = hashlib.sha256(), 0
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+        files += 1
+    assert (digest.hexdigest()[:16], files) == ("96010721bad96fe9", 69)
+    privacy = json.loads((Path(summary["run_dir"]) / "seed_0/eps_3/sn/privacy.json").read_text())
+    assert privacy["c_targets"] == [1.0] and privacy["run_reports"]["1"]["sampling_rate"] == 1.0
 
 
 class TestRunSweep:
@@ -481,6 +590,16 @@ def test_panels_reject_unknown_overrides(tmp_path, panel):
     with pytest.raises(ValueError, match=r"unknown panel settings \['stpes'\]; known: .*'steps'"):
         panel(seeds=(0,), epsilons=(math.inf,), out_dir=tmp_path, steps=2, stpes=5)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("panel", [panel_outlier, panel_imbalance])
+def test_panels_reject_overrides_of_the_wrong_kind(tmp_path, monkeypatch, panel):
+    # 2.7 steps used to train 2 and record 2.7 in params.
+    trained = []
+    monkeypatch.setattr(harness.trainer, "train", lambda *a, **k: trained.append(a))
+    with pytest.raises(ValueError, match=r"^steps must be a JSON int, got 2\.7$"):
+        panel(seeds=(0,), epsilons=(math.inf,), out_dir=tmp_path, steps=2.7)
+    assert not trained and not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -658,3 +777,108 @@ class TestCli:
             cli.main(["panel", "bound", *flags])
         assert exc.value.code == 2
         assert "panel bound takes at most one --seed and no --eps" in capsys.readouterr().err
+
+# Settings fuzz: a tiny valid six-method config, each leaf set in turn to each value of
+# FUZZ_VALUES. Every float setting is written as a float, so the type of each leaf's
+# valid value (defaulted by the harness) is the JSON kind the leaf takes.
+FUZZ_VALUES = {"string": "x", "list": [1], "object": {"a": 1}, "true": True, "minus_one": -1,
+               "zero": 0, "null": None}
+FUZZ_USER = {
+    "name": "fuzz",
+    "seeds": [0],
+    "dataset": {
+        "kind": "mixture",
+        "components": [{"mean": [-1.5, 0.0], "count": 30, "label": 0},
+                       {"mean": [1.5, 0.0], "count": 30, "label": 1}],
+        "imbalance": {"class_id": 0, "p0": 1.0},
+        "train_fraction": 0.5,
+        "base_seed": 5,
+    },
+    "model": {"hidden_sizes": [4]},
+    "training": {"learning_rate": 0.5, "steps": 2, "checkpoint_interval": 1},
+    "privacy": {"epsilons": ["inf", 3], "sampling_rate": 0.5},
+    "methods": {"sr": {}, "mcdo": {"passes": 2}, "sctd": {}, "sat": {}, "de": {"members": 1},
+                "sn": {"c_targets": [0.5]}},
+}
+FUZZ_PANELS = {
+    "outlier": (harness.panel_outlier, harness.OUTLIER_PANEL_DEFAULTS,
+                {"steps": 2, "n_major": 30}),
+    "imbalance": (harness.panel_imbalance, harness.IMBALANCE_PANEL_DEFAULTS,
+                  {"steps": 2, "count_per_class": 30, "p0_grid": [0.5]}),
+}
+
+
+def fuzz_leaves(node, path=()):
+    """(path, valid value) of every leaf below ``node``; a component list adds its first's."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from fuzz_leaves(value, path + (key,))
+            continue
+        if path + (key,) not in (("name",), ("dataset", "kind")):
+            yield path + (key,), value
+        if key == "components":
+            yield from fuzz_leaves(value[0], path + (key, 0))
+
+
+def fits(valid, value) -> bool:
+    """``value`` has the JSON kind of ``valid``: a bool is no number, null takes numbers."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    if valid is None:
+        return value is None or number(value)
+    if isinstance(valid, float):
+        return number(value)
+    if isinstance(valid, int) and not isinstance(valid, bool):
+        return number(value) and isinstance(value, int)
+    return type(value) is type(valid)
+
+
+FUZZ_CASES = [
+    pytest.param("sweep", path, valid, value, id=f"{'.'.join(map(str, path))}={tag}")
+    for path, valid in fuzz_leaves(harness.ExperimentConfig.from_dict(FUZZ_USER).raw)
+    for tag, value in FUZZ_VALUES.items()
+] + [
+    pytest.param(panel, (key,), defaults[key], value, id=f"panel_{panel}.{key}={tag}")
+    for panel, (_, defaults, _) in FUZZ_PANELS.items()
+    for key in defaults
+    for tag, value in FUZZ_VALUES.items()
+]
+
+
+@pytest.mark.parametrize("target, path, valid, value", FUZZ_CASES)
+def test_every_setting_is_checked_at_load(capsys, monkeypatch, target, path, valid, value):
+    # A value of the wrong JSON kind is rejected at load; any other value is either rejected
+    # at load or trains every cell. A rejected sweep exits 2 with one line and writes no run
+    # directory; a rejected panel raises before it trains.
+    trained, train = [], trainer.train
+    monkeypatch.setattr(harness.trainer, "train",
+                        lambda *a, **k: trained.append(1) or train(*a, **k))
+    if target == "sweep":
+        user = json.loads(json.dumps(FUZZ_USER))
+        node = user
+        for key in path[:-1]:
+            node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as work:  # cheaper than a tmp_path per case
+            config_path, out = Path(work) / "config.json", Path(work) / "out"
+            config_path.write_text(json.dumps(user))
+            try:
+                code = cli.main(["sweep", "--config", str(config_path), "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            written = out.exists()
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.splitlines()[-1].startswith("dpselect: error: sweep: ")
+            assert "Traceback" not in captured.err
+            assert not written and not trained
+            return
+        assert code == 0 and json.loads(captured.out)["ok"], captured.out
+    else:
+        panel, _, base = FUZZ_PANELS[target]
+        try:
+            panel(seeds=(0,), epsilons=(math.inf, 3.0), **{**base, path[0]: value})
+        except ValueError:
+            assert not trained
+            return
+    assert fits(valid, value), "accepted a value of the wrong JSON kind"

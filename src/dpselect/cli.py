@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import accountant, evaluation, harness
 
 
@@ -101,8 +103,7 @@ def _cmd_oracle(args) -> int:
         evaluation.write_curve_csv(curve, args.out)
     metrics = evaluation.curve_metrics(curve)
     metrics["max_bound_deviation"] = float(
-        max(abs(a - b) for a, b in zip(curve.accuracies, evaluation.bound_values(curve)))
-    )
+        np.max(np.abs(curve.accuracies - evaluation.bound_values(curve))))
     _emit(metrics)
     return 0
 

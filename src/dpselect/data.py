@@ -9,7 +9,9 @@ the same dataset, bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -97,6 +99,9 @@ class MixtureSpec:
                 raise ValueError("component count must be >= 1")
             if c.label < 0:
                 raise ValueError("component label must be >= 0")
+            if not all(isinstance(m, Real) and not isinstance(m, bool) and math.isfinite(m)
+                       for m in c.mean):
+                raise ValueError(f"component mean must hold finite numbers, got {list(c.mean)!r}")
         factors = tuple(_component_factor(c.covariance, self.input_dim) for c in self.components)
         object.__setattr__(self, "factors", factors)
 

@@ -285,8 +285,9 @@ class ExperimentConfig:
 
 
 # Each dataset kind's optional settings and their defaults. A mixture's
-# components and ``imbalance`` block are checked below; ``MixtureSpec`` checks
-# the means and covariances, and ``load_csv`` the ``label_column``.
+# components, ``imbalance`` block and a csv's ``label_column`` type are
+# checked below; ``MixtureSpec`` checks the means and covariances, and
+# ``load_csv`` that the label column is in the file.
 _DATASET_DEFAULTS = {
     "gaussian_outlier": {"base_seed": 0, "n_major": 1000, "outlier_mean": [10.0, 0.0]},
     "mixture": {"base_seed": 0, "train_fraction": 0.5},
@@ -311,7 +312,10 @@ def _dataset_source(dcfg: dict) -> tuple:
             source = outlier_spec(settings["n_major"], settings["outlier_mean"])
             return settings["base_seed"], source, None, None, None
         if kind == "csv":
-            source = Path(dcfg["path"])
+            source, label = Path(dcfg["path"]), dcfg.get("label_column", -1)
+            if isinstance(label, bool) or not isinstance(label, (int, str)):
+                raise ValueError("dataset.label_column must be a JSON int or a column name, "
+                                 f"got {label!r}")
         else:
             components = dcfg["components"]
             if not isinstance(components, list) or not all(isinstance(c, dict)
@@ -484,6 +488,12 @@ def _mcdo_runs(s: dict) -> list[_Run]:
     return [_BASE_RUN]
 
 
+def _sctd_runs(s: dict) -> list[_Run]:
+    if not math.isfinite(s["k"]):
+        raise ValueError(f"methods.sctd.k must be finite, got {s['k']!r}")
+    return [_BASE_RUN]
+
+
 def _sn_runs(s: dict) -> list[_Run]:
     if not s["c_targets"]:
         raise ValueError("sn needs at least one c_target")
@@ -508,7 +518,7 @@ _METHODS: dict[str, _Method] = {
         ),
     ),
     "sctd": _Method(
-        {"k": 3.0}, lambda s: [_BASE_RUN],
+        {"k": 3.0}, _sctd_runs,
         lambda cell, run, result, s: selection.score_sctd(result.log, s["k"]),
     ),
     "sat": _Method(

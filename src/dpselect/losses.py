@@ -21,6 +21,7 @@ optimizer relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,9 @@ class LossSpec:
         if self.kind == "selectivenet":
             if not 0.0 < self.c_target <= 1.0:
                 raise ValueError("c_target must be in (0, 1]")
-            if self.lam < 0 or not 0.0 <= self.alpha <= 1.0:
-                raise ValueError("need lam >= 0 and alpha in [0, 1]")
+            if not 0 <= self.lam < math.inf or not 0.0 <= self.alpha <= 1.0:
+                raise ValueError("need lam >= 0 and alpha in [0, 1], lam finite; got "
+                                 f"lam={self.lam!r}, alpha={self.alpha!r}")
 
 
 def cross_entropy_loss() -> LossSpec:

@@ -9,13 +9,12 @@ of randomness are added.
 
 :func:`generator` and :func:`derive_seed` build one ``SeedSequence`` per
 call. A training run needs three or four streams per step, so
-:class:`RunStreams` derives the same streams for a whole run: it runs
-numpy's ``SeedSequence`` hash (O'Neill's ``seed_seq`` mixing, plain uint32
-arithmetic) vectorized over a chunk of steps, turns each step's key into a
-PCG64 state with the PCG set-seq initialization, and loads that state into
-a bit generator it reuses, for steps in [0, 2^32) (one uint32 key word).
-Every draw is bit-identical to the per-call functions; the tests compare
-both against numpy's own classes. Model and step functions take generators.
+:class:`RunStreams` runs numpy's ``SeedSequence`` hash (O'Neill's
+``seed_seq`` mixing, plain uint32 arithmetic) vectorized over a chunk of
+steps in [0, 2^32), and seeds a new ``PCG64`` with each step's generated
+words. Every draw is bit-identical to the per-call functions; the tests
+compare both against numpy's own classes. Model and step functions take
+generators.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Stream identifiers. New consumers append; never renumber.
 STREAM_DATA = 0
@@ -42,9 +42,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 # Steps keyed per array pass; bounds the memory of a run's streams.
 CHUNK_STEPS = 256
 
@@ -80,17 +77,11 @@ def _words(value) -> list[int]:
     return words
 
 
-def _mul(a, b):
-    """uint32 product; a Python int stays one until it meets an array."""
-    out = a * b
-    return out & _MASK32 if isinstance(out, int) else out
-
-
 def _mix_pool(words) -> list:
-    """SeedSequence's entropy pool of ``words``.
+    """SeedSequence's entropy pool of at least ``_POOL_SIZE`` uint32 array words.
 
-    Each word is a Python int (shared by every step) or a uint32 array (one
-    entry per step); the pool entries come back in the same form.
+    A word every step shares has length 1 (numpy wraps arrays silently but
+    warns on 0-d operands); the pool broadcasts to the per-step words.
     """
     h = _INIT_A
 
@@ -98,15 +89,14 @@ def _mix_pool(words) -> list:
         nonlocal h
         value = value ^ h
         h = h * _MULT_A & _MASK32
-        value = _mul(value, h)
+        value = value * h
         return value ^ (value >> _XSHIFT)
 
     def mix(x, y):
-        out = _mul(_MIX_MULT_L, x) - _mul(_MIX_MULT_R, y)
-        out = out & _MASK32 if isinstance(out, int) else out
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
         return out ^ (out >> _XSHIFT)
 
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -124,27 +114,22 @@ def _generate(pool, n_words: int) -> list:
     for i in range(n_words):
         value = pool[i % _POOL_SIZE] ^ h
         h = h * _MULT_B & _MASK32
-        value = _mul(value, h)
+        value = value * h
         out.append(value ^ (value >> _XSHIFT))
     return out
 
 
-def _pcg_states(words) -> list[tuple[int, int]]:
-    """``(state, inc)`` of a ``PCG64`` seeded with eight generated words per step.
+class _StepWords(ISeedSequence):
+    """One step's seed: what ``SeedSequence.generate_state(4, np.uint64)``
+    returns for its key, as one C-contiguous row that ``PCG64`` reads."""
 
-    PCG64 reads the four uint64 words as ``initstate`` and ``initseq``; the
-    set-seq initialization then gives ``inc = 2 initseq + 1`` and
-    ``state = (inc + initstate) * MULT + inc`` modulo 2^128.
-    """
-    u64 = [
-        (lo.astype(np.uint64) | (hi.astype(np.uint64) << 32)).tolist()
-        for lo, hi in zip(words[0::2], words[1::2])
-    ]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*u64):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
-    return states
+    def __init__(self, row: np.ndarray):
+        self._row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a step seeds only PCG64: four uint64 words")
+        return self._row
 
 
 class RunStreams:
@@ -162,59 +147,48 @@ class RunStreams:
     Steps are in [0, 2^32); others raise ``ValueError``. Each stream hashes
     the keys of :data:`CHUNK_STEPS` steps, from the first step asked for, in
     one array pass and keeps them until a step outside the chunk is asked
-    for. Each method loads the step's state into a bit generator of its own
-    and returns the same ``Generator`` every time, so a returned generator
-    is valid until the next call of the same method.
+    for. Every call returns a new, independent ``Generator``.
     """
 
     def __init__(self, seed: int):
         words = _words(_check_seed(seed))
         self._entropy = words + [0] * (_POOL_SIZE - len(words))
         self._chunks: dict = {}
-        self._generators: dict = {}
 
     def batch(self, t: int) -> np.random.Generator:
-        return self._load(("batch", STREAM_BATCH, None), t)
+        return self._load((STREAM_BATCH, None), t)
 
     def dropout(self, t: int, layer: int, parent: int = STREAM_DROPOUT) -> np.random.Generator:
-        return self._load(("dropout", parent, (STREAM_DROPOUT, layer)), t)
+        return self._load((parent, (STREAM_DROPOUT, layer)), t)
 
     def noise(self, t: int) -> np.random.Generator:
-        return self._load(("noise", STREAM_NOISE, ()), t)
+        return self._load((STREAM_NOISE, ()), t)
 
     def _load(self, key: tuple, t: int) -> np.random.Generator:
-        start, states = self._chunks.get(key, (0, ()))
-        if not 0 <= t - start < len(states):
+        start, rows = self._chunks.get(key, (0, ()))
+        if not 0 <= t - start < len(rows):
             t = operator.index(t)
             if not 0 <= t < 1 << 32:
                 raise ValueError("steps must be in [0, 2^32)")
-            start, states = t, self._chunk_states(*key[1:], t)
-            self._chunks[key] = start, states
-        gen = self._generators.get(key[0])
-        if gen is None:
-            gen = self._generators[key[0]] = np.random.Generator(np.random.PCG64(0))
-        state, inc = states[t - start]
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+            start, rows = t, self._chunk_words(*key, t)
+            self._chunks[key] = start, rows
+        return np.random.Generator(np.random.PCG64(_StepWords(rows[t - start])))
 
-    def _chunk_states(self, parent: int, child, start: int) -> list[tuple[int, int]]:
-        """States of a chunk of steps from ``start``: ``SeedSequence(seed,
-        spawn_key=(parent, t))``, or with ``child`` a tuple, the child
-        ``SeedSequence(derive_seed(seed, parent, t), spawn_key=child)``."""
+    def _chunk_words(self, parent: int, child, start: int) -> np.ndarray:
+        """The ``(steps, 4)`` uint64 PCG64 seeds of a chunk of steps from
+        ``start``: ``SeedSequence(seed, spawn_key=(parent, t))``, or with
+        ``child`` a tuple, the child ``SeedSequence(derive_seed(seed,
+        parent, t), spawn_key=child)``."""
         steps = np.arange(start, min(start + CHUNK_STEPS, 1 << 32), dtype=np.uint32)
-        pool = _mix_pool([*self._entropy, *_words(parent), steps])
+        shared = np.array(self._entropy + _words(parent), np.uint32)[:, None]
+        pool = _mix_pool([*shared, steps])
         if child is not None:
             # The derived seed is two words. numpy zero-pads entropy to the
             # pool size when there is a spawn key; with none, the pool is
             # filled by hashing zeros, so a derived seed below 2^32 (one
-            # word) hashes the same as its two words either way.
-            words = _generate(pool, 2)
-            if child:
-                words += [0] * (_POOL_SIZE - 2) + [w for key in child for w in _words(key)]
-            pool = _mix_pool(words)
-        return _pcg_states(_generate(pool, 8))
+            # word) hashes the same as its two zero-padded words either way.
+            pad = [0] * (_POOL_SIZE - 2) + [w for key in child for w in _words(key)]
+            pool = _mix_pool(_generate(pool, 2) + list(np.array(pad, np.uint32)[:, None]))
+        # generate_state(4, np.uint64) pairs the words little-end first.
+        words = np.stack(_generate(pool, 8), axis=1).astype(np.uint64)
+        return words[:, 0::2] | words[:, 1::2] << 32

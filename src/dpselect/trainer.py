@@ -95,12 +95,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.entropy_beta < 0:
-            raise ValueError("entropy_beta must be >= 0")
+        if not 0 <= self.entropy_beta < math.inf:
+            raise ValueError(f"entropy_beta must be >= 0 and finite, got {self.entropy_beta!r}")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
         if self.steps > 0 and self.checkpoint_interval > self.steps:

@@ -318,6 +318,21 @@ class TestExperimentConfig:
                   "1e-5", "--split", "0"], "--split must be >= 1, got 0"),
             ({}, ["accountant", "--eps-target", "3", "--q", "0.02", "--steps", "100", "--delta",
                   "1e-5", "--split", "-2"], "--split must be >= 1, got -2"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": ["x", 0.0], "count": 30, "label": 0}]}}, [],
+             "component mean must hold finite numbers, got ['x', 0.0]"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": [math.nan, 0.0], "count": 30, "label": 0}]}}, [],
+             "component mean must hold finite numbers, got [nan, 0.0]"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": [True, 0.0], "count": 30, "label": 0}]}}, [],
+             "component mean must hold finite numbers, got [True, 0.0]"),
+            ({"dataset": {"kind": "csv", "path": "no.csv", "label_column": [1]}}, [],
+             "dataset.label_column must be a JSON int or a column name, got [1]"),
+            ({"dataset": {"kind": "csv", "path": "no.csv", "label_column": 1.5}}, [],
+             "dataset.label_column must be a JSON int or a column name, got 1.5"),
+            ({"dataset": {"kind": "csv", "path": "no.csv", "label_column": True}}, [],
+             "dataset.label_column must be a JSON int or a column name, got True"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
              "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
@@ -341,7 +356,9 @@ class TestExperimentConfig:
              "learning_rate_bool", "learning_rate_string", "epsilon_bool", "accuracy_ref_bool",
              "component_count_fraction", "component_count_bool", "component_label_fraction",
              "n_major_fraction", "imbalance_class_id_fraction", "jobs_zero", "jobs_negative",
-             "accountant_split_zero", "accountant_split_negative"],
+             "accountant_split_zero", "accountant_split_negative", "component_mean_string",
+             "component_mean_nan", "component_mean_bool", "label_column_list",
+             "label_column_fraction", "label_column_bool"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
                                                    error):
@@ -782,7 +799,7 @@ class TestCli:
 # FUZZ_VALUES. Every float setting is written as a float, so the type of each leaf's
 # valid value (defaulted by the harness) is the JSON kind the leaf takes.
 FUZZ_VALUES = {"string": "x", "list": [1], "object": {"a": 1}, "true": True, "minus_one": -1,
-               "zero": 0, "null": None}
+               "zero": 0, "null": None, "nan": math.nan, "inf": math.inf}
 FUZZ_USER = {
     "name": "fuzz",
     "seeds": [0],
@@ -882,3 +899,5 @@ def test_every_setting_is_checked_at_load(capsys, monkeypatch, target, path, val
             assert not trained
             return
     assert fits(valid, value), "accepted a value of the wrong JSON kind"
+    assert not (isinstance(value, float) and not math.isfinite(value)), \
+        "accepted a non-finite number"

@@ -108,6 +108,17 @@ def test_each_stream_keeps_its_own_generator():
     assert np.array_equal(noise.normal(size=6), want)
 
 
+def test_a_held_generator_is_not_reseeded_by_the_next_call():
+    streams = rng.RunStreams(3)
+    layer0 = streams.dropout(5, 0)
+    streams.dropout(5, 1).random(10)
+    step1 = streams.batch(1)
+    streams.batch(2).random(10)
+    want = numpy_generator(numpy_child_seed(3, rng.STREAM_DROPOUT, 5), rng.STREAM_DROPOUT, 0)
+    assert np.array_equal(layer0.random(6), want.random(6))
+    assert np.array_equal(step1.random(6), numpy_generator(3, rng.STREAM_BATCH, 1).random(6))
+
+
 def test_run_streams_reject_bad_steps():
     streams = rng.RunStreams(1)
     with pytest.raises(ValueError):

@@ -117,13 +117,14 @@ class MixtureSpec:
 def _component_factor(cov, dim: int) -> np.ndarray:
     """Matrix F with F @ F.T equal to the component covariance."""
     if np.isscalar(cov):
-        s = float(cov)
-        if s < 0:
-            raise ValueError("scalar covariance must be >= 0")
-        return np.sqrt(s) * np.eye(dim)
+        if isinstance(cov, bool) or not isinstance(cov, Real) or not 0 <= cov < math.inf:
+            raise ValueError(f"scalar covariance must be >= 0 and finite, got {cov!r}")
+        return np.sqrt(float(cov)) * np.eye(dim)
     mat = np.asarray(cov, dtype=np.float64)
     if mat.shape != (dim, dim):
         raise ValueError(f"covariance shape {mat.shape}, expected {(dim, dim)}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("covariance matrix must be finite")
     if not np.allclose(mat, mat.T, atol=1e-10):
         raise ValueError("covariance matrix must be symmetric")
     eigvals, eigvecs = np.linalg.eigh(mat)

@@ -43,6 +43,8 @@ from .rng import STREAM_INIT, generator
 
 PARAMS_FORMAT = "dpselect-params"
 PARAMS_VERSION = 1
+# Rows per block of a deterministic pass (see :func:`forward`).
+EVAL_BLOCK_ROWS = 256
 
 
 # Maps a hidden layer to its dropout mask generator; None turns dropout off.
@@ -173,15 +175,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _dense(params: ParamVector, name: str, a: np.ndarray) -> np.ndarray:
-    """``a @ W.T + b`` of layer ``name``, into one new array."""
-    z = a @ params.view(f"{name}.W").T
+def _dense(params: ParamVector, name: str, a: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ W.T + b`` of layer ``name``, into ``out`` or one new array."""
+    z = np.matmul(a, params.view(f"{name}.W").T, out=out)
     z += params.view(f"{name}.b")
     return z
 
 
 def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
-                    dropout_seed: DropoutSeed):
+                    dropout_seed: DropoutSeed, out: list[np.ndarray] | None = None):
     """Run the hidden stack; returns layer inputs and dropout scales.
 
     ``acts[l]`` is the (post-dropout) input of hidden layer ``l``; the last
@@ -189,12 +192,13 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     unit with probability ``dropout_rate`` and rescales survivors by
     ``1 / (1 - rate)``. Layer ``l``'s mask is drawn from the generator
     ``dropout_seed(l)``, e.g. a step of :class:`rng.RunStreams`. ReLU is
-    ``np.maximum(z, 0)``, so a NaN pre-activation stays NaN.
+    ``np.maximum(z, 0)``, so a NaN pre-activation stays NaN. Layer ``l``
+    is computed in ``out[l]`` when ``out`` is given.
     """
     rate = spec.dropout_rate if dropout_seed is not None else 0.0
     acts, scales = [x], []
     for layer in range(len(spec.hidden_sizes)):
-        a = _dense(params, f"h{layer}", acts[-1])
+        a = _dense(params, f"h{layer}", acts[-1], None if out is None else out[layer])
         np.maximum(a, 0.0, out=a)
         scale = None
         if rate > 0.0:
@@ -206,34 +210,72 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     return acts, scales
 
 
-def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray):
+def _head_names(spec: ModelSpec) -> tuple[str, ...]:
+    return ("f", "g", "h") if spec.selectivenet_heads else ("out",)
+
+
+def _as_outputs(spec: ModelSpec, heads):
+    """Logits, or :class:`SelectiveNetOutputs` of the ``f``, ``g`` and ``h`` outputs."""
     if spec.selectivenet_heads:
-        f, g, h = (_dense(params, name, rep) for name in ("f", "g", "h"))
+        f, g, h = heads
         return SelectiveNetOutputs(f, g[..., 0], h)
-    return _dense(params, "out", rep)
+    return heads[0]
+
+
+def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray,
+                  out: list[np.ndarray] | None = None):
+    """The heads' pre-activations, each computed in its ``out`` entry when given."""
+    names = _head_names(spec)
+    outs = out or (None,) * len(names)
+    return _as_outputs(spec, [_dense(params, n, rep, o) for n, o in zip(names, outs)])
 
 
 def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
             dropout_seed: DropoutSeed = None):
     """Head pre-activations for one point or a batch.
 
-    With ``dropout_seed=None`` the pass is deterministic; otherwise dropout
-    is active and ``dropout_seed(layer)`` gives each hidden layer's mask
-    generator. Returns logits of width ``n_outputs``, or
-    :class:`SelectiveNetOutputs` when the spec has selective heads.
+    With ``dropout_seed=None`` the pass is deterministic and runs its rows in
+    blocks of ``EVAL_BLOCK_ROWS``, each written into the preallocated
+    results, so it holds O(EVAL_BLOCK_ROWS x width) activations however many
+    rows it scores. Row ``i`` equals the pass over row ``i``'s own block bit
+    for bit. Otherwise dropout is active and ``dropout_seed(layer)`` gives
+    each hidden layer's mask generator; such a pass runs whole, since each
+    layer's mask is drawn for all rows at once. Returns logits of width
+    ``n_outputs``, or :class:`SelectiveNetOutputs` when the spec has
+    selective heads.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
     if xb.shape[1] != spec.input_dim:
         raise ValueError(f"expected {spec.input_dim} features, got {xb.shape[1]}")
-    acts, _ = _hidden_forward(params, spec, xb, dropout_seed)
-    out = _head_outputs(params, spec, acts[-1])
+    if dropout_seed is None and xb.shape[0] > EVAL_BLOCK_ROWS:
+        out = _blocked_forward(params, spec, xb)
+    else:
+        acts, _ = _hidden_forward(params, spec, xb, dropout_seed)
+        out = _head_outputs(params, spec, acts[-1])
     if single:
         if isinstance(out, SelectiveNetOutputs):
             return SelectiveNetOutputs(out.f_logits[0], out.g_raw[0], out.h_logits[0])
         return out[0]
     return out
+
+
+def _blocked_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray):
+    """The deterministic pass of ``x``, ``EVAL_BLOCK_ROWS`` rows at a time.
+
+    Every block's hidden layers are computed in one set of block-sized
+    buffers, and its head outputs straight into its rows of the results.
+    """
+    n = x.shape[0]
+    hidden = [np.empty((EVAL_BLOCK_ROWS, width)) for width in spec.hidden_sizes]
+    heads = [np.empty((n, len(params.view(f"{name}.b")))) for name in _head_names(spec)]
+    for start in range(0, n, EVAL_BLOCK_ROWS):
+        rows = slice(start, min(start + EVAL_BLOCK_ROWS, n))
+        acts, _ = _hidden_forward(params, spec, x[rows], None,
+                                  [a[:rows.stop - start] for a in hidden])
+        _head_outputs(params, spec, acts[-1], [h[rows] for h in heads])
+    return _as_outputs(spec, heads)
 
 
 def predict_probs(params: ParamVector, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
@@ -374,6 +416,7 @@ def batch_grad(
     sat_targets: np.ndarray | None = None,
     dropout_seed: DropoutSeed = None,
     clip_norm: float = math.inf,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mean over the batch of the per-example gradients, each clipped to ``clip_norm``.
 
@@ -382,22 +425,29 @@ def batch_grad(
     each layer's weighted sum is then ``(w * U_l)^T A_l`` and
     ``(w * U_l)^T 1``. Memory is O(B * width), never O(B * P). An infinite
     ``clip_norm`` skips the weights and gives the plain mean-loss gradient;
-    an empty batch gives zeros.
+    an empty batch gives zeros. The result is written into ``out`` (a
+    float64 vector of length P that does not overlap the parameters) when
+    it is given, and into a new array otherwise.
     """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
+    if out is None:
+        out = np.empty(len(params), dtype=np.float64)
+    elif out.shape != (len(params),) or np.may_share_memory(out, params.values):
+        raise ValueError("out must be a separate vector of one entry per parameter")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2:
         x = np.atleast_2d(x)
     n = x.shape[0]
     if n == 0:
-        return np.zeros(len(params))
+        out.fill(0.0)
+        return out
     factors = _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed)
     if math.isfinite(clip_norm):
         norms = np.sqrt(_sq_norms(factors))
-        weights = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-        factors = [(name, u * weights[:, None], a) for name, u, a in factors]
-    out = np.empty(len(params), dtype=np.float64)
+        weights = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))[:, None]
+        for _, u, _ in factors:
+            u *= weights
     for name, u, a in factors:
         w_start, w_stop, shape = params._slices[f"{name}.W"]
         b_start, b_stop, _ = params._slices[f"{name}.b"]

@@ -33,10 +33,12 @@ from .rng import STREAM_BATCH, RunStreams, generator
 
 CHECKPOINT_LOG_FORMAT = "dpselect-checkpoint-log"
 CHECKPOINT_LOG_VERSION = 1
-# Bumped whenever a change to the training arithmetic moves trained
-# parameters, so run directories made by older code hash apart. 2: clipped
-# gradients from per-layer factors instead of materialized rows.
-ALGORITHM_VERSION = 2
+# Bumped whenever a change to the training or evaluation arithmetic moves
+# trained parameters or logged outputs, so run directories made by older code
+# hash apart. 2: clipped gradients from per-layer factors instead of
+# materialized rows. 3: evaluation passes run in blocks of 256 rows, which
+# moves the last bits of final probabilities and selection outputs.
+ALGORITHM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -179,8 +181,8 @@ def clip_rows(rows: np.ndarray, clip_norm: float) -> np.ndarray:
 
 def eval_set_id(data: LabeledDataset) -> str:
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(data.features).tobytes())
-    digest.update(np.ascontiguousarray(data.labels).tobytes())
+    digest.update(np.ascontiguousarray(data.features))
+    digest.update(np.ascontiguousarray(data.labels))
     return digest.hexdigest()[:16]
 
 
@@ -198,6 +200,8 @@ def dpsgd_step(
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
     dropout_seed: DropoutSeed = None,
+    out: np.ndarray | None = None,
+    noise_out: np.ndarray | None = None,
 ) -> ParamVector:
     """One DP-SGD update: average clipped per-example gradients, add noise once.
 
@@ -207,9 +211,15 @@ def dpsgd_step(
     per-example matrix is never built. The noise ``N(0, (sigma c)^2 I)`` is
     divided by ``max(|B|, 1)``: an empty batch contributes no gradient but
     still releases a noise draw. ``noise_seed`` is the noise ``Generator``;
-    it is read only when ``sigma > 0``, and is then required. With
-    ``sigma = 0`` and infinite ``clip_norm`` the update degenerates to plain
-    minibatch SGD.
+    it is read only when ``sigma > 0``, and is then required. The noise is
+    ``sigma c`` times a ``standard_normal`` draw, plus 0.0, which is
+    ``normal(0, sigma c)`` bit for bit. With ``sigma = 0`` and infinite
+    ``clip_norm`` the update degenerates to plain minibatch SGD.
+
+    The gradient and then the new parameters are computed in ``out`` and the
+    noise in ``noise_out``, when they are given: float64 vectors of length P
+    that overlap neither each other nor ``params``. Otherwise each is a new
+    array.
     """
     if sigma > 0.0 and not math.isfinite(clip_norm):
         raise ValueError("noise requires a finite clip_norm")
@@ -218,10 +228,15 @@ def dpsgd_step(
     grad = models.batch_grad(
         params, spec, x, y, loss,
         entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
-        clip_norm=clip_norm,
+        clip_norm=clip_norm, out=out,
     )
     if sigma > 0.0:
-        noise = noise_seed.normal(0.0, sigma * clip_norm, len(params))
+        if noise_out is not None and (np.may_share_memory(noise_out, grad)
+                                      or np.may_share_memory(noise_out, params.values)):
+            raise ValueError("noise_out must not overlap out or the parameters")
+        noise = noise_seed.standard_normal(len(params), out=noise_out)
+        noise *= sigma * clip_norm
+        noise += 0.0  # normal() adds its mean, which turns -0.0 into 0.0
         noise /= max(x.shape[0], 1)
         grad += noise
     return _descend(params, grad, learning_rate)
@@ -238,13 +253,19 @@ def sgd_step(
     entropy_beta: float = 0.0,
     sat_targets: np.ndarray | None = None,
     dropout_seed: DropoutSeed = None,
+    out: np.ndarray | None = None,
 ) -> ParamVector:
-    """Plain minibatch step on the mean loss; empty batches change nothing."""
+    """Plain minibatch step on the mean loss; empty batches change nothing.
+
+    The new parameters are computed in ``out`` when it is given, as in
+    :func:`dpsgd_step`; an empty batch returns ``params`` itself.
+    """
     if x.shape[0] == 0:
         return params
     grad = models.batch_grad(
         params, spec, x, y, loss,
         entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
+        out=out,
     )
     return _descend(params, grad, learning_rate)
 
@@ -285,6 +306,14 @@ def train(
     t)`` and as :func:`dpsgd_step` with ``noise_seed=generator(derive_seed(seed,
     STREAM_NOISE, t))`` and ``dropout_seed`` mapping layer ``l`` to
     ``generator(derive_seed(seed, STREAM_DROPOUT, t), STREAM_DROPOUT, l)``.
+
+    Memory: a run allocates its parameter-sized vectors once, two for the
+    parameters and, when it adds noise, one for the noise. Step ``t``
+    computes its gradient and then the new parameters in the spare vector,
+    and the old parameters become the next step's spare. The returned
+    parameters are the last step's vector; nothing writes to it afterwards.
+    Checkpoint predictions, final probabilities and selection outputs come
+    from the blocked deterministic pass of :func:`models.forward`.
     """
     if eval_set is None:
         eval_set = data
@@ -300,6 +329,8 @@ def train(
     q = privacy.sampling_rate
 
     params = models.init_params(spec, seed)
+    spare = np.empty(len(params))
+    noise = np.empty(len(params)) if sigma > 0 else None
     streams = RunStreams(seed)
     sat_targets = None
     if loss.kind == "sat":
@@ -323,7 +354,7 @@ def train(
                 burn_in_epochs=loss.burn_in_epochs,
             )
             batch_targets = sat_targets[idx]
-        params = dpsgd_step(
+        stepped = dpsgd_step(
             params, spec, xb, yb, loss,
             clip_norm=clip,
             sigma=sigma,
@@ -332,7 +363,10 @@ def train(
             entropy_beta=train_cfg.entropy_beta,
             sat_targets=batch_targets,
             dropout_seed=functools.partial(streams.dropout, t),
+            out=spare,
+            noise_out=noise,
         )
+        params, spare = stepped, params.values
         if t % train_cfg.checkpoint_interval == 0 and t != train_cfg.steps:
             times.append(t)
             preds.append(models.predict(params, spec, eval_set.features))

@@ -333,6 +333,10 @@ class TestExperimentConfig:
              "dataset.label_column must be a JSON int or a column name, got 1.5"),
             ({"dataset": {"kind": "csv", "path": "no.csv", "label_column": True}}, [],
              "dataset.label_column must be a JSON int or a column name, got True"),
+            (mixture(math.nan), [], "scalar covariance must be >= 0 and finite, got nan"),
+            (mixture(math.inf), [], "scalar covariance must be >= 0 and finite, got inf"),
+            (mixture([[1.0, 0.0], [0.0, math.inf]]), [], "covariance matrix must be finite"),
+            (mixture([[1.0, math.nan], [math.nan, 1.0]]), [], "covariance matrix must be finite"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
              "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
@@ -358,7 +362,8 @@ class TestExperimentConfig:
              "n_major_fraction", "imbalance_class_id_fraction", "jobs_zero", "jobs_negative",
              "accountant_split_zero", "accountant_split_negative", "component_mean_string",
              "component_mean_nan", "component_mean_bool", "label_column_list",
-             "label_column_fraction", "label_column_bool"],
+             "label_column_fraction", "label_column_bool", "covariance_nan", "covariance_inf",
+             "covariance_matrix_inf", "covariance_matrix_nan"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
                                                    error):
@@ -385,9 +390,9 @@ class TestExperimentConfig:
         assert cfg.raw["training"]["checkpoint_interval"] == 5
 
 
-# Configs whose hash and bytes are pinned at values measured before settings were
-# checked by kind: the README example, the perfbench sweep workload at seed 0, and a
-# config that writes every float setting as a JSON integer.
+# Configs whose hash and bytes are pinned: the README example, the perfbench sweep
+# workload at seed 0, and a config that writes every float setting as a JSON integer.
+# The hashes cover trainer.ALGORITHM_VERSION, and the values are those of version 3.
 README_CONFIG = json.loads(
     Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
     .split("```json\n", 1)[1].split("```", 1)[0]
@@ -425,8 +430,8 @@ INTEGER_FLOATS_CONFIG = {
 
 @pytest.mark.parametrize(
     "user, expected",
-    [(README_CONFIG, "b318da880737"), (PERFBENCH_SWEEP_CONFIG, "d35dbf269191"),
-     (INTEGER_FLOATS_CONFIG, "99e79ee9cbc1")],
+    [(README_CONFIG, "904860a01000"), (PERFBENCH_SWEEP_CONFIG, "ed70e4531e05"),
+     (INTEGER_FLOATS_CONFIG, "692eb34e9e7b")],
     ids=["readme", "perfbench_sweep", "integer_floats"],
 )
 def test_config_hash_is_pinned(user, expected):
@@ -443,7 +448,7 @@ def test_integer_floats_run_tree_is_pinned(tmp_path):
         digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
         files += 1
-    assert (digest.hexdigest()[:16], files) == ("96010721bad96fe9", 69)
+    assert (digest.hexdigest()[:16], files) == ("098ec2f10c8312f7", 69)
     privacy = json.loads((Path(summary["run_dir"]) / "seed_0/eps_3/sn/privacy.json").read_text())
     assert privacy["c_targets"] == [1.0] and privacy["run_reports"]["1"]["sampling_rate"] == 1.0
 
@@ -805,7 +810,7 @@ FUZZ_USER = {
     "seeds": [0],
     "dataset": {
         "kind": "mixture",
-        "components": [{"mean": [-1.5, 0.0], "count": 30, "label": 0},
+        "components": [{"mean": [-1.5, 0.0], "count": 30, "label": 0, "covariance": 1.0},
                        {"mean": [1.5, 0.0], "count": 30, "label": 1}],
         "imbalance": {"class_id": 0, "p0": 1.0},
         "train_fraction": 0.5,

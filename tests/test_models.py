@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -134,6 +135,39 @@ class TestForward:
         assert out.f_logits.shape == (3, 2)
         assert out.g_raw.shape == (3,)
         assert out.h_logits.shape == (3, 2)
+
+    @pytest.mark.parametrize("heads", ["plain", "abstention", "selective"])
+    def test_rows_equal_their_own_block(self, heads):
+        # 700 rows make two full blocks and a 188-row tail. OpenBLAS picks its kernel
+        # for the narrow heads by the product's size, so with it one 700-row product
+        # at these widths differs from the blocks' products in the last bits.
+        spec = ModelSpec(input_dim=3, num_classes=3, hidden_sizes=(32, 64),
+                         abstention_head=heads == "abstention",
+                         selectivenet_heads=heads == "selective")
+        params = init_params(spec, seed=4)
+        x = np.random.default_rng(5).normal(size=(700, 3))
+        whole = forward(params, spec, x)
+        parts = whole if heads == "selective" else (whole,)
+        assert all(part.shape[0] == 700 for part in parts)
+        block = models.EVAL_BLOCK_ROWS
+        for start in range(0, 700, block):
+            alone = forward(params, spec, x[start:start + block])
+            for part, want in zip(parts, alone if heads == "selective" else (alone,)):
+                assert part[start:start + block].tobytes() == want.tobytes()
+
+    def test_predict_memory_is_bounded_by_the_block(self):
+        # Whole, the two hidden layers of 20,000 rows alone would take 78 MB.
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(256, 256))
+        params = init_params(spec, seed=0)
+        x = np.random.default_rng(0).normal(size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            labels = predict(params, spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (20_000,)
+        assert peak < 4 * 2**20
 
 
 class TestGradients:

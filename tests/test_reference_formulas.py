@@ -12,7 +12,7 @@ sides of every comparison run on the same one.
 import numpy as np
 import pytest
 
-from dpselect import losses, models
+from dpselect import losses, models, trainer
 from dpselect.losses import LOG_CLAMP
 from dpselect.models import ModelSpec, init_params
 
@@ -216,3 +216,26 @@ def test_nan_pre_activation_propagates_through_relu():
     hidden = models._hidden_forward(params, spec, x, None)[0][1]
     assert np.isnan(hidden[0]).all()
     assert not np.isnan(hidden[1]).any()
+
+
+@pytest.mark.parametrize("scale", [5e-324, 0.8, 1.2, 3.7e5])
+def test_step_noise_matches_normal(scale):
+    # dpsgd_step draws standard_normal into a buffer and scales it; with an empty batch
+    # the step is params - lr * normal(0, sigma c) / 1. At the smallest subnormal scale
+    # a negative draw rounds to -0.0, which normal's added mean of 0.0 turns into 0.0.
+    spec = ModelSpec(input_dim=3, num_classes=2, hidden_sizes=(16,))
+    params = init_params(spec, seed=0)
+    x, y, size = np.zeros((0, 3)), np.zeros(0, dtype=np.int64), len(params)
+    for seed in range(20):
+        noise = np.random.default_rng(seed).normal(0.0, scale, size)
+        scaled = np.random.default_rng(seed).standard_normal(size, out=np.empty(size))
+        scaled *= scale
+        scaled += 0.0
+        assert same_bits(scaled, noise)
+        want = params.values - 0.5 * (np.zeros(size) + noise / 1)
+        for out in (None, np.empty(size)):
+            got = trainer.dpsgd_step(params, spec, x, y, losses.cross_entropy_loss(),
+                                     clip_norm=scale, sigma=1.0, learning_rate=0.5,
+                                     noise_seed=np.random.default_rng(seed), out=out,
+                                     noise_out=None if out is None else np.empty(size))
+            assert same_bits(got.values, want)

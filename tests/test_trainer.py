@@ -9,7 +9,7 @@ from dpselect import losses, models, rng, trainer
 from dpselect.data import LabeledDataset, gen_gaussian_outlier, gen_mixture
 from dpselect.data import MixtureComponent, MixtureSpec
 from dpselect.losses import cross_entropy_loss, sat_loss, selectivenet_loss
-from dpselect.models import ModelSpec, init_params, predict
+from dpselect.models import ModelSpec, init_params, predict, predict_probs
 from dpselect.trainer import (
     CheckpointLog,
     PrivacyConfig,
@@ -201,6 +201,63 @@ class TestFactorizedStep:
         assert peak < 64 * 2**20
 
 
+class TestStepBuffers:
+    def test_step_computes_in_the_given_buffers(self):
+        data = two_blob_data()
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(6,))
+        params = init_params(spec, seed=1)
+        before = params.values.copy()
+        x, y, loss = data.features[:12], data.labels[:12], cross_entropy_loss()
+        step = functools.partial(dpsgd_step, params, spec, x, y, loss, clip_norm=1.0,
+                                 sigma=1.0, learning_rate=0.3)
+        out, noise = np.empty(len(params)), np.empty(len(params))
+        got = step(noise_seed=rng.generator(4), out=out, noise_out=noise)
+        want = step(noise_seed=rng.generator(4))
+        assert got.values is out and got.values.tobytes() == want.values.tobytes()
+        plain = sgd_step(params, spec, x, y, loss, learning_rate=0.3, out=noise)
+        assert plain.values is noise
+        assert plain.values.tobytes() == sgd_step(params, spec, x, y, loss,
+                                                  learning_rate=0.3).values.tobytes()
+        assert params.values.tobytes() == before.tobytes()
+        for overlap in ({"out": params.values}, {"out": out, "noise_out": out},
+                        {"out": out, "noise_out": params.values}):
+            with pytest.raises(ValueError, match="overlap|separate"):
+                step(noise_seed=rng.generator(4), **overlap)
+
+    @pytest.mark.parametrize("private", [False, True])
+    def test_train_matches_steps_into_fresh_arrays(self, private):
+        # train() steps into two alternating parameter vectors and one noise vector;
+        # a loop of dpsgd_step calls that allocate must give the same parameter bytes.
+        data, eval_set = two_blob_data(), two_blob_data(n_per=200, seed=9)
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(8, 4), dropout_rate=0.2)
+        steps, q, seed, sigma = 40, 0.2, 11, 1.1
+        cfg = TrainConfig(learning_rate=0.3, steps=steps, loss=cross_entropy_loss(),
+                          entropy_beta=0.01, checkpoint_interval=10, seed=seed)
+        privacy = (PrivacyConfig(epsilon=8.0, delta=1e-3, clip_norm=1.0, sampling_rate=q,
+                                 steps=steps, noise_multiplier=sigma)
+                   if private else PrivacyConfig.non_private(steps, q))
+        result = train(data, spec, cfg, privacy, eval_set)
+
+        params = init_params(spec, seed)
+        for t in range(1, steps + 1):
+            idx = poisson_sample(len(data), q, seed, t)
+            params = dpsgd_step(
+                params, spec, data.features[idx], data.labels[idx], cross_entropy_loss(),
+                clip_norm=1.0 if private else math.inf, sigma=sigma if private else 0.0,
+                learning_rate=0.3, entropy_beta=0.01,
+                noise_seed=rng.generator(rng.derive_seed(seed, rng.STREAM_NOISE, t)),
+                dropout_seed=functools.partial(
+                    rng.generator, rng.derive_seed(seed, rng.STREAM_DROPOUT, t),
+                    rng.STREAM_DROPOUT),
+            )
+        assert result.params.values.tobytes() == params.values.tobytes()
+        assert result.log.final_probs.tobytes() == predict_probs(
+            params, spec, eval_set.features).tobytes()
+        # A later run writes into buffers of its own, never into a returned result.
+        train(data, spec, cfg, privacy, eval_set)
+        assert result.params.values.tobytes() == params.values.tobytes()
+
+
 class TestTrain:
     def test_checkpoint_schedule(self):
         data = two_blob_data()
@@ -360,3 +417,7 @@ class TestLogPersistence:
 
     def test_eval_set_id_distinguishes_data(self):
         assert eval_set_id(two_blob_data(seed=0)) != eval_set_id(two_blob_data(seed=1))
+
+    def test_eval_set_id_is_pinned(self):
+        # Stored in every log.json: the digest of the features' and labels' bytes.
+        assert eval_set_id(two_blob_data(seed=0)) == "c2305014cdf5fcac"

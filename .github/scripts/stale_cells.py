@@ -4,17 +4,22 @@ A sweep skips every method whose ``metrics.json`` exists, so a change that
 alters what a cell writes but keeps ``ExperimentConfig.hash()`` would let a
 re-run trust cells written by the old code. This script runs one small
 six-method sweep (two seeds, epsilon in {inf, 3}, ``native_score`` off and
-on) against each tree's ``src/`` and compares every ``<config-hash>/``
-directory that both trees write. A hash that only one tree writes is fine:
-its cells land in a fresh directory.
+on) against each tree's ``src/`` and matches the two trees' run directories
+by the config name in their ``config.json``. Where both trees write one
+config hash, every file must hold the same bytes. Where the hash moved, the
+cells land in a fresh directory, so the files that differ (with the hash
+directory set aside) are printed but do not fail.
 
 The acceptance panels write no run tree, but the same training arithmetic
 decides their numbers. A small ``panel_outlier`` (linear model) and
 ``panel_imbalance`` (ReLU MLP), two seeds at epsilon in {inf, 1} and 60
 steps each, run in both trees too. A panel's summary can hide a moved bit,
-so the script also records a sha256 of every panel run's parameters and
-final probabilities. Summaries and run digests must be identical unless
-``trainer.ALGORITHM_VERSION`` differs between the trees.
+so the script also records two sha256 digests of every panel run: one of its
+parameters and final probabilities, and one of its parameters alone.
+Summaries and both run digests must be identical while
+``trainer.ALGORITHM_VERSION`` is unchanged; across a version change they are
+compared and printed only, which still shows whether a change meant to move
+only evaluation bits left the summaries and trained parameters alone.
 
     python3 .github/scripts/stale_cells.py BASE_TREE HEAD_TREE
 """
@@ -35,24 +40,30 @@ PANELS = ("outlier", "imbalance")
 PANEL_SCRIPT = """
 import hashlib, json, math
 from dpselect import harness, trainer
-runs, train = [], trainer.train
+runs, params, train = [], [], trainer.train
 
 def recording_train(*args, **kwargs):
     result = train(*args, **kwargs)
     digest = hashlib.sha256(result.params.values.tobytes())
+    params.append(digest.hexdigest())
     digest.update(result.log.final_probs.tobytes())
     runs.append(digest.hexdigest())
     return result
 
+def recorded(summary):
+    part = {"summary": summary, "params": params[:], "runs": runs[:]}
+    params.clear()
+    runs.clear()
+    return part
+
 trainer.train = recording_train
 grid = {"seeds": (0, 1), "epsilons": (math.inf, 1.0), "steps": 60}
-outlier = harness.panel_outlier(**grid)
-outlier_runs, runs[:] = runs[:], []
-imbalance = harness.panel_imbalance(p0_grid=[0.1], **grid)
+outlier = recorded(harness.panel_outlier(**grid))
+imbalance = recorded(harness.panel_imbalance(p0_grid=[0.1], **grid))
 print(json.dumps({
     "algorithm_version": trainer.ALGORITHM_VERSION,
-    "outlier": {"summary": outlier, "runs": outlier_runs},
-    "imbalance": {"summary": imbalance, "runs": runs},
+    "outlier": outlier,
+    "imbalance": imbalance,
 }))
 """
 
@@ -104,24 +115,33 @@ def run_panels(tree: Path, work: Path) -> dict:
 
 
 def stale_panels(panels: dict[str, dict]) -> list[str]:
-    """Panels whose summary or run digests differ between the trees at one ``ALGORITHM_VERSION``."""
+    """Panel parts that differ between the trees at one ``ALGORITHM_VERSION``.
+
+    Across a version change every part is still compared and printed, but
+    none is returned.
+    """
     versions = {label: result["algorithm_version"] for label, result in panels.items()}
-    if versions["base"] != versions["head"]:
+    same_version = versions["base"] == versions["head"]
+    if not same_version:
         print(f"panels: ALGORITHM_VERSION {versions['base']} -> {versions['head']}, "
-              "not compared")
-        return []
+              "compared for the record only")
     stale = []
     for name in PANELS:
-        for part in ("summary", "runs"):
+        for part in ("summary", "params", "runs"):
             base, head = (json.dumps(panels[label][name][part], sort_keys=True).encode()
                           for label in ("base", "head"))
-            count = f" ({len(panels['head'][name]['runs'])})" if part == "runs" else ""
+            count = f" ({len(panels['head'][name][part])})" if part != "summary" else ""
             print(f"panel_{name} {part}{count}: base {hashlib.sha256(base).hexdigest()[:16]} "
                   f"head {hashlib.sha256(head).hexdigest()[:16]}, "
                   f"{'same' if base == head else 'differs'}")
-            if base != head:
+            if base != head and same_version:
                 stale.append(f"panel_{name} {part}")
     return stale
+
+
+def run_dirs(out: Path) -> dict[str, Path]:
+    """Each ``<config-hash>/`` directory of a sweep output, by its config's name."""
+    return {json.loads((d / "config.json").read_text())["name"]: d for d in out.iterdir()}
 
 
 def files(root: Path) -> dict[str, bytes]:
@@ -146,18 +166,24 @@ def main(base: str, head: str) -> int:
             outs[label] = work / "out"
             run_sweeps(Path(tree).resolve(), outs[label], work)
             panels[label] = run_panels(Path(tree).resolve(), work)
-        hashes = {label: {d.name for d in out.iterdir()} for label, out in outs.items()}
+        dirs = {label: run_dirs(out) for label, out in outs.items()}
         stale = []
-        for name in sorted(hashes["base"] | hashes["head"]):
-            if name not in hashes["base"] or name not in hashes["head"]:
+        for name in sorted(dirs["base"].keys() | dirs["head"].keys()):
+            if name not in dirs["base"] or name not in dirs["head"]:
                 print(f"{name}: written by one tree only")
                 continue
-            base_files, head_files = (files(outs[label] / name) for label in ("base", "head"))
+            base_dir, head_dir = dirs["base"][name], dirs["head"][name]
+            base_files, head_files = files(base_dir), files(head_dir)
             differ = sorted(f for f in base_files.keys() | head_files.keys()
                             if base_files.get(f) != head_files.get(f))
-            print(f"{name}: base {digest(base_files)} head {digest(head_files)}, "
-                  f"{len(differ)} of {len(base_files | head_files)} files differ")
-            stale += [f"{name}/{f}" for f in differ]
+            print(f"{name}: base {base_dir.name}/ {digest(base_files)} head {head_dir.name}/ "
+                  f"{digest(head_files)}, {len(differ)} of {len(base_files | head_files)} "
+                  "files differ")
+            if base_dir.name == head_dir.name:
+                stale += [f"{head_dir.name}/{f}" for f in differ]
+            elif differ:
+                print("  the config hash moved, so these are reported only:\n"
+                      + "\n".join(f"    {f}" for f in differ[:20]))
         moved = stale_panels(panels)
     print(f"compared in {time.perf_counter() - start:.1f} s")
     if stale:

@@ -18,8 +18,9 @@ carries the fractional orders 1.25, 1.5, 1.75, which sharpen the conversion
 in low-noise regimes; the subsampled bound is only valid at integer orders,
 so those are dropped whenever ``q < 1``.
 
-:func:`subsampled_gaussian_curve` evaluates every order at once, as one
-(orders x k) array pass over a log-factorial table built with ``math.lgamma``.
+:func:`subsampled_gaussian_curve` evaluates the orders in fixed blocks, each
+one (orders x k) array pass over a log-factorial table built with
+``math.lgamma``.
 Each step is elementwise and each order's log-sum-exp sums exactly its own
 ``alpha + 1`` terms, so every value is bit-identical to the scalar reference
 :func:`rdp_subsampled_gaussian`. Only :func:`account` is memoized, per
@@ -43,6 +44,9 @@ FRACTIONAL_ORDERS = (1.25, 1.5, 1.75)
 INTEGER_ORDERS = tuple(range(2, 257))
 SIGMA_BRACKET = (0.3, 100.0)
 CALIBRATION_RTOL = 1e-3
+# Orders per block of the subsampled term matrix: 16 x 257 float64 entries
+# (33 KB) keep each temporary below glibc's 128 KB mmap threshold.
+CURVE_BLOCK_ORDERS = 16
 # Entries kept by the per-process cache of ``account``. One calibration adds
 # a few dozen entries (one per bisection step).
 ACCOUNT_CACHE_SIZE = 4096
@@ -140,11 +144,12 @@ _LOG_FACTORIAL.setflags(write=False)
 def subsampled_gaussian_curve(q: float, sigma: float) -> RdpCurve:
     """Per-step RDP curve; falls back to the closed form when ``q = 1``.
 
-    Row ``i`` of the (orders x k) term matrix holds the ``alpha_i + 1`` terms
-    of order ``alpha_i`` and ``-inf`` beyond them. The arithmetic is the
-    scalar reference's, operation for operation, and each row's sum runs
-    over exactly its own terms, so every value equals
-    :func:`rdp_subsampled_gaussian` bit for bit.
+    The (orders x k) term matrix is evaluated ``CURVE_BLOCK_ORDERS`` orders at
+    a time, so its temporaries stay a few dozen kilobytes. Row ``i`` holds
+    the ``alpha_i + 1`` terms of order ``alpha_i`` and ``-inf`` beyond them.
+    The arithmetic is the scalar reference's, operation for operation and
+    elementwise, and each row's sum runs over exactly its own terms, so
+    every value equals :func:`rdp_subsampled_gaussian` bit for bit.
     """
     if q == 1.0:
         return gaussian_curve(sigma)
@@ -159,21 +164,26 @@ def subsampled_gaussian_curve(q: float, sigma: float) -> RdpCurve:
         return RdpCurve(orders, np.full_like(orders, math.inf))
     alphas = orders.astype(np.int64)
     k = np.arange(_LOG_FACTORIAL.size, dtype=np.float64)
-    alpha = orders[:, None]
-    inside = k <= alpha
-    rest = np.where(inside, alpha - k, 0.0).astype(np.int64)
-    log_binom = _LOG_FACTORIAL[alphas][:, None] - (_LOG_FACTORIAL + _LOG_FACTORIAL[rest])
-    log_terms = (
-        log_binom
-        + k * math.log(q)
-        + (alpha - k) * math.log1p(-q)
-        + k * (k - 1.0) / (2.0 * sigma**2)
-    )
-    log_terms[~inside] = -math.inf
-    peak = np.max(log_terms, axis=1)
-    scaled = np.exp(log_terms - peak[:, None])
-    log_sums = [math.log(np.sum(row[: a + 1])) for row, a in zip(scaled, alphas)]
-    return RdpCurve(orders, (peak + log_sums) / (orders - 1.0))
+    values = np.empty_like(orders)
+    for start in range(0, orders.size, CURVE_BLOCK_ORDERS):
+        block = slice(start, start + CURVE_BLOCK_ORDERS)
+        alpha = orders[block, None]
+        inside = k <= alpha
+        rest = np.where(inside, alpha - k, 0.0).astype(np.int64)
+        log_binom = (_LOG_FACTORIAL[alphas[block]][:, None]
+                     - (_LOG_FACTORIAL + _LOG_FACTORIAL[rest]))
+        log_terms = (
+            log_binom
+            + k * math.log(q)
+            + (alpha - k) * math.log1p(-q)
+            + k * (k - 1.0) / (2.0 * sigma**2)
+        )
+        log_terms[~inside] = -math.inf
+        peak = np.max(log_terms, axis=1)
+        scaled = np.exp(log_terms - peak[:, None])
+        log_sums = [math.log(np.sum(row[: a + 1])) for row, a in zip(scaled, alphas[block])]
+        values[block] = peak + log_sums
+    return RdpCurve(orders, values / (orders - 1.0))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:

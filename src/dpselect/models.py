@@ -43,7 +43,7 @@ from .rng import STREAM_INIT, generator
 
 PARAMS_FORMAT = "dpselect-params"
 PARAMS_VERSION = 1
-# Rows per block of a deterministic pass (see :func:`forward`).
+# Rows per block of a whole-set pass (see :func:`forward`).
 EVAL_BLOCK_ROWS = 256
 
 
@@ -234,13 +234,14 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
             dropout_seed: DropoutSeed = None):
     """Head pre-activations for one point or a batch.
 
-    With ``dropout_seed=None`` the pass is deterministic and runs its rows in
-    blocks of ``EVAL_BLOCK_ROWS``, each written into the preallocated
-    results, so it holds O(EVAL_BLOCK_ROWS x width) activations however many
-    rows it scores. Row ``i`` equals the pass over row ``i``'s own block bit
-    for bit. Otherwise dropout is active and ``dropout_seed(layer)`` gives
-    each hidden layer's mask generator; such a pass runs whole, since each
-    layer's mask is drawn for all rows at once. Returns logits of width
+    With ``dropout_seed=None`` the pass is deterministic; otherwise dropout
+    is active and ``dropout_seed(layer)`` gives each hidden layer's mask
+    generator. Either pass runs more than ``EVAL_BLOCK_ROWS`` rows in blocks
+    of that many (:func:`_blocked_forward`), each written into the
+    preallocated results, so it holds O(EVAL_BLOCK_ROWS x width) activations
+    however many rows it scores. Row ``i`` of a deterministic pass equals the
+    pass over row ``i``'s own block bit for bit, and a dropout pass draws
+    the same masks as one whole-set pass. Returns logits of width
     ``n_outputs``, or :class:`SelectiveNetOutputs` when the spec has
     selective heads.
     """
@@ -249,8 +250,8 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     xb = x[None, :] if single else x
     if xb.shape[1] != spec.input_dim:
         raise ValueError(f"expected {spec.input_dim} features, got {xb.shape[1]}")
-    if dropout_seed is None and xb.shape[0] > EVAL_BLOCK_ROWS:
-        out = _blocked_forward(params, spec, xb)
+    if xb.shape[0] > EVAL_BLOCK_ROWS:
+        out = _blocked_forward(params, spec, xb, dropout_seed)
     else:
         acts, _ = _hidden_forward(params, spec, xb, dropout_seed)
         out = _head_outputs(params, spec, acts[-1])
@@ -261,18 +262,24 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     return out
 
 
-def _blocked_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray):
-    """The deterministic pass of ``x``, ``EVAL_BLOCK_ROWS`` rows at a time.
+def _blocked_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
+                     dropout_seed: DropoutSeed = None):
+    """The pass of ``x``, ``EVAL_BLOCK_ROWS`` rows at a time.
 
     Every block's hidden layers are computed in one set of block-sized
     buffers, and its head outputs straight into its rows of the results.
+    Each hidden layer's mask generator is taken once per pass, on first
+    use, and held across blocks: consecutive ``random((EVAL_BLOCK_ROWS,
+    width))`` draws fill the same numbers as one ``random((N, width))``.
     """
+    if dropout_seed is not None:
+        dropout_seed = functools.cache(dropout_seed)
     n = x.shape[0]
     hidden = [np.empty((EVAL_BLOCK_ROWS, width)) for width in spec.hidden_sizes]
     heads = [np.empty((n, len(params.view(f"{name}.b")))) for name in _head_names(spec)]
     for start in range(0, n, EVAL_BLOCK_ROWS):
         rows = slice(start, min(start + EVAL_BLOCK_ROWS, n))
-        acts, _ = _hidden_forward(params, spec, x[rows], None,
+        acts, _ = _hidden_forward(params, spec, x[rows], dropout_seed,
                                   [a[:rows.stop - start] for a in hidden])
         _head_outputs(params, spec, acts[-1], [h[rows] for h in heads])
     return _as_outputs(spec, heads)

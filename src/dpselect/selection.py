@@ -61,7 +61,11 @@ def score_mcdo(
     passes, then apply the softmax response. A zero dropout rate degenerates
     to :func:`score_sr` for any number of passes. Pass ``i`` draws layer
     ``l``'s mask from one :class:`rng.RunStreams` of ``seed``, as
-    ``generator(derive_seed(seed, STREAM_SCORE, i), STREAM_DROPOUT, l)``."""
+    ``generator(derive_seed(seed, STREAM_SCORE, i), STREAM_DROPOUT, l)``.
+    Each pass runs through :func:`models.forward` in blocks of
+    ``models.EVAL_BLOCK_ROWS`` rows with those masks, so it holds
+    O(EVAL_BLOCK_ROWS x width) activations; only the (N, classes) running
+    mean grows with the rows."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
     if dropout_rate is not None:

@@ -37,8 +37,9 @@ CHECKPOINT_LOG_VERSION = 1
 # trained parameters or logged outputs, so run directories made by older code
 # hash apart. 2: clipped gradients from per-layer factors instead of
 # materialized rows. 3: evaluation passes run in blocks of 256 rows, which
-# moves the last bits of final probabilities and selection outputs.
-ALGORITHM_VERSION = 3
+# moves the last bits of final probabilities and selection outputs. 4: MC-dropout
+# passes run in blocks of 256 rows, which moves the last bits of mcdo scores.
+ALGORITHM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,9 @@ class PrivacyConfig:
             raise ValueError("finite epsilon requires delta in (0, 1)")
         if not 0.0 < self.clip_norm < math.inf:
             raise ValueError("finite epsilon requires a finite positive clip_norm")
-        if self.noise_multiplier != "auto" and float(self.noise_multiplier) < 0:
-            raise ValueError("noise_multiplier must be 'auto' or >= 0")
+        if self.noise_multiplier != "auto" and not 0 <= float(self.noise_multiplier) < math.inf:
+            raise ValueError("noise_multiplier must be 'auto' or >= 0 and finite, "
+                             f"got {self.noise_multiplier!r}")
 
     @classmethod
     def non_private(cls, steps: int, sampling_rate: float = 1.0) -> "PrivacyConfig":
@@ -299,7 +301,9 @@ def train(
     final step. Self-adaptive targets start as one-hot rows and track the
     renormalized class probabilities of sampled points once the burn-in
     epochs (of ``steps_per_epoch(q)`` steps each) have passed. Raises if a
-    finite epsilon target would be exceeded by the realized account.
+    finite epsilon target would be exceeded by the realized account, and if
+    the run diverged: its final parameters or final probabilities are not
+    all finite (checked once, after the last step).
 
     Batches, dropout masks and noise come from one :class:`rng.RunStreams`
     of the run seed: step ``t`` draws as :func:`poisson_sample` at ``(seed,
@@ -380,6 +384,9 @@ def train(
     else:
         final_probs = models.softmax(out)
         final_selection = None
+    if not (np.isfinite(params.values).all() and np.isfinite(final_probs).all()):
+        raise ValueError("training diverged: the final parameters or probabilities are "
+                         "not all finite; lower learning_rate")
     times.append(train_cfg.steps)
     preds.append(np.argmax(final_probs[:, : spec.num_classes], axis=-1))
     log = CheckpointLog(

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict
 
 import mpmath
@@ -86,6 +87,17 @@ class TestVectorizedCurve:
                               np.zeros(len(INTEGER_ORDERS)))
         with pytest.raises(ValueError, match="no finite RDP value"):
             subsampled_gaussian_curve(0.3, 0.0)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # The whole (255 x 257) term matrix and its temporaries took 2.57 MB.
+        tracemalloc.start()
+        try:
+            curve = subsampled_gaussian_curve(0.05, 1.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.values.shape == (len(INTEGER_ORDERS),)
+        assert peak < 2**20
 
 
 class TestConversion:

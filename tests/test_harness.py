@@ -392,7 +392,7 @@ class TestExperimentConfig:
 
 # Configs whose hash and bytes are pinned: the README example, the perfbench sweep
 # workload at seed 0, and a config that writes every float setting as a JSON integer.
-# The hashes cover trainer.ALGORITHM_VERSION, and the values are those of version 3.
+# The hashes cover trainer.ALGORITHM_VERSION, and the values are those of version 4.
 README_CONFIG = json.loads(
     Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
     .split("```json\n", 1)[1].split("```", 1)[0]
@@ -430,8 +430,8 @@ INTEGER_FLOATS_CONFIG = {
 
 @pytest.mark.parametrize(
     "user, expected",
-    [(README_CONFIG, "904860a01000"), (PERFBENCH_SWEEP_CONFIG, "ed70e4531e05"),
-     (INTEGER_FLOATS_CONFIG, "692eb34e9e7b")],
+    [(README_CONFIG, "78b0432ae865"), (PERFBENCH_SWEEP_CONFIG, "f6236f43d3a3"),
+     (INTEGER_FLOATS_CONFIG, "7782935577ed")],
     ids=["readme", "perfbench_sweep", "integer_floats"],
 )
 def test_config_hash_is_pinned(user, expected):
@@ -448,7 +448,7 @@ def test_integer_floats_run_tree_is_pinned(tmp_path):
         digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
         files += 1
-    assert (digest.hexdigest()[:16], files) == ("098ec2f10c8312f7", 69)
+    assert (digest.hexdigest()[:16], files) == ("3f264f9a6010a6c3", 69)
     privacy = json.loads((Path(summary["run_dir"]) / "seed_0/eps_3/sn/privacy.json").read_text())
     assert privacy["c_targets"] == [1.0] and privacy["run_reports"]["1"]["sampling_rate"] == 1.0
 
@@ -540,6 +540,19 @@ class TestRunSweep:
         assert not summary["ok"]
         assert all(r["status"] == "failed" for r in summary["records"])
         assert all("error" in r for r in summary["records"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_fails_and_writes_nothing(self, tmp_path):
+        # A learning rate of 1e200 overflows to NaN parameters within a few steps.
+        cfg = small_config(training={"steps": 20, "checkpoint_interval": 5,
+                                     "learning_rate": 1e200},
+                           methods={"sr": {}, "sn": {}, "sctd": {}})
+        summary = run(cfg, tmp_path)
+        assert not summary["ok"]
+        assert [r["status"] for r in summary["records"]] == ["failed"] * 3
+        assert all("training diverged" in r["error"] for r in summary["records"])
+        run_dir = Path(summary["run_dir"])
+        assert [p.name for p in run_dir.rglob("*") if p.is_file()] == ["config.json"]
 
     def test_evaluate_recomputes_stored_metrics(self, tmp_path):
         summary = run(small_config(), tmp_path)

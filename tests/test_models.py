@@ -155,6 +155,28 @@ class TestForward:
             for part, want in zip(parts, alone if heads == "selective" else (alone,)):
                 assert part[start:start + block].tobytes() == want.tobytes()
 
+    def test_blocked_dropout_pass_draws_the_whole_pass_masks(self, monkeypatch):
+        # 700 rows make two full blocks and a 188-row tail. Each layer's generator is
+        # taken once and held across blocks, so the blocks' hidden activations are
+        # those of one unblocked pass whose masks come from fresh generators.
+        spec = ModelSpec(input_dim=3, num_classes=3, hidden_sizes=(32, 64), dropout_rate=0.3)
+        params = init_params(spec, seed=4)
+        x = np.random.default_rng(5).normal(size=(700, 3))
+        blocks, hidden_forward = [], models._hidden_forward
+
+        def recording(*args, **kwargs):
+            acts, scales = hidden_forward(*args, **kwargs)
+            blocks.append([a.copy() for a in acts[1:]])
+            return acts, scales
+
+        monkeypatch.setattr(models, "_hidden_forward", recording)
+        forward(params, spec, x, dropout_seed=masks(9))
+        assert [len(b[0]) for b in blocks] == [256, 256, 188]
+        whole, _ = hidden_forward(params, spec, x, masks(9))
+        for layer in range(2):
+            blocked = np.concatenate([b[layer] for b in blocks])
+            assert blocked.tobytes() == whole[layer + 1].tobytes()
+
     def test_predict_memory_is_bounded_by_the_block(self):
         # Whole, the two hidden layers of 20,000 rows alone would take 78 MB.
         spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(256, 256))

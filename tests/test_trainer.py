@@ -305,6 +305,28 @@ class TestTrain:
         with pytest.raises(ValueError, match="exceeds target"):
             train(data, spec, cfg, privacy)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_noise_multiplier_rejected(self, sigma):
+        # inf trained to NaN parameters and certified a finite epsilon; NaN trained
+        # the whole run before the accountant found no finite RDP value.
+        with pytest.raises(ValueError, match="noise_multiplier must be 'auto' or >= 0 and finite"):
+            PrivacyConfig(epsilon=3.0, delta=1e-3, clip_norm=1.0, sampling_rate=0.5,
+                          steps=10, noise_multiplier=sigma)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("private", [False, True], ids=["non_private", "private"])
+    def test_diverged_run_raises(self, private):
+        # Overflowing steps leave NaN parameters; the command line runs with the
+        # RuntimeWarnings they raise ignored, so the run itself must fail.
+        data = two_blob_data()
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(8,))
+        cfg = TrainConfig(learning_rate=1e200, steps=20, loss=cross_entropy_loss(),
+                          checkpoint_interval=5, seed=0)
+        privacy = (PrivacyConfig(epsilon=3.0, delta=1e-3, clip_norm=1.0, sampling_rate=0.5,
+                                 steps=20) if private else PrivacyConfig.non_private(20, 0.5))
+        with pytest.raises(ValueError, match="training diverged"):
+            train(data, spec, cfg, privacy)
+
     def test_private_run_reports_calibrated_budget(self):
         data = two_blob_data()
         spec = ModelSpec(input_dim=2, num_classes=2)

@@ -4,7 +4,8 @@ A sweep skips every method whose ``metrics.json`` exists, so a change that
 alters what a cell writes but keeps ``ExperimentConfig.hash()`` would let a
 re-run trust cells written by the old code. This script runs one small
 six-method sweep (two seeds, epsilon in {inf, 3}, ``native_score`` off and
-on) against each tree's ``src/`` and matches the two trees' run directories
+on; 300 test points, so every evaluation pass crosses a block boundary of
+``models.EVAL_BLOCK_ROWS``) against each tree's ``src/`` and matches the two trees' run directories
 by the config name in their ``config.json``. Where both trees write one
 config hash, every file must hold the same bytes. Where the hash moved, the
 cells land in a fresh directory, so the files that differ (with the hash
@@ -75,8 +76,8 @@ def sweep_config(native: bool) -> dict:
         "dataset": {
             "kind": "mixture",
             "components": [
-                {"mean": [-1.25, 0.0], "count": 200, "label": 0},
-                {"mean": [1.25, 0.0], "count": 200, "label": 1},
+                {"mean": [-1.25, 0.0], "count": 300, "label": 0},
+                {"mean": [1.25, 0.0], "count": 300, "label": 1},
             ],
             "train_fraction": 0.5,
             "base_seed": 13,

@@ -66,8 +66,13 @@ class RiskCoverageCurve:
         return self.coverages.shape[0]
 
 
+def acceptance_order(scores: np.ndarray) -> np.ndarray:
+    """Point indices in the order they are accepted: ascending score, ties by index."""
+    return np.lexsort((np.arange(len(scores)), scores))
+
+
 def build_curve(scores: np.ndarray, correctness: np.ndarray) -> RiskCoverageCurve:
-    """Accept points in ascending score order and accumulate accuracy.
+    """Accept points in :func:`acceptance_order` and accumulate accuracy.
 
     Ties are broken by ascending point index, so the curve is a deterministic
     function of its inputs.
@@ -77,8 +82,7 @@ def build_curve(scores: np.ndarray, correctness: np.ndarray) -> RiskCoverageCurv
     if s.shape != correct.shape or s.ndim != 1 or s.size == 0:
         raise ValueError("scores and correctness must be matching nonempty vectors")
     n = s.shape[0]
-    order = np.lexsort((np.arange(n), s))
-    running = np.cumsum(correct[order])
+    running = np.cumsum(correct[acceptance_order(s)])
     grid = np.arange(1, n + 1)
     return RiskCoverageCurve(grid / n, running / grid)
 

@@ -402,20 +402,30 @@ class _Cell:
         self.seed, self.eps, self.cell_dir = seed, eps, cell_dir
         self.train_data, self.test_data = _build_dataset(config.source, seed)
         self.delta = 1.0 / len(self.train_data) if config.delta is None else config.delta
-        self._trained: dict[str, trainer.TrainResult] = {}
+        self._trained: dict[str, trainer.TrainResult | Exception] = {}
 
     def spec(self, run: _Run) -> ModelSpec:
         return self.recipe.spec(self.train_data, run.loss.kind)
 
     def train(self, run: _Run, sigma=None) -> trainer.TrainResult:
-        """Train ``run`` (at noise ``sigma`` if given) and save it, once per cell."""
+        """Train ``run`` (at noise ``sigma`` if given) and save it, once per cell.
+
+        A run that raises is not retried: every method that shares it gets
+        the same exception.
+        """
         if run.subdir not in self._trained:
             spec, seed = self.spec(run), derive_seed(self.seed, *run.stream)
-            result = self.recipe.train(self.train_data, self.test_data, spec, run.loss,
-                                       self.eps, self.delta, seed, sigma)
-            _save_run(self.cell_dir / run.subdir / "checkpoints", result, spec)
+            try:
+                result = self.recipe.train(self.train_data, self.test_data, spec, run.loss,
+                                           self.eps, self.delta, seed, sigma)
+                _save_run(self.cell_dir / run.subdir / "checkpoints", result, spec)
+            except Exception as exc:
+                result = exc
             self._trained[run.subdir] = result
-        return self._trained[run.subdir]
+        result = self._trained[run.subdir]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def _emit(self, subdir: str, method: str, scores, predicted, payload: dict) -> dict:
         labels, refs = self.test_data.labels, self.refs
@@ -724,7 +734,7 @@ def panel_imbalance(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
         scores = selection.score_sr(result.log.final_probs)
         correctness = result.log.predictions[-1] == test.labels
         curve = evaluation.build_curve(scores, correctness)
-        order = np.lexsort((np.arange(len(scores)), scores))
+        order = evaluation.acceptance_order(scores)
         ranks = np.empty(len(scores))
         ranks[order] = np.arange(len(scores)) / max(len(scores) - 1, 1)
         minority = test.labels == 0

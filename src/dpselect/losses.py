@@ -11,6 +11,9 @@ Three objectives are supported:
   selection head ``g`` and auxiliary head ``h``, where the batch loss couples
   examples through the empirical coverage ``mean(g)``.
 
+Every helper takes batches, one row per example: probabilities (N, C),
+labels (N,), selection values (N,) and SAT targets (N, classes).
+
 Every gradient helper returns, per example, the derivative of that example's
 loss with respect to the head pre-activations. For the selective objective,
 whose batch loss is not a mean of per-example terms, the helpers return the
@@ -98,14 +101,11 @@ def entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def _rows(probs, y):
+    """``probs`` as float64 (N, C) rows and ``y`` as their N int64 labels."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim < 2:
-        p = np.atleast_2d(p)
     yv = np.asarray(y, dtype=np.int64)
-    if yv.ndim < 1:
-        yv = np.atleast_1d(yv)
-    if yv.shape[0] != p.shape[0]:
-        raise ValueError("probs and labels disagree on batch size")
+    if p.ndim != 2 or yv.shape != p.shape[:1]:
+        raise ValueError(f"expected (N, C) probs and N labels, got {p.shape} and {yv.shape}")
     return p, yv
 
 
@@ -126,7 +126,7 @@ def loss_sat(probs: np.ndarray, y, targets: np.ndarray) -> float:
         -mean( t_y * log p_y + (1 - t_y) * log p_abstain )
     """
     p, yv = _rows(probs, y)
-    t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    t = np.asarray(targets, dtype=np.float64)
     idx = np.arange(len(yv))
     t_true = t[idx, yv]
     return float(-np.mean(t_true * _log(p[idx, yv]) + (1.0 - t_true) * _log(p[:, -1])))
@@ -134,7 +134,7 @@ def loss_sat(probs: np.ndarray, y, targets: np.ndarray) -> float:
 
 def renormalized_class_probs(probs, num_classes: int) -> np.ndarray:
     """First ``num_classes`` entries of each row, renormalized to the simplex."""
-    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))[:, :num_classes]
+    p = np.asarray(probs, dtype=np.float64)[:, :num_classes]
     return p / np.maximum(p.sum(axis=1, keepdims=True), LOG_CLAMP)
 
 
@@ -179,7 +179,7 @@ def loss_selectivenet(
     """
     fp, yv = _rows(f_probs, y)
     hp, _ = _rows(h_probs, y)
-    g = np.atleast_1d(np.asarray(g_sel, dtype=np.float64))
+    g = np.asarray(g_sel, dtype=np.float64)
     idx = np.arange(len(yv))
     ce_f = -_log(fp[idx, yv])
     ce_h = -_log(hp[idx, yv])
@@ -221,7 +221,7 @@ def sat_head_grads(
     probs: np.ndarray, y, targets: np.ndarray, beta: float = 0.0
 ) -> np.ndarray:
     p, yv = _rows(probs, y)
-    t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    t = np.asarray(targets, dtype=np.float64)
     idx = np.arange(len(yv))
     w = np.zeros_like(p)
     w[idx, yv] = t[idx, yv]
@@ -248,7 +248,7 @@ def selectivenet_head_grads(
     """
     fp, yv = _rows(f_probs, y)
     hp, _ = _rows(h_probs, y)
-    g = np.atleast_1d(np.asarray(g_sel, dtype=np.float64))
+    g = np.asarray(g_sel, dtype=np.float64)
     idx = np.arange(len(yv))
     ce_f = -_log(fp[idx, yv])
 
@@ -291,8 +291,8 @@ def training_loss_value(
         return loss_ce_entropy(probs, y, entropy_beta)
     if loss.kind == "sat":
         base = loss_sat(probs, y, sat_targets)
-        return base - entropy_beta * float(np.mean(entropy(np.atleast_2d(probs))))
+        return base - entropy_beta * float(np.mean(entropy(probs)))
     base = loss_selectivenet(
         f_probs, g_sel, h_probs, y, loss.c_target, loss.lam, loss.alpha
     )
-    return base - entropy_beta * float(np.mean(entropy(np.atleast_2d(f_probs))))
+    return base - entropy_beta * float(np.mean(entropy(f_probs)))

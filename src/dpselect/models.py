@@ -10,6 +10,9 @@ two abstention-specific head layouts:
   prediction head ``f`` (width ``C``), a scalar selection head ``g`` and an
   auxiliary head ``h`` (width ``C``).
 
+Every array entry point takes a batch: features of shape (N, input_dim)
+and labels of shape (N,).
+
 Gradients come from hand-written reverse mode, vectorized over the batch.
 The backward pass yields, for every dense layer ``l``, the per-example
 upstream vectors ``U_l`` (B, out) and layer inputs ``A_l`` (B, in), with
@@ -230,72 +233,60 @@ def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray,
     return _as_outputs(spec, [_dense(params, n, rep, o) for n, o in zip(names, outs)])
 
 
+def _batch(spec: ModelSpec, x) -> np.ndarray:
+    """``x`` as a float64 (N, input_dim) batch; any other shape is a ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"expected an (N, {spec.input_dim}) batch, got shape {x.shape}")
+    return x
+
+
 def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
             dropout_seed: DropoutSeed = None):
-    """Head pre-activations for one point or a batch.
+    """Head pre-activations of a batch ``x`` of shape (N, input_dim).
 
     With ``dropout_seed=None`` the pass is deterministic; otherwise dropout
     is active and ``dropout_seed(layer)`` gives each hidden layer's mask
-    generator. Either pass runs more than ``EVAL_BLOCK_ROWS`` rows in blocks
-    of that many (:func:`_blocked_forward`), each written into the
-    preallocated results, so it holds O(EVAL_BLOCK_ROWS x width) activations
-    however many rows it scores. Row ``i`` of a deterministic pass equals the
-    pass over row ``i``'s own block bit for bit, and a dropout pass draws
-    the same masks as one whole-set pass. Returns logits of width
-    ``n_outputs``, or :class:`SelectiveNetOutputs` when the spec has
-    selective heads.
+    generator. The pass runs ``EVAL_BLOCK_ROWS`` rows at a time: every
+    block's hidden layers are computed in one set of ``min(N,
+    EVAL_BLOCK_ROWS)``-row buffers, and its head outputs straight into its
+    rows of the results, so it holds O(EVAL_BLOCK_ROWS x width) activations
+    however many rows it scores. Row ``i`` of a deterministic pass equals
+    the pass over row ``i``'s own block bit for bit. Each hidden layer's
+    mask generator is taken once per pass, on first use, and held across
+    blocks: consecutive ``random((EVAL_BLOCK_ROWS, width))`` draws fill the
+    same numbers as one ``random((N, width))``. Returns (N, ``n_outputs``)
+    logits, or :class:`SelectiveNetOutputs` when the spec has selective
+    heads.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    if xb.shape[1] != spec.input_dim:
-        raise ValueError(f"expected {spec.input_dim} features, got {xb.shape[1]}")
-    if xb.shape[0] > EVAL_BLOCK_ROWS:
-        out = _blocked_forward(params, spec, xb, dropout_seed)
-    else:
-        acts, _ = _hidden_forward(params, spec, xb, dropout_seed)
-        out = _head_outputs(params, spec, acts[-1])
-    if single:
-        if isinstance(out, SelectiveNetOutputs):
-            return SelectiveNetOutputs(out.f_logits[0], out.g_raw[0], out.h_logits[0])
-        return out[0]
-    return out
-
-
-def _blocked_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
-                     dropout_seed: DropoutSeed = None):
-    """The pass of ``x``, ``EVAL_BLOCK_ROWS`` rows at a time.
-
-    Every block's hidden layers are computed in one set of block-sized
-    buffers, and its head outputs straight into its rows of the results.
-    Each hidden layer's mask generator is taken once per pass, on first
-    use, and held across blocks: consecutive ``random((EVAL_BLOCK_ROWS,
-    width))`` draws fill the same numbers as one ``random((N, width))``.
-    """
+    x = _batch(spec, x)
     if dropout_seed is not None:
         dropout_seed = functools.cache(dropout_seed)
     n = x.shape[0]
-    hidden = [np.empty((EVAL_BLOCK_ROWS, width)) for width in spec.hidden_sizes]
+    hidden = [np.empty((min(n, EVAL_BLOCK_ROWS), width)) for width in spec.hidden_sizes]
     heads = [np.empty((n, len(params.view(f"{name}.b")))) for name in _head_names(spec)]
     for start in range(0, n, EVAL_BLOCK_ROWS):
-        rows = slice(start, min(start + EVAL_BLOCK_ROWS, n))
-        acts, _ = _hidden_forward(params, spec, x[rows], dropout_seed,
-                                  [a[:rows.stop - start] for a in hidden])
-        _head_outputs(params, spec, acts[-1], [h[rows] for h in heads])
+        block = x[start:start + EVAL_BLOCK_ROWS]
+        acts, _ = _hidden_forward(params, spec, block, dropout_seed,
+                                  [a[:len(block)] for a in hidden])
+        _head_outputs(params, spec, acts[-1], [h[start:start + len(block)] for h in heads])
     return _as_outputs(spec, heads)
+
+
+def head_probs(out) -> np.ndarray:
+    """Softmax of :func:`forward`'s logits; of the prediction head ``f`` for selective nets."""
+    return softmax(out.f_logits if isinstance(out, SelectiveNetOutputs) else out)
 
 
 def predict_probs(params: ParamVector, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     """Deterministic softmax outputs; the prediction head for selective nets."""
-    out = forward(params, spec, x)
-    logits = out.f_logits if isinstance(out, SelectiveNetOutputs) else out
-    return softmax(logits)
+    return head_probs(forward(params, spec, x))
 
 
 def predict(params: ParamVector, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     """Argmax over the first ``num_classes`` outputs; ties take the lower index."""
     probs = predict_probs(params, spec, x)
-    return np.argmax(probs[..., : spec.num_classes], axis=-1)
+    return np.argmax(probs[:, : spec.num_classes], axis=1)
 
 
 def _check_loss_compat(spec: ModelSpec, loss: LossSpec) -> None:
@@ -342,14 +333,8 @@ def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
     the batch-loss gradient in every case.
     """
     _check_loss_compat(spec, loss)
-    xb = np.asarray(x, dtype=np.float64)
-    if xb.ndim < 2:
-        xb = np.atleast_2d(xb)
-    yb = np.asarray(y, dtype=np.int64)
-    if yb.ndim < 1:
-        yb = np.atleast_1d(yb)
-    acts, scales = _hidden_forward(params, spec, xb, dropout_seed)
-    heads = _head_factors(params, spec, acts[-1], loss, yb, entropy_beta, sat_targets)
+    acts, scales = _hidden_forward(params, spec, _batch(spec, x), dropout_seed)
+    heads = _head_factors(params, spec, acts[-1], loss, y, entropy_beta, sat_targets)
     factors = [(name, u, acts[-1]) for name, u in heads.items()]
     if spec.hidden_sizes:
         upstream = functools.reduce(
@@ -442,11 +427,8 @@ def batch_grad(
         out = np.empty(len(params), dtype=np.float64)
     elif out.shape != (len(params),) or np.may_share_memory(out, params.values):
         raise ValueError("out must be a separate vector of one entry per parameter")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        x = np.atleast_2d(x)
-    n = x.shape[0]
-    if n == 0:
+    x = _batch(spec, x)
+    if len(x) == 0:
         out.fill(0.0)
         return out
     factors = _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed)
@@ -460,7 +442,7 @@ def batch_grad(
         b_start, b_stop, _ = params._slices[f"{name}.b"]
         np.matmul(u.T, a, out=out[w_start:w_stop].reshape(shape))
         u.sum(axis=0, out=out[b_start:b_stop])
-    out /= n
+    out /= len(x)
     return out
 
 

@@ -2,7 +2,8 @@
 
 Every mechanism here emits one score per evaluation point under a single
 orientation: sorting ascending by score gives the acceptance order, and
-thresholding ``score <= tau`` realizes a coverage level. The six mechanisms:
+thresholding ``score <= tau`` realizes a coverage level. Inputs are batches:
+probabilities of shape (N, C), one row per point. The six mechanisms:
 
 * ``sr``: one minus the softmax maximum (softmax response);
 * ``mcdo``: softmax response of the mean softmax over Monte Carlo dropout
@@ -36,8 +37,7 @@ from .trainer import CheckpointLog
 
 def score_sr(probs: np.ndarray) -> np.ndarray:
     """Softmax response: ``1 - max_c p_c``."""
-    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    return 1.0 - p.max(axis=1)
+    return 1.0 - np.asarray(probs, dtype=np.float64).max(axis=1)
 
 
 def score_sr_of(probs: np.ndarray, num_classes: int) -> np.ndarray:
@@ -65,20 +65,17 @@ def score_mcdo(
     Each pass runs through :func:`models.forward` in blocks of
     ``models.EVAL_BLOCK_ROWS`` rows with those masks, so it holds
     O(EVAL_BLOCK_ROWS x width) activations; only the (N, classes) running
-    mean grows with the rows."""
+    sum grows with the rows."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
     if dropout_rate is not None:
         spec = dataclasses.replace(spec, dropout_rate=dropout_rate)
     streams = RunStreams(seed)
-    mean = None
+    total = 0.0
     for i in range(passes):
         masks = functools.partial(streams.dropout, i, parent=STREAM_SCORE)
-        out = models.forward(params, spec, x, dropout_seed=masks)
-        logits = out.f_logits if isinstance(out, models.SelectiveNetOutputs) else out
-        probs = models.softmax(logits)
-        mean = probs if mean is None else mean + probs
-    return score_sr(mean / passes)
+        total = total + models.head_probs(models.forward(params, spec, x, dropout_seed=masks))
+    return score_sr(total / passes)
 
 
 def score_de(member_probs: np.ndarray) -> np.ndarray:
@@ -97,7 +94,7 @@ def sctd_disagreement_score(disagreements: np.ndarray, k: float) -> np.ndarray:
     so late flips dominate; adding any disagreeing checkpoint strictly
     increases the score.
     """
-    a = np.atleast_2d(np.asarray(disagreements, dtype=np.float64))
+    a = np.asarray(disagreements, dtype=np.float64)
     t = np.arange(1, a.shape[0] + 1, dtype=np.float64)
     weights = (t / a.shape[0]) ** k
     return weights @ a
@@ -115,8 +112,7 @@ def score_sctd(log: CheckpointLog, k: float = 3.0) -> np.ndarray:
 
 def score_sat(probs: np.ndarray) -> np.ndarray:
     """Native abstention mass of a ``C + 1``-way model (last output)."""
-    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    return p[:, -1]
+    return np.asarray(probs, dtype=np.float64)[:, -1]
 
 
 def score_sn(selection_raw: np.ndarray) -> np.ndarray:
@@ -125,7 +121,7 @@ def score_sn(selection_raw: np.ndarray) -> np.ndarray:
     A zero head output scores 0.5; confidently selected points (large raw
     output) score near zero and are kept first.
     """
-    return sigmoid(-np.atleast_1d(np.asarray(selection_raw, dtype=np.float64)))
+    return sigmoid(-np.asarray(selection_raw, dtype=np.float64))
 
 
 _SCORES_HEADER = "point_index,method,score,predicted_label,true_label"

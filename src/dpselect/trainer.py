@@ -378,12 +378,8 @@ def train(
     # The last checkpoint is the final model (step 0 when untrained); its
     # predictions come from the same pass as its probabilities.
     out = models.forward(params, spec, eval_set.features)
-    if isinstance(out, models.SelectiveNetOutputs):
-        final_probs = models.softmax(out.f_logits)
-        final_selection = out.g_raw
-    else:
-        final_probs = models.softmax(out)
-        final_selection = None
+    final_probs = models.head_probs(out)
+    final_selection = out.g_raw if spec.selectivenet_heads else None
     if not (np.isfinite(params.values).all() and np.isfinite(final_probs).all()):
         raise ValueError("training diverged: the final parameters or probabilities are "
                          "not all finite; lower learning_rate")

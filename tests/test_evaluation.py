@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from dpselect.evaluation import (
     RiskCoverageCurve,
+    acceptance_order,
     accuracy_at_coverage,
     auc,
     bound,
@@ -53,6 +54,9 @@ class TestBuildCurve:
     def test_tie_break_by_index(self):
         curve = build_curve(np.array([0.5, 0.5]), np.array([True, False]))
         np.testing.assert_allclose(curve.accuracies, [1.0, 0.5])
+
+    def test_acceptance_order_is_ascending_score_then_index(self):
+        assert acceptance_order(np.array([0.5, 0.1, 0.5, 0.1])).tolist() == [1, 3, 0, 2]
 
     def test_rejects_mismatched_inputs(self):
         with pytest.raises(ValueError):

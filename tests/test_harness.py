@@ -554,6 +554,26 @@ class TestRunSweep:
         run_dir = Path(summary["run_dir"])
         assert [p.name for p in run_dir.rglob("*") if p.is_file()] == ["config.json"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_is_trained_once_per_cell(self, tmp_path, monkeypatch):
+        # sr, mcdo and sctd share the base run: its failure is recorded once and
+        # re-raised for each of them, not retrained.
+        calls, train = [], trainer.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(harness.trainer, "train", counting_train)
+        cfg = small_config(training={"steps": 20, "checkpoint_interval": 5,
+                                     "learning_rate": 1e200},
+                           methods={"sr": {}, "mcdo": {}, "sctd": {}})
+        summary = run(cfg, tmp_path)
+        assert [r["status"] for r in summary["records"]] == ["failed"] * 3
+        assert len({r["error"] for r in summary["records"]}) == 1
+        assert "training diverged" in summary["records"][0]["error"]
+        assert len(calls) == 1
+
     def test_evaluate_recomputes_stored_metrics(self, tmp_path):
         summary = run(small_config(), tmp_path)
         sr_dir = next(r["dir"] for r in summary["records"] if r["method"] == "sr")

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from dpselect import losses, models
+from dpselect import losses, models, selection
 from dpselect.losses import cross_entropy_loss, sat_loss, selectivenet_loss
 from dpselect.models import (
     ModelSpec,
@@ -90,7 +90,7 @@ class TestForward:
         params = init_params(MLP, seed=1)
         x = np.random.default_rng(0).normal(size=(5, 4))
         batch = forward(params, MLP, x)
-        single = np.stack([forward(params, MLP, row) for row in x])
+        single = np.concatenate([forward(params, MLP, x[i:i + 1]) for i in range(len(x))])
         np.testing.assert_allclose(batch, single, atol=1e-15)
 
     def test_probs_are_simplex(self):
@@ -104,7 +104,7 @@ class TestForward:
         # zero weights give identical logits for every class
         spec = ModelSpec(input_dim=2, num_classes=3)
         params = init_params(spec, seed=0).replace(np.zeros(spec.param_count))
-        assert predict(params, spec, np.array([1.0, -1.0])) == 0
+        assert predict(params, spec, np.array([[1.0, -1.0]])).tolist() == [0]
 
     def test_dropout_deterministic_given_seed(self):
         spec = ModelSpec(input_dim=4, num_classes=3, hidden_sizes=(16,),
@@ -126,6 +126,37 @@ class TestForward:
         spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(3,), dropout_rate=0.5)
         with pytest.raises(TypeError):
             forward(init_params(spec, seed=0), spec, np.ones((2, 2)), dropout_seed=9)
+
+    def test_one_dimensional_input_is_rejected(self):
+        # Entry points take (N, d) batches and (N, C) probabilities; a lone point is
+        # a 1-row batch, never a 1-D array.
+        params = init_params(MLP, seed=1)
+        point = np.zeros(4)
+        with pytest.raises(ValueError):
+            forward(params, MLP, point)
+        with pytest.raises(ValueError):
+            batch_grad(params, MLP, point, np.array([0]), cross_entropy_loss())
+        with pytest.raises(ValueError):
+            losses.ce_entropy_head_grads(np.array([0.5, 0.5]), np.array([0]))
+        with pytest.raises(ValueError):
+            selection.score_sr(np.array([0.9, 0.1]))
+
+    @pytest.mark.parametrize("n", [1, 75, 256])
+    @pytest.mark.parametrize("heads", ["plain", "abstention", "selective"])
+    def test_one_block_is_the_whole_array_pass(self, heads, n):
+        # Up to EVAL_BLOCK_ROWS rows the block loop makes one block, which must be
+        # the plain pass of the whole array bit for bit.
+        spec = ModelSpec(input_dim=3, num_classes=3, hidden_sizes=(32, 64),
+                         abstention_head=heads == "abstention",
+                         selectivenet_heads=heads == "selective")
+        params = init_params(spec, seed=4)
+        x = np.random.default_rng(5).normal(size=(n, 3))
+        acts, _ = models._hidden_forward(params, spec, x, None)
+        want = models._head_outputs(params, spec, acts[-1])
+        got = forward(params, spec, x)
+        parts = zip(got, want) if heads == "selective" else [(got, want)]
+        for part, ref in parts:
+            assert part.shape == ref.shape and part.tobytes() == ref.tobytes()
 
     def test_selectivenet_output_structure(self):
         spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(4,),

@@ -28,7 +28,7 @@ class TestSoftmaxResponse:
         )
 
     def test_single_row(self):
-        assert score_sr([0.9, 0.1]).shape == (1,)
+        assert score_sr([[0.9, 0.1]]).shape == (1,)
 
     def test_renormalized_variant_drops_abstention_mass(self):
         # [0.2, 0.2, 0.6] over two classes renormalizes to [0.5, 0.5]

@@ -247,8 +247,12 @@ def load_csv(path: str | Path, label_column: int | str = -1) -> LabeledDataset:
             raise CsvFormatError(
                 f"label column {label_column!r} not in header {header}"
             ) from None
-    else:
+    elif -width <= label_column < width:
         label_idx = label_column % width
+    else:
+        raise CsvFormatError(
+            f"label column {label_column} out of range for {width} columns"
+        )
 
     feats, raw_labels = [], []
     for r, row in enumerate(rows, start=1):

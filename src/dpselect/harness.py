@@ -39,6 +39,7 @@ import copy
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -395,13 +396,20 @@ class _Method(NamedTuple):
 
 
 class _Cell:
-    """One (seed, epsilon) grid cell; trains each of its runs at most once."""
+    """One (seed, epsilon) grid cell; trains each of its runs at most once.
+
+    A cell holds at most one training run's result at a time, plus the
+    results of runs that more than one of the config's methods read (today
+    only ``base``, shared by sr, mcdo and sctd), which it keeps until it ends.
+    """
 
     def __init__(self, config: ExperimentConfig, seed: int, eps: float, cell_dir: Path):
         self.recipe, self.refs = config.recipe, config.refs
         self.seed, self.eps, self.cell_dir = seed, eps, cell_dir
         self.train_data, self.test_data = _build_dataset(config.source, seed)
         self.delta = 1.0 / len(self.train_data) if config.delta is None else config.delta
+        readers = Counter(run.subdir for _, runs in config.methods.values() for run in runs)
+        self._shared = {subdir for subdir, n in readers.items() if n > 1}
         self._trained: dict[str, trainer.TrainResult | Exception] = {}
 
     def spec(self, run: _Run) -> ModelSpec:
@@ -410,10 +418,13 @@ class _Cell:
     def train(self, run: _Run, sigma=None) -> trainer.TrainResult:
         """Train ``run`` (at noise ``sigma`` if given) and save it, once per cell.
 
-        A run that raises is not retried: every method that shares it gets
-        the same exception.
+        The result of a run that several methods read is kept for the cell's
+        lifetime; any other run's result belongs to the caller alone. A shared
+        run that raises is not retried: every method that reads it gets the
+        same exception.
         """
-        if run.subdir not in self._trained:
+        result = self._trained.get(run.subdir)
+        if result is None:
             spec, seed = self.spec(run), derive_seed(self.seed, *run.stream)
             try:
                 result = self.recipe.train(self.train_data, self.test_data, spec, run.loss,
@@ -421,8 +432,8 @@ class _Cell:
                 _save_run(self.cell_dir / run.subdir / "checkpoints", result, spec)
             except Exception as exc:
                 result = exc
-            self._trained[run.subdir] = result
-        result = self._trained[run.subdir]
+            if run.subdir in self._shared:
+                self._trained[run.subdir] = result
         if isinstance(result, Exception):
             raise result
         return result
@@ -440,6 +451,12 @@ class _Cell:
         return bs.sigma, {"target_epsilon": epsilon_tag(self.eps), "split": asdict(bs)}
 
     def run_method(self, method: str, settings: dict, runs: list[_Run]) -> dict:
+        """Train ``method``'s runs and write its outputs; returns its metrics.
+
+        A method with an ``emit`` gets its runs as a lazy iterator of
+        ``(run, result)`` pairs, each trained when the emitter asks for it, so
+        the emitter can reduce one run to what it writes before the next trains.
+        """
         row = _METHODS[method]
         if row.emit is None:
             (run,) = runs
@@ -449,26 +466,41 @@ class _Cell:
             scores = row.score(self, run, result, settings)
             return self._emit(method, method, scores, result.log.predictions[-1], payload)
         sigma, payload = self._ensemble_sigma(len(runs))
-        trained = [(run, self.train(run, sigma)) for run in runs]
+        trained = ((run, self.train(run, sigma)) for run in runs)
         return row.emit(self, method, row, settings, trained, payload)
 
     def _emit_ensemble(self, method, row, settings, trained, payload) -> dict:
-        """One output for the members' mean; ``row.score`` takes their stacked probs."""
-        payload["member_reports"] = [asdict(result.report) for _, result in trained]
-        member_probs = np.stack([result.log.final_probs for _, result in trained])
+        """One output for the members' mean; ``row.score`` takes their stacked probs.
+
+        Each member is kept as its report and final probabilities only.
+        """
+        payload["member_reports"], member_probs = [], []
+        for _, result in trained:
+            payload["member_reports"].append(asdict(result.report))
+            member_probs.append(result.log.final_probs)
+            del result  # no finished member stays alive while the next one trains
+        member_probs = np.stack(member_probs)
         predicted = np.argmax(member_probs.mean(axis=0), axis=1)
         return self._emit(method, method, row.score(member_probs), predicted, payload)
 
     def _emit_per_target(self, method, row, settings, trained, payload) -> dict:
-        """One output per coverage target, then the joint account and all targets' metrics."""
+        """One output per coverage target, then the joint account and all targets' metrics.
+
+        Each target is kept as its report, scores and final prediction row;
+        nothing is written until the last target has trained.
+        """
+        kept = []
+        for run, result in trained:
+            kept.append((run, asdict(result.report), row.score(self, run, result, settings),
+                         result.log.predictions[-1].copy()))
+            del result  # no finished target stays alive while the next one trains
         payload["c_targets"] = settings["c_targets"]
         payload["run_reports"], metrics = {}, {"c_targets": {}}
-        for c_target, (run, result) in zip(payload["c_targets"], trained):
+        for c_target, (run, report, scores, predicted) in zip(payload["c_targets"], kept):
             tag = _g_tag(c_target)
-            report = payload["run_reports"][tag] = asdict(result.report)
-            scores = row.score(self, run, result, settings)
+            payload["run_reports"][tag] = report
             metrics["c_targets"][tag] = self._emit(
-                run.subdir, method, scores, result.log.predictions[-1],
+                run.subdir, method, scores, predicted,
                 {"target_epsilon": epsilon_tag(self.eps), "report": report},
             )
         evaluation.write_json(payload, self.cell_dir / method / "privacy.json")

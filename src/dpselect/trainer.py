@@ -317,7 +317,10 @@ def train(
     and the old parameters become the next step's spare. The returned
     parameters are the last step's vector; nothing writes to it afterwards.
     Checkpoint predictions, final probabilities and selection outputs come
-    from the blocked deterministic pass of :func:`models.forward`.
+    from the blocked deterministic pass of :func:`models.forward`. The
+    checkpoint times are known before the first step, so the (checkpoints,
+    N_eval) prediction matrix is allocated once and each checkpoint fills
+    its row.
     """
     if eval_set is None:
         eval_set = data
@@ -342,8 +345,10 @@ def train(
         sat_targets[np.arange(len(data)), data.labels] = 1.0
     per_epoch = steps_per_epoch(q)
 
-    times: list[int] = []
-    preds: list[np.ndarray] = []
+    # Checkpoint k < last is step (k + 1) * interval; each fills its row in place.
+    interval = train_cfg.checkpoint_interval
+    times = np.append(np.arange(interval, train_cfg.steps, interval), train_cfg.steps)
+    preds = np.empty((len(times), len(eval_set)), dtype=np.int64)
     for t in range(1, train_cfg.steps + 1):
         idx = np.flatnonzero(streams.batch(t).random(len(data)) < q)
         xb, yb = data.features[idx], data.labels[idx]
@@ -371,9 +376,8 @@ def train(
             noise_out=noise,
         )
         params, spare = stepped, params.values
-        if t % train_cfg.checkpoint_interval == 0 and t != train_cfg.steps:
-            times.append(t)
-            preds.append(models.predict(params, spec, eval_set.features))
+        if t % interval == 0 and t != train_cfg.steps:
+            preds[t // interval - 1] = models.predict(params, spec, eval_set.features)
 
     # The last checkpoint is the final model (step 0 when untrained); its
     # predictions come from the same pass as its probabilities.
@@ -383,11 +387,10 @@ def train(
     if not (np.isfinite(params.values).all() and np.isfinite(final_probs).all()):
         raise ValueError("training diverged: the final parameters or probabilities are "
                          "not all finite; lower learning_rate")
-    times.append(train_cfg.steps)
-    preds.append(np.argmax(final_probs[:, : spec.num_classes], axis=-1))
+    preds[-1] = np.argmax(final_probs[:, : spec.num_classes], axis=-1)
     log = CheckpointLog(
-        checkpoint_times=np.array(times),
-        predictions=np.stack(preds),
+        checkpoint_times=times,
+        predictions=preds,
         final_probs=final_probs,
         eval_set_id=eval_set_id(eval_set),
         final_selection=final_selection,

@@ -163,6 +163,14 @@ class TestCsv:
         data = load_csv(path, label_column=-1)
         assert data.input_dim == 2 and len(data) == 2
 
+    @pytest.mark.parametrize("label_column", [3, -4])
+    def test_label_position_out_of_range(self, tmp_path, label_column):
+        path = tmp_path / "raw.csv"
+        path.write_text("1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,0\n")
+        with pytest.raises(CsvFormatError, match="out of range for 3 columns"):
+            load_csv(path, label_column=label_column)
+        np.testing.assert_array_equal(load_csv(path, label_column=-3).labels, [0, 1, 2])
+
     def test_label_column_by_name(self, tmp_path):
         path = tmp_path / "named.csv"
         path.write_text("x,target,y\n1.0,0,2.0\n3.0,1,4.0\n")

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -573,6 +575,51 @@ class TestRunSweep:
         assert len({r["error"] for r in summary["records"]}) == 1
         assert "training diverged" in summary["records"][0]["error"]
         assert len(calls) == 1
+
+    def test_cell_holds_only_the_shared_run(self, tmp_path, monkeypatch):
+        # Six methods train 12 runs; only base, read by sr, mcdo and sctd, is
+        # kept: no other finished run is alive while a later one trains.
+        results, alive_at_call, train = [], [], trainer.train
+        base_seed = harness.derive_seed(0, *harness._BASE_RUN.stream)
+
+        def tracking_train(data, spec, train_cfg, privacy, **kwargs):
+            alive_at_call.append([seed for seed, ref in results if ref() is not None])
+            result = train(data, spec, train_cfg, privacy, **kwargs)
+            results.append((train_cfg.seed, weakref.ref(result)))
+            return result
+
+        monkeypatch.setattr(harness.trainer, "train", tracking_train)
+        cfg = small_config(methods={m: {} for m in ("sr", "mcdo", "sctd", "sat", "de", "sn")})
+        assert run(cfg, tmp_path)["ok"]
+        seeds = [seed for seed, _ in results]
+        assert len(seeds) == len(set(seeds)) == 12 and base_seed in seeds
+        assert all(alive in ([], [base_seed]) for alive in alive_at_call)
+
+    def test_cell_memory_does_not_grow_with_runs(self, tmp_path):
+        # One eps=inf cell, 1,500 test rows and 20 checkpoints a run: keeping every
+        # run's result until the cell ended grew its traced peak by 2.1 MB from
+        # 2 + 2 to 6 + 6 ensemble members and coverage targets.
+        def cell_peak(n):
+            components = [{"mean": [mean, 0.0], "count": 1500, "label": label}
+                          for mean, label in ((-1.5, 0), (1.5, 1))]
+            cfg = small_config(
+                dataset={"kind": "mixture", "components": components, "train_fraction": 0.5,
+                         "base_seed": 5},
+                training={"steps": 20, "checkpoint_interval": 1},
+                privacy={"epsilons": ["inf"], "sampling_rate": 0.05},
+                methods={"sr": {}, "sctd": {}, "de": {"members": n},
+                         "sn": {"c_targets": [0.1 * (i + 1) for i in range(n)]}},
+            )
+            tracemalloc.start()
+            try:
+                records = harness.run_cell(cfg, 0, math.inf, tmp_path / str(n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [r["status"] for r in records] == ["ok"] * 4
+            return peak
+
+        assert cell_peak(6) - cell_peak(2) < 2**19
 
     def test_evaluate_recomputes_stored_metrics(self, tmp_path):
         summary = run(small_config(), tmp_path)

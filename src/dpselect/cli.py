@@ -78,6 +78,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_accountant(args) -> int:
+    if args.eps_target is not None and args.sigma is not None:
+        raise ValueError("give either --sigma or --eps-target, not both")
+    if args.sigma is not None and args.split != 1:
+        raise ValueError("--split divides an --eps-target budget; it does not apply to --sigma")
     if args.eps_target is not None:
         if _at_least_one("--split", args.split) > 1:
             bs = accountant.split_budget(

@@ -15,10 +15,13 @@ a run requires only (data, spec, configs, seed).
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +43,10 @@ CHECKPOINT_LOG_VERSION = 1
 # moves the last bits of final probabilities and selection outputs. 4: MC-dropout
 # passes run in blocks of 256 rows, which moves the last bits of mcdo scores.
 ALGORITHM_VERSION = 4
+# A private run of at least this many parameters draws each step's noise on a
+# worker thread while the main thread computes the gradient, when the process
+# may run on two or more CPUs. Below it the handoff costs more than the draw.
+OVERLAP_MIN_PARAMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,7 @@ def dpsgd_step(
     dropout_seed: DropoutSeed = None,
     out: np.ndarray | None = None,
     noise_out: np.ndarray | None = None,
+    noise_worker: concurrent.futures.Executor | None = None,
 ) -> ParamVector:
     """One DP-SGD update: average clipped per-example gradients, add noise once.
 
@@ -220,28 +228,55 @@ def dpsgd_step(
 
     The gradient and then the new parameters are computed in ``out`` and the
     noise in ``noise_out``, when they are given: float64 vectors of length P
-    that overlap neither each other nor ``params``. Otherwise each is a new
-    array.
+    that overlap neither each other nor ``params``, checked before anything
+    is written. Otherwise each is a new array.
+
+    With a ``noise_worker`` (an executor of one thread, as :func:`train`
+    opens for wide private runs) the noise is drawn on the worker while this
+    thread computes the gradient; the draw reads only ``noise_seed`` and
+    writes only ``noise_out``, and its bits are those of the inline draw.
+    The call waits for the draw before it returns or re-raises, so nothing
+    writes ``noise_out`` afterwards. Without one the noise is drawn inline,
+    after the gradient.
     """
     if sigma > 0.0 and not math.isfinite(clip_norm):
         raise ValueError("noise requires a finite clip_norm")
     if sigma > 0.0 and not isinstance(noise_seed, np.random.Generator):
         raise ValueError("noise requires a noise_seed generator")
-    grad = models.batch_grad(
-        params, spec, x, y, loss,
-        entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
-        clip_norm=clip_norm, out=out,
-    )
+    if sigma > 0.0 and noise_out is not None and (
+            (out is not None and np.may_share_memory(noise_out, out))
+            or np.may_share_memory(noise_out, params.values)):
+        raise ValueError("noise_out must not overlap out or the parameters")
+    draw = pending = None
     if sigma > 0.0:
-        if noise_out is not None and (np.may_share_memory(noise_out, grad)
-                                      or np.may_share_memory(noise_out, params.values)):
-            raise ValueError("noise_out must not overlap out or the parameters")
-        noise = noise_seed.standard_normal(len(params), out=noise_out)
-        noise *= sigma * clip_norm
-        noise += 0.0  # normal() adds its mean, which turns -0.0 into 0.0
-        noise /= max(x.shape[0], 1)
-        grad += noise
+        draw = functools.partial(_draw_noise, noise_seed, len(params), sigma * clip_norm,
+                                 x.shape[0], noise_out)
+        if noise_worker is not None:
+            pending = noise_worker.submit(draw)
+    try:
+        grad = models.batch_grad(
+            params, spec, x, y, loss,
+            entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
+            clip_norm=clip_norm, out=out,
+        )
+    except BaseException:
+        if pending is not None:
+            pending.exception()  # waits for the draw; the gradient's error is the one raised
+        raise
+    if draw is not None:
+        grad += draw() if pending is None else pending.result()
     return _descend(params, grad, learning_rate)
+
+
+def _draw_noise(noise_seed: np.random.Generator, size: int, scale: float, batch: int,
+                out: np.ndarray | None) -> np.ndarray:
+    """``normal(0, scale, size) / max(batch, 1)`` in ``out``; only numpy calls, so
+    it may run on a worker thread."""
+    noise = noise_seed.standard_normal(size, out=out)
+    noise *= scale
+    noise += 0.0  # normal() adds its mean, which turns -0.0 into 0.0
+    noise /= max(batch, 1)
+    return noise
 
 
 def sgd_step(
@@ -288,6 +323,12 @@ def _resolve_sigma(privacy: PrivacyConfig) -> float:
     return float(privacy.noise_multiplier)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def train(
     data: LabeledDataset,
     spec: ModelSpec,
@@ -321,6 +362,15 @@ def train(
     checkpoint times are known before the first step, so the (checkpoints,
     N_eval) prediction matrix is allocated once and each checkpoint fills
     its row.
+
+    Threads: a private run of at least ``OVERLAP_MIN_PARAMS`` parameters, in
+    a process allowed on two or more CPUs, opens one worker thread that
+    draws each step's noise into the noise vector while the gradient
+    computes (see :func:`dpsgd_step`). The thread lives only while the steps
+    run and is joined when they end, raise or not, so none outlives
+    ``train`` and a later fork (``harness.run`` with ``jobs > 1``) copies no
+    live thread. Every other run, and every run on one CPU, stays on the
+    calling thread. The trained bits are the same either way.
     """
     if eval_set is None:
         eval_set = data
@@ -349,35 +399,40 @@ def train(
     interval = train_cfg.checkpoint_interval
     times = np.append(np.arange(interval, train_cfg.steps, interval), train_cfg.steps)
     preds = np.empty((len(times), len(eval_set)), dtype=np.int64)
-    for t in range(1, train_cfg.steps + 1):
-        idx = np.flatnonzero(streams.batch(t).random(len(data)) < q)
-        xb, yb = data.features[idx], data.labels[idx]
-        batch_targets = None
-        if sat_targets is not None and len(idx) > 0:
-            probs = models.predict_probs(params, spec, xb)
-            sat_targets[idx] = losses.sat_update_targets(
-                sat_targets[idx],
-                losses.renormalized_class_probs(probs, spec.num_classes),
-                loss.momentum,
-                epoch=(t - 1) // per_epoch,
-                burn_in_epochs=loss.burn_in_epochs,
+    overlap = sigma > 0 and len(params) >= OVERLAP_MIN_PARAMS and _usable_cpus() > 1
+    noise_thread = (concurrent.futures.ThreadPoolExecutor(max_workers=1) if overlap
+                    else contextlib.nullcontext())
+    with noise_thread as worker:
+        for t in range(1, train_cfg.steps + 1):
+            idx = np.flatnonzero(streams.batch(t).random(len(data)) < q)
+            xb, yb = data.features[idx], data.labels[idx]
+            batch_targets = None
+            if sat_targets is not None and len(idx) > 0:
+                probs = models.predict_probs(params, spec, xb)
+                sat_targets[idx] = losses.sat_update_targets(
+                    sat_targets[idx],
+                    losses.renormalized_class_probs(probs, spec.num_classes),
+                    loss.momentum,
+                    epoch=(t - 1) // per_epoch,
+                    burn_in_epochs=loss.burn_in_epochs,
+                )
+                batch_targets = sat_targets[idx]
+            stepped = dpsgd_step(
+                params, spec, xb, yb, loss,
+                clip_norm=clip,
+                sigma=sigma,
+                learning_rate=train_cfg.learning_rate,
+                noise_seed=streams.noise(t) if sigma > 0 else None,
+                entropy_beta=train_cfg.entropy_beta,
+                sat_targets=batch_targets,
+                dropout_seed=functools.partial(streams.dropout, t),
+                out=spare,
+                noise_out=noise,
+                noise_worker=worker,
             )
-            batch_targets = sat_targets[idx]
-        stepped = dpsgd_step(
-            params, spec, xb, yb, loss,
-            clip_norm=clip,
-            sigma=sigma,
-            learning_rate=train_cfg.learning_rate,
-            noise_seed=streams.noise(t) if sigma > 0 else None,
-            entropy_beta=train_cfg.entropy_beta,
-            sat_targets=batch_targets,
-            dropout_seed=functools.partial(streams.dropout, t),
-            out=spare,
-            noise_out=noise,
-        )
-        params, spare = stepped, params.values
-        if t % interval == 0 and t != train_cfg.steps:
-            preds[t // interval - 1] = models.predict(params, spec, eval_set.features)
+            params, spare = stepped, params.values
+            if t % interval == 0 and t != train_cfg.steps:
+                preds[t // interval - 1] = models.predict(params, spec, eval_set.features)
 
     # The last checkpoint is the final model (step 0 when untrained); its
     # predictions come from the same pass as its probabilities.

@@ -1,7 +1,9 @@
+import faulthandler
 import hashlib
 import json
 import math
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from dataclasses import asdict
@@ -320,6 +322,10 @@ class TestExperimentConfig:
                   "1e-5", "--split", "0"], "--split must be >= 1, got 0"),
             ({}, ["accountant", "--eps-target", "3", "--q", "0.02", "--steps", "100", "--delta",
                   "1e-5", "--split", "-2"], "--split must be >= 1, got -2"),
+            ({}, ["accountant", "--sigma", "1.1", "--q", "0.02", "--steps", "100", "--delta",
+                  "1e-5", "--split", "3"], "--split divides an --eps-target budget"),
+            ({}, ["accountant", "--eps-target", "3", "--sigma", "3", "--q", "0.02", "--steps",
+                  "100", "--delta", "1e-5"], "give either --sigma or --eps-target, not both"),
             ({"dataset": {"kind": "mixture", "components": [
                 {"mean": ["x", 0.0], "count": 30, "label": 0}]}}, [],
              "component mean must hold finite numbers, got ['x', 0.0]"),
@@ -362,7 +368,8 @@ class TestExperimentConfig:
              "learning_rate_bool", "learning_rate_string", "epsilon_bool", "accuracy_ref_bool",
              "component_count_fraction", "component_count_bool", "component_label_fraction",
              "n_major_fraction", "imbalance_class_id_fraction", "jobs_zero", "jobs_negative",
-             "accountant_split_zero", "accountant_split_negative", "component_mean_string",
+             "accountant_split_zero", "accountant_split_negative", "accountant_split_with_sigma",
+             "accountant_sigma_with_eps_target", "component_mean_string",
              "component_mean_nan", "component_mean_bool", "label_column_list",
              "label_column_fraction", "label_column_bool", "covariance_nan", "covariance_inf",
              "covariance_matrix_inf", "covariance_matrix_nan"],
@@ -652,6 +659,37 @@ class TestRunSweep:
         parallel = run(cfg, tmp_path / "parallel", jobs=2)
         assert serial["ok"] and parallel["ok"]
         assert len(parallel["records"]) == 8
+        assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "serial")
+
+    def test_parallel_wide_private_sweep_after_a_threaded_run(self, tmp_path, monkeypatch):
+        # A private [256, 256] model takes the noise worker in train(). After one such
+        # run in this process no thread may remain, so the pool's fork copies none, and
+        # the forked cells, which open workers of their own, must finish.
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        wide = {"model": {"hidden_sizes": [256, 256], "dropout_rate": 0.1},
+                "training": {"steps": 4, "checkpoint_interval": 2},
+                "privacy": {"epsilons": [3], "sampling_rate": 0.2},
+                "seeds": [0, 1], "methods": {"sr": {}}}
+        cfg = small_config(**wide)
+        workers, step = [], trainer.dpsgd_step
+
+        def recording(*args, **kwargs):
+            workers.append(kwargs["noise_worker"])
+            return step(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "dpsgd_step", recording)
+            run(cfg, tmp_path / "first", seeds=[0])
+        assert len(workers) == 4 and None not in workers
+        assert threading.active_count() == before
+        faulthandler.dump_traceback_later(120, exit=True)  # a deadlocked fork ends the session
+        try:
+            parallel = run(cfg, tmp_path / "parallel", jobs=2)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+        serial = run(cfg, tmp_path / "serial", jobs=1)
+        assert serial["ok"] and parallel["ok"] and len(parallel["records"]) == 2
         assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "serial")
 
     def test_native_scores_come_from_the_saved_run(self, tmp_path):

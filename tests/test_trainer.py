@@ -1,5 +1,9 @@
+import concurrent.futures
 import functools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -256,6 +260,164 @@ class TestStepBuffers:
         # A later run writes into buffers of its own, never into a returned result.
         train(data, spec, cfg, privacy, eval_set)
         assert result.params.values.tobytes() == params.values.tobytes()
+
+
+# Two hidden layers of 128 give 17,154 parameters, just above the overlap gate.
+WIDE = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=(128, 128), dropout_rate=0.1)
+
+
+class SlowWorker(concurrent.futures.ThreadPoolExecutor):
+    """One worker thread that starts each task late, so the main thread finishes first."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.futures = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        def late():
+            time.sleep(0.05)
+            return fn(*args, **kwargs)
+
+        self.futures.append(super().submit(late))
+        return self.futures[-1]
+
+
+def wide_step(params, **kwargs):
+    data = two_blob_data()
+    return dpsgd_step(params, WIDE, data.features[:15], data.labels[:15], cross_entropy_loss(),
+                      clip_norm=1.0, sigma=1.3, learning_rate=0.2, noise_seed=rng.generator(6),
+                      dropout_seed=functools.partial(rng.generator, 8, rng.STREAM_DROPOUT),
+                      **kwargs)
+
+
+def threads_during_train(monkeypatch, spec, privacy, cpus, fail_at=None, learning_rate=0.3):
+    """Run 6 steps of ``train`` with ``cpus`` usable CPUs; returns the thread count seen
+    in each step.
+
+    ``fail_at`` makes that gradient call raise, as a broken step would.
+    """
+    seen = []
+    batch_grad = models.batch_grad
+
+    def counting(*args, **kwargs):
+        seen.append(threading.active_count())
+        if len(seen) == fail_at:
+            raise RuntimeError("gradient failed")
+        return batch_grad(*args, **kwargs)
+
+    monkeypatch.setattr(models, "batch_grad", counting)
+    monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
+    cfg = TrainConfig(learning_rate=learning_rate, steps=6, loss=cross_entropy_loss(),
+                      checkpoint_interval=2, seed=4)
+    train(two_blob_data(), spec, cfg, privacy)
+    return seen
+
+
+class TestNoiseWorker:
+    PRIVATE = PrivacyConfig(epsilon=8.0, delta=1e-3, clip_norm=1.0, sampling_rate=0.3,
+                            steps=6, noise_multiplier=1.1)
+
+    @pytest.mark.parametrize("batch", [15, 0])
+    @pytest.mark.parametrize("buffers", [False, True], ids=["fresh", "buffers"])
+    def test_worker_draw_is_the_inline_draw(self, batch, buffers):
+        data = two_blob_data()
+        params = init_params(WIDE, seed=2)
+        x, y = data.features[:batch], data.labels[:batch]
+        step = functools.partial(dpsgd_step, params, WIDE, x, y, cross_entropy_loss(),
+                                 clip_norm=1.0, sigma=1.3, learning_rate=0.2)
+        kwargs = ({"out": np.empty(len(params)), "noise_out": np.empty(len(params))}
+                  if buffers else {})
+        inline = step(noise_seed=rng.generator(6)).values.tobytes()
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
+            got = step(noise_seed=rng.generator(6), noise_worker=worker, **kwargs)
+        assert got.values.tobytes() == inline
+        if buffers:
+            assert got.values is kwargs["out"]
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "worker"])
+    def test_rejected_call_leaves_out_unchanged(self, threaded):
+        params = init_params(WIDE, seed=2)
+        out = np.full(len(params), 7.0)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
+            threads = {"noise_worker": worker} if threaded else {}
+            for noise_out in (params.values, out, out[::2]):
+                with pytest.raises(ValueError, match="overlap"):
+                    wide_step(params, out=out, noise_out=noise_out, **threads)
+        assert out.tobytes() == np.full(len(params), 7.0).tobytes()
+
+    def test_failed_gradient_waits_for_the_draw(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("gradient failed")
+
+        params = init_params(WIDE, seed=2)
+        want = np.empty(len(params))
+        wide_step(params, noise_out=want, out=np.empty_like(want))
+        monkeypatch.setattr(models, "batch_grad", fail)
+        noise = np.zeros_like(want)
+        with SlowWorker() as worker:
+            with pytest.raises(RuntimeError, match="gradient failed"):
+                wide_step(params, noise_out=noise, noise_worker=worker)
+            assert worker.futures[0].done()
+            assert noise.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "hidden, private, cpus, threaded",
+        [((128, 128), True, 2, True), ((128, 128), True, 1, False),
+         ((128, 128), False, 2, False), ((8,), True, 2, False)],
+        ids=["wide_private", "one_cpu", "non_private", "narrow"])
+    def test_only_wide_private_runs_on_two_cpus_take_a_worker(self, monkeypatch, hidden,
+                                                              private, cpus, threaded):
+        spec = ModelSpec(input_dim=2, num_classes=2, hidden_sizes=hidden)
+        assert (len(init_params(spec, 0)) >= trainer.OVERLAP_MIN_PARAMS) == (hidden != (8,))
+        before = threading.active_count()
+        privacy = self.PRIVATE if private else PrivacyConfig.non_private(6, 0.3)
+        seen = threads_during_train(monkeypatch, spec, privacy, cpus)
+        assert seen == [before + threaded] * 6
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_worker_trains_the_same_bits(self, monkeypatch, cpus):
+        data, eval_set = two_blob_data(), two_blob_data(n_per=30, seed=9)
+        cfg = TrainConfig(learning_rate=0.3, steps=6, loss=cross_entropy_loss(),
+                          entropy_beta=0.01, checkpoint_interval=2, seed=4)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            result = train(data, WIDE, cfg, self.PRIVATE, eval_set)
+        finally:
+            sys.setswitchinterval(interval)
+        params = init_params(WIDE, 4)
+        for t in range(1, 7):
+            idx = poisson_sample(len(data), 0.3, 4, t)
+            params = dpsgd_step(
+                params, WIDE, data.features[idx], data.labels[idx], cross_entropy_loss(),
+                clip_norm=1.0, sigma=1.1, learning_rate=0.3, entropy_beta=0.01,
+                noise_seed=rng.generator(rng.derive_seed(4, rng.STREAM_NOISE, t)),
+                dropout_seed=functools.partial(
+                    rng.generator, rng.derive_seed(4, rng.STREAM_DROPOUT, t),
+                    rng.STREAM_DROPOUT),
+            )
+        assert result.params.values.tobytes() == params.values.tobytes()
+        assert result.log.final_probs.tobytes() == predict_probs(
+            params, WIDE, eval_set.features).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ending", ["success", "diverged", "raised"])
+    def test_train_closes_its_worker(self, monkeypatch, ending):
+        before = threading.active_count()
+        privacy = self.PRIVATE
+        if ending == "success":
+            seen = threads_during_train(monkeypatch, WIDE, privacy, cpus=2)
+        elif ending == "diverged":
+            with pytest.raises(ValueError, match="training diverged"):
+                threads_during_train(monkeypatch, WIDE, privacy, cpus=2, learning_rate=1e200)
+        else:
+            with pytest.raises(RuntimeError, match="gradient failed"):
+                threads_during_train(monkeypatch, WIDE, privacy, cpus=2, fail_at=3)
+        assert threading.active_count() == before
+        if ending == "success":
+            assert seen == [before + 1] * 6
 
 
 class TestTrain:

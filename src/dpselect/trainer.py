@@ -235,9 +235,12 @@ def dpsgd_step(
     opens for wide private runs) the noise is drawn on the worker while this
     thread computes the gradient; the draw reads only ``noise_seed`` and
     writes only ``noise_out``, and its bits are those of the inline draw.
-    The call waits for the draw before it returns or re-raises, so nothing
-    writes ``noise_out`` afterwards. Without one the noise is drawn inline,
-    after the gradient.
+    When the gradient is done, a draw the worker has not started is
+    cancelled and made inline instead, so a worker that the scheduler wakes
+    late costs no wait; a draw in flight is waited for, also when the
+    gradient raises. So nothing writes ``noise_out`` after the call returns
+    or re-raises. Without a worker the noise is drawn inline, after the
+    gradient.
     """
     if sigma > 0.0 and not math.isfinite(clip_norm):
         raise ValueError("noise requires a finite clip_norm")
@@ -260,9 +263,11 @@ def dpsgd_step(
             clip_norm=clip_norm, out=out,
         )
     except BaseException:
-        if pending is not None:
-            pending.exception()  # waits for the draw; the gradient's error is the one raised
+        if pending is not None and not pending.cancel():
+            pending.exception()  # waits for the draw in flight; the gradient's error is raised
         raise
+    if pending is not None and pending.cancel():
+        pending = None  # the worker had not started it: draw here rather than wait for it
     if draw is not None:
         grad += draw() if pending is None else pending.result()
     return _descend(params, grad, learning_rate)
@@ -366,7 +371,8 @@ def train(
     Threads: a private run of at least ``OVERLAP_MIN_PARAMS`` parameters, in
     a process allowed on two or more CPUs, opens one worker thread that
     draws each step's noise into the noise vector while the gradient
-    computes (see :func:`dpsgd_step`). The thread lives only while the steps
+    computes, unless the gradient is done before the worker has started
+    (see :func:`dpsgd_step`). The thread lives only while the steps
     run and is joined when they end, raise or not, so none outlives
     ``train`` and a later fork (``harness.run`` with ``jobs > 1``) copies no
     live thread. Every other run, and every run on one CPU, stays on the

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import functools
 import math
 import sys
@@ -282,6 +283,20 @@ class SlowWorker(concurrent.futures.ThreadPoolExecutor):
         return self.futures[-1]
 
 
+@contextlib.contextmanager
+def busy_worker():
+    """A one-thread executor whose thread an earlier task holds for the block (at
+    most 5 s), so a draw submitted in the block is still queued when its gradient
+    is done."""
+    gate = threading.Event()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
+        worker.submit(gate.wait, 5.0)
+        try:
+            yield worker
+        finally:
+            gate.set()
+
+
 def wide_step(params, **kwargs):
     data = two_blob_data()
     return dpsgd_step(params, WIDE, data.features[:15], data.labels[:15], cross_entropy_loss(),
@@ -359,6 +374,34 @@ class TestNoiseWorker:
                 wide_step(params, noise_out=noise, noise_worker=worker)
             assert worker.futures[0].done()
             assert noise.tobytes() == want.tobytes()
+
+    def test_failed_gradient_cancels_a_queued_draw(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("gradient failed")
+
+        monkeypatch.setattr(models, "batch_grad", fail)
+        noise = np.zeros(len(init_params(WIDE, seed=2)))
+        with busy_worker() as worker:
+            with pytest.raises(RuntimeError, match="gradient failed"):
+                wide_step(init_params(WIDE, seed=2), noise_out=noise, noise_worker=worker)
+        assert not noise.any()  # nor after the worker was freed
+
+    def test_a_draw_the_worker_has_not_started_is_made_inline(self, monkeypatch):
+        params = init_params(WIDE, seed=2)
+        want = np.empty(len(params))
+        inline = wide_step(params, noise_out=want, out=np.empty_like(want)).values.tobytes()
+        threads, draw_noise = [], trainer._draw_noise
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return draw_noise(*args)
+
+        monkeypatch.setattr(trainer, "_draw_noise", recording)
+        noise = np.empty_like(want)
+        with busy_worker() as worker:
+            got = wide_step(params, noise_out=noise, noise_worker=worker).values.tobytes()
+        assert got == inline and threads == [threading.current_thread()]
+        assert noise.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "hidden, private, cpus, threaded",

@@ -18,14 +18,11 @@ carries the fractional orders 1.25, 1.5, 1.75, which sharpen the conversion
 in low-noise regimes; the subsampled bound is only valid at integer orders,
 so those are dropped whenever ``q < 1``.
 
-:func:`subsampled_gaussian_curve` evaluates the orders in fixed blocks, each
-one (orders x k) array pass over a log-factorial table built with
-``math.lgamma``.
-Each step is elementwise and each order's log-sum-exp sums exactly its own
-``alpha + 1`` terms, so every value is bit-identical to the scalar reference
-:func:`rdp_subsampled_gaussian`. Only :func:`account` is memoized, per
-process on its scalar arguments in a bounded, typed LRU cache that holds
-frozen :class:`PrivacyReport` instances. :func:`calibrate_sigma` is a
+:func:`subsampled_gaussian_curve` evaluates the orders one at a time, each
+bit for bit as the scalar reference :func:`rdp_subsampled_gaussian` does.
+Only :func:`account` is memoized, per process on its scalar arguments in a
+bounded, typed LRU cache that holds frozen :class:`PrivacyReport`
+instances. :func:`calibrate_sigma` is a
 deterministic bisection over :func:`account`, so a repeated calibration
 (``base`` and ``sat`` in a cell, every seed with the same dataset size)
 walks the same noise levels and gets only cache hits, and the
@@ -44,9 +41,6 @@ FRACTIONAL_ORDERS = (1.25, 1.5, 1.75)
 INTEGER_ORDERS = tuple(range(2, 257))
 SIGMA_BRACKET = (0.3, 100.0)
 CALIBRATION_RTOL = 1e-3
-# Orders per block of the subsampled term matrix: 16 x 257 float64 entries
-# (33 KB) keep each temporary below glibc's 128 KB mmap threshold.
-CURVE_BLOCK_ORDERS = 16
 # Entries kept by the per-process cache of ``account``. One calibration adds
 # a few dozen entries (one per bisection step).
 ACCOUNT_CACHE_SIZE = 4096
@@ -144,12 +138,10 @@ _LOG_FACTORIAL.setflags(write=False)
 def subsampled_gaussian_curve(q: float, sigma: float) -> RdpCurve:
     """Per-step RDP curve; falls back to the closed form when ``q = 1``.
 
-    The (orders x k) term matrix is evaluated ``CURVE_BLOCK_ORDERS`` orders at
-    a time, so its temporaries stay a few dozen kilobytes. Row ``i`` holds
-    the ``alpha_i + 1`` terms of order ``alpha_i`` and ``-inf`` beyond them.
-    The arithmetic is the scalar reference's, operation for operation and
-    elementwise, and each row's sum runs over exactly its own terms, so
-    every value equals :func:`rdp_subsampled_gaussian` bit for bit.
+    Each order ``alpha`` computes its own ``alpha + 1`` terms in place, in the
+    scalar reference's operation order, so every value equals
+    :func:`rdp_subsampled_gaussian` bit for bit. The rows over ``k = 0..256``
+    that all orders read (``(alpha - k) log(1 - q)`` backwards) are built once.
     """
     if q == 1.0:
         return gaussian_curve(sigma)
@@ -162,28 +154,22 @@ def subsampled_gaussian_curve(q: float, sigma: float) -> RdpCurve:
         return RdpCurve(orders, np.zeros_like(orders))
     if sigma == 0.0:
         return RdpCurve(orders, np.full_like(orders, math.inf))
-    alphas = orders.astype(np.int64)
     k = np.arange(_LOG_FACTORIAL.size, dtype=np.float64)
-    values = np.empty_like(orders)
-    for start in range(0, orders.size, CURVE_BLOCK_ORDERS):
-        block = slice(start, start + CURVE_BLOCK_ORDERS)
-        alpha = orders[block, None]
-        inside = k <= alpha
-        rest = np.where(inside, alpha - k, 0.0).astype(np.int64)
-        log_binom = (_LOG_FACTORIAL[alphas[block]][:, None]
-                     - (_LOG_FACTORIAL + _LOG_FACTORIAL[rest]))
-        log_terms = (
-            log_binom
-            + k * math.log(q)
-            + (alpha - k) * math.log1p(-q)
-            + k * (k - 1.0) / (2.0 * sigma**2)
-        )
-        log_terms[~inside] = -math.inf
-        peak = np.max(log_terms, axis=1)
-        scaled = np.exp(log_terms - peak[:, None])
-        log_sums = [math.log(np.sum(row[: a + 1])) for row, a in zip(scaled, alphas[block])]
-        values[block] = peak + log_sums
-    return RdpCurve(orders, values / (orders - 1.0))
+    k_log_q, k_log_1mq = k * math.log(q), k * math.log1p(-q)
+    gauss = k * (k - 1.0) / (2.0 * sigma**2)
+    values, log_terms = np.empty_like(orders), np.empty_like(k)
+    for i, alpha in enumerate(INTEGER_ORDERS):
+        terms, rest = slice(alpha + 1), slice(alpha, None, -1)  # k and alpha - k
+        row = log_terms[terms]
+        np.add(_LOG_FACTORIAL[terms], _LOG_FACTORIAL[rest], out=row)
+        np.subtract(_LOG_FACTORIAL[alpha], row, out=row)
+        row += k_log_q[terms]
+        row += k_log_1mq[rest]
+        row += gauss[terms]
+        peak = row.max()
+        row -= peak
+        values[i] = (peak + math.log(np.exp(row, out=row).sum())) / (alpha - 1.0)
+    return RdpCurve(orders, values)
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:

@@ -93,13 +93,9 @@ def parse_epsilon(value) -> float:
     return eps
 
 
-def epsilon_tag(eps: float) -> str:
-    return "inf" if math.isinf(eps) else f"{eps:g}"
-
-
-def _g_tag(value: float) -> str:
-    """Directory and metrics-key tag of a coverage target or accuracy ref."""
-    return f"{value:g}"
+def epsilon_tag(value: float) -> str:
+    """Directory and metrics-key tag of an epsilon, coverage target, accuracy ref or p0."""
+    return f"{value:g}"  # "inf" for infinity
 
 
 def _reject_shared_tags(what: str, values, tag) -> None:
@@ -245,9 +241,10 @@ class ExperimentConfig:
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"privacy.delta must be null or in (0, 1), got {self.delta!r}")
         self.refs = tuple(checked["accuracy_refs"])
-        _reject_shared_tags("accuracy_refs", self.refs, _g_tag)
-        if lossy := [r for r in self.refs if float(_g_tag(r)) != r]:  # see evaluate_run
-            raise ValueError(f"accuracy_refs {lossy[0]!r} would be stored as {_g_tag(lossy[0])!r}")
+        _reject_shared_tags("accuracy_refs", self.refs, epsilon_tag)
+        if lossy := [r for r in self.refs if float(epsilon_tag(r)) != r]:  # see evaluate_run
+            raise ValueError(
+                f"accuracy_refs {lossy[0]!r} would be stored as {epsilon_tag(lossy[0])!r}")
         self.recipe = _Recipe.build(**model, **training, clip_norm=privacy["clip_norm"],
                                     sampling_rate=privacy["sampling_rate"])
         self.recipe.privacy(min(self.epsilons), 0.5)  # 0.5 stands in for delta, checked above
@@ -421,7 +418,8 @@ class _Cell:
         The result of a run that several methods read is kept for the cell's
         lifetime; any other run's result belongs to the caller alone. A shared
         run that raises is not retried: every method that reads it gets the
-        same exception.
+        same exception. It is kept and raised without its traceback and chained
+        exceptions, whose frames would hold the failed run's arrays.
         """
         result = self._trained.get(run.subdir)
         if result is None:
@@ -431,11 +429,12 @@ class _Cell:
                                            self.eps, self.delta, seed, sigma)
                 _save_run(self.cell_dir / run.subdir / "checkpoints", result, spec)
             except Exception as exc:
+                exc.__cause__ = exc.__context__ = None
                 result = exc
             if run.subdir in self._shared:
                 self._trained[run.subdir] = result
         if isinstance(result, Exception):
-            raise result
+            raise result.with_traceback(None)
         return result
 
     def _emit(self, subdir: str, method: str, scores, predicted, payload: dict) -> dict:
@@ -497,7 +496,7 @@ class _Cell:
         payload["c_targets"] = settings["c_targets"]
         payload["run_reports"], metrics = {}, {"c_targets": {}}
         for c_target, (run, report, scores, predicted) in zip(payload["c_targets"], kept):
-            tag = _g_tag(c_target)
+            tag = epsilon_tag(c_target)
             payload["run_reports"][tag] = report
             metrics["c_targets"][tag] = self._emit(
                 run.subdir, method, scores, predicted,
@@ -539,8 +538,8 @@ def _sctd_runs(s: dict) -> list[_Run]:
 def _sn_runs(s: dict) -> list[_Run]:
     if not s["c_targets"]:
         raise ValueError("sn needs at least one c_target")
-    _reject_shared_tags("sn c_targets", s["c_targets"], _g_tag)
-    return [_Run(f"sn/c_{_g_tag(c)}", selectivenet_loss(c, s["lam"], s["alpha"]), (13, i))
+    _reject_shared_tags("sn c_targets", s["c_targets"], epsilon_tag)
+    return [_Run(f"sn/c_{epsilon_tag(c)}", selectivenet_loss(c, s["lam"], s["alpha"]), (13, i))
             for i, c in enumerate(s["c_targets"])]
 
 
@@ -756,7 +755,7 @@ def panel_imbalance(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
     p = _panel_params(IMBALANCE_PANEL_DEFAULTS, overrides)
     if not p["p0_grid"]:
         raise ValueError("need at least one p0")
-    _reject_shared_tags("p0_grid", p["p0_grid"], _g_tag)
+    _reject_shared_tags("p0_grid", p["p0_grid"], epsilon_tag)
     sep, count = p["class_separation"], p["count_per_class"]
     components = [{"mean": [-sep, 0.0], "count": count, "label": 0},
                   {"mean": [sep, 0.0], "count": count, "label": 1}]

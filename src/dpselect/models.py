@@ -289,13 +289,25 @@ def predict(params: ParamVector, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return np.argmax(probs[:, : spec.num_classes], axis=1)
 
 
-def _check_loss_compat(spec: ModelSpec, loss: LossSpec) -> None:
+def check_grad_args(params: ParamVector, spec: ModelSpec, x, loss: LossSpec, *, sat_targets=None,
+                    clip_norm: float = math.inf, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` as a float64 (N, input_dim) batch, once a gradient call's arguments pass;
+    a ValueError otherwise, before anything is computed or written."""
+    if clip_norm <= 0:
+        raise ValueError("clip_norm must be positive")
+    if out is not None and (out.shape != (len(params),)
+                            or np.may_share_memory(out, params.values)):
+        raise ValueError("out must be a separate vector of one entry per parameter")
+    x = _batch(spec, x)
     if loss.kind == "sat" and not spec.abstention_head:
         raise ValueError("sat loss requires abstention_head=True")
     if loss.kind == "selectivenet" and not spec.selectivenet_heads:
         raise ValueError("selectivenet loss requires selectivenet_heads=True")
     if loss.kind == "cross_entropy" and spec.selectivenet_heads:
         raise ValueError("cross_entropy loss cannot train selective heads")
+    if loss.kind == "sat" and sat_targets is None and len(x):
+        raise ValueError("sat loss needs per-example targets")
+    return x
 
 
 def _head_factors(params, spec, rep, loss, y, entropy_beta, sat_targets):
@@ -313,12 +325,8 @@ def _head_factors(params, spec, rep, loss, y, entropy_beta, sat_targets):
         probs = softmax(_head_outputs(params, spec, rep))
         if loss.kind == "cross_entropy":
             s = losses.ce_entropy_head_grads(probs, y, entropy_beta)
-        elif loss.kind == "sat":
-            if sat_targets is None:
-                raise ValueError("sat loss needs per-example targets")
+        else:  # sat, as check_grad_args allows no other loss on this head
             s = losses.sat_head_grads(probs, y, sat_targets, entropy_beta)
-        else:
-            raise ValueError(f"loss kind {loss.kind!r} incompatible with this head")
         heads = {"out": s}
     return heads
 
@@ -330,10 +338,10 @@ def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
     dropout scales and ReLU gates already applied; ``A`` (B, in) is the
     layer's input. For the coverage-coupled selective loss ``U_i`` is the
     chain-rule share ``B * dL/d(outputs_i)``, so the mean over examples is
-    the batch-loss gradient in every case.
+    the batch-loss gradient in every case. The arguments are those
+    :func:`check_grad_args` passed.
     """
-    _check_loss_compat(spec, loss)
-    acts, scales = _hidden_forward(params, spec, _batch(spec, x), dropout_seed)
+    acts, scales = _hidden_forward(params, spec, x, dropout_seed)
     heads = _head_factors(params, spec, acts[-1], loss, y, entropy_beta, sat_targets)
     factors = [(name, u, acts[-1]) for name, u in heads.items()]
     if spec.hidden_sizes:
@@ -386,6 +394,7 @@ def per_sample_grad(
     float associativity). This is the materialized reference for
     :func:`batch_grad`, which computes the same clipped mean without the rows.
     """
+    x = check_grad_args(params, spec, x, loss, sat_targets=sat_targets)
     factors = _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed)
     n = factors[0][1].shape[0]
     out = np.empty((n, len(params)), dtype=np.float64)
@@ -409,6 +418,7 @@ def batch_grad(
     dropout_seed: DropoutSeed = None,
     clip_norm: float = math.inf,
     out: np.ndarray | None = None,
+    checked: bool = False,
 ) -> np.ndarray:
     """Mean over the batch of the per-example gradients, each clipped to ``clip_norm``.
 
@@ -419,15 +429,15 @@ def batch_grad(
     ``clip_norm`` skips the weights and gives the plain mean-loss gradient;
     an empty batch gives zeros. The result is written into ``out`` (a
     float64 vector of length P that does not overlap the parameters) when
-    it is given, and into a new array otherwise.
+    it is given, and into a new array otherwise. ``checked=True`` skips
+    :func:`check_grad_args` for a caller that has just run it and passes
+    the batch it returned.
     """
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
+    if not checked:
+        x = check_grad_args(params, spec, x, loss, sat_targets=sat_targets,
+                            clip_norm=clip_norm, out=out)
     if out is None:
         out = np.empty(len(params), dtype=np.float64)
-    elif out.shape != (len(params),) or np.may_share_memory(out, params.values):
-        raise ValueError("out must be a separate vector of one entry per parameter")
-    x = _batch(spec, x)
     if len(x) == 0:
         out.fill(0.0)
         return out

@@ -228,8 +228,9 @@ def dpsgd_step(
 
     The gradient and then the new parameters are computed in ``out`` and the
     noise in ``noise_out``, when they are given: float64 vectors of length P
-    that overlap neither each other nor ``params``, checked before anything
-    is written. Otherwise each is a new array.
+    that overlap neither each other nor ``params``; otherwise each is a new
+    array. Every argument is checked (the gradient's by
+    :func:`models.check_grad_args`) before anything is drawn or written.
 
     With a ``noise_worker`` (an executor of one thread, as :func:`train`
     opens for wide private runs) the noise is drawn on the worker while this
@@ -250,6 +251,8 @@ def dpsgd_step(
             (out is not None and np.may_share_memory(noise_out, out))
             or np.may_share_memory(noise_out, params.values)):
         raise ValueError("noise_out must not overlap out or the parameters")
+    x = models.check_grad_args(params, spec, x, loss, sat_targets=sat_targets,
+                               clip_norm=clip_norm, out=out)
     draw = pending = None
     if sigma > 0.0:
         draw = functools.partial(_draw_noise, noise_seed, len(params), sigma * clip_norm,
@@ -260,7 +263,7 @@ def dpsgd_step(
         grad = models.batch_grad(
             params, spec, x, y, loss,
             entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
-            clip_norm=clip_norm, out=out,
+            clip_norm=clip_norm, out=out, checked=True,
         )
     except BaseException:
         if pending is not None and not pending.cancel():

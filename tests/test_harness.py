@@ -1,4 +1,5 @@
 import faulthandler
+import gc
 import hashlib
 import json
 import math
@@ -601,6 +602,33 @@ class TestRunSweep:
         seeds = [seed for seed, _ in results]
         assert len(seeds) == len(set(seeds)) == 12 and base_seed in seeds
         assert all(alive in ([], [base_seed]) for alive in alive_at_call)
+
+    def test_cell_keeps_no_frame_of_a_failed_shared_run(self, tmp_path, monkeypatch):
+        # base fails for mcdo, sctd and sr with a 1 MB array in its frames, in both
+        # the raised exception's traceback and the one it was raised while handling;
+        # sat trains in between and must not find the array alive.
+        held, alive_at_call, train = [], [], trainer.train
+        base_seed = harness.derive_seed(0, *harness._BASE_RUN.stream)
+
+        def failing_base(data, spec, train_cfg, privacy, **kwargs):
+            if train_cfg.seed == base_seed:
+                array = np.ones(2**17)
+                held.append(weakref.ref(array))
+                try:
+                    raise KeyError("inner")
+                except KeyError:
+                    raise RuntimeError("base failed")
+            gc.collect()
+            alive_at_call.append([ref() is not None for ref in held])
+            return train(data, spec, train_cfg, privacy, **kwargs)
+
+        monkeypatch.setattr(harness.trainer, "train", failing_base)
+        cfg = small_config(methods={m: {} for m in ("mcdo", "sat", "sctd", "sr")})
+        records = run(cfg, tmp_path)["records"]
+        assert {r["method"]: r.get("error") for r in records} == {
+            "mcdo": "RuntimeError: base failed", "sat": None,
+            "sctd": "RuntimeError: base failed", "sr": "RuntimeError: base failed"}
+        assert len(held) == 1 and alive_at_call == [[False]]
 
     def test_cell_memory_does_not_grow_with_runs(self, tmp_path):
         # One eps=inf cell, 1,500 test rows and 20 checkpoints a run: keeping every

@@ -351,14 +351,28 @@ class TestNoiseWorker:
 
     @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "worker"])
     def test_rejected_call_leaves_out_unchanged(self, threaded):
+        # The worker's draw is submitted only after the gradient's arguments pass.
+        data = two_blob_data()
         params = init_params(WIDE, seed=2)
-        out = np.full(len(params), 7.0)
+        before = params.values.copy()
+        out, noise = np.full(len(params), 7.0), np.full(len(params), 5.0)
+        call = {"x": data.features[:15], "y": data.labels[:15], "loss": cross_entropy_loss(),
+                "clip_norm": 1.0, "out": out, "noise_out": noise}
+        rejected = [({"noise_out": noise_out}, "overlap")
+                    for noise_out in (params.values, out, out[::2])]
+        rejected += [({"out": params.values}, "separate vector"),
+                     ({"x": data.features[0]}, "batch"),
+                     ({"clip_norm": 0.0}, "clip_norm must be positive"),
+                     ({"loss": selectivenet_loss(0.5)}, "selectivenet_heads")]
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
             threads = {"noise_worker": worker} if threaded else {}
-            for noise_out in (params.values, out, out[::2]):
-                with pytest.raises(ValueError, match="overlap"):
-                    wide_step(params, out=out, noise_out=noise_out, **threads)
+            for change, match in rejected:
+                with pytest.raises(ValueError, match=match):
+                    dpsgd_step(params, WIDE, **{**call, **change}, sigma=1.3,
+                               learning_rate=0.2, noise_seed=rng.generator(6), **threads)
         assert out.tobytes() == np.full(len(params), 7.0).tobytes()
+        assert noise.tobytes() == np.full(len(params), 5.0).tobytes()
+        assert params.values.tobytes() == before.tobytes()
 
     def test_failed_gradient_waits_for_the_draw(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -154,6 +154,11 @@ def ideal_score_oracle(
     return scores, correctness
 
 
+def tag(value: float) -> str:
+    """Directory and metrics-key tag of an epsilon, coverage target, accuracy ref or p0."""
+    return f"{value:g}"  # "inf" for infinity
+
+
 def curve_metrics(
     curve: RiskCoverageCurve, accuracy_refs: tuple[float, ...] = ()
 ) -> dict:
@@ -163,7 +168,7 @@ def curve_metrics(
         "auc": auc(curve),
         "normalized_score": normalized_score(curve),
         "coverage_at": {
-            f"{ref:g}": coverage_at_accuracy(curve, ref) for ref in accuracy_refs
+            tag(ref): coverage_at_accuracy(curve, ref) for ref in accuracy_refs
         },
     }
 

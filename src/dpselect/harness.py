@@ -93,11 +93,6 @@ def parse_epsilon(value) -> float:
     return eps
 
 
-def epsilon_tag(value: float) -> str:
-    """Directory and metrics-key tag of an epsilon, coverage target, accuracy ref or p0."""
-    return f"{value:g}"  # "inf" for infinity
-
-
 def _reject_shared_tags(what: str, values, tag) -> None:
     """Two values that share a tag would share one directory or metrics key."""
     seen = {}
@@ -156,7 +151,7 @@ def _check_grid(seeds, epsilons) -> None:
         raise ValueError("need at least one seed and one epsilon")
     _checked("seeds", _DEFAULTS["seeds"], list(seeds), _FLOORS["seeds"])
     _reject_shared_tags("seeds", seeds, lambda seed: seed)
-    _reject_shared_tags("epsilons", epsilons, lambda e: epsilon_tag(parse_epsilon(e)))
+    _reject_shared_tags("epsilons", epsilons, lambda e: evaluation.tag(parse_epsilon(e)))
 
 
 def _json_object(what: str, value) -> dict:
@@ -241,10 +236,10 @@ class ExperimentConfig:
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError(f"privacy.delta must be null or in (0, 1), got {self.delta!r}")
         self.refs = tuple(checked["accuracy_refs"])
-        _reject_shared_tags("accuracy_refs", self.refs, epsilon_tag)
-        if lossy := [r for r in self.refs if float(epsilon_tag(r)) != r]:  # see evaluate_run
+        _reject_shared_tags("accuracy_refs", self.refs, evaluation.tag)
+        if lossy := [r for r in self.refs if float(evaluation.tag(r)) != r]:  # see evaluate_run
             raise ValueError(
-                f"accuracy_refs {lossy[0]!r} would be stored as {epsilon_tag(lossy[0])!r}")
+                f"accuracy_refs {lossy[0]!r} would be stored as {evaluation.tag(lossy[0])!r}")
         self.recipe = _Recipe.build(**model, **training, clip_norm=privacy["clip_norm"],
                                     sampling_rate=privacy["sampling_rate"])
         self.recipe.privacy(min(self.epsilons), 0.5)  # 0.5 stands in for delta, checked above
@@ -447,7 +442,7 @@ class _Cell:
             return None, {"target_epsilon": "inf", "n_runs": n_runs}
         bs = accountant.split_budget(self.eps, self.delta, n_runs, self.recipe.sampling_rate,
                                      self.recipe.template.steps)
-        return bs.sigma, {"target_epsilon": epsilon_tag(self.eps), "split": asdict(bs)}
+        return bs.sigma, {"target_epsilon": evaluation.tag(self.eps), "split": asdict(bs)}
 
     def run_method(self, method: str, settings: dict, runs: list[_Run]) -> dict:
         """Train ``method``'s runs and write its outputs; returns its metrics.
@@ -460,7 +455,7 @@ class _Cell:
         if row.emit is None:
             (run,) = runs
             result = self.train(run)
-            payload = {"target_epsilon": epsilon_tag(self.eps), "delta": self.delta,
+            payload = {"target_epsilon": evaluation.tag(self.eps), "delta": self.delta,
                        "report": asdict(result.report)}
             scores = row.score(self, run, result, settings)
             return self._emit(method, method, scores, result.log.predictions[-1], payload)
@@ -496,11 +491,11 @@ class _Cell:
         payload["c_targets"] = settings["c_targets"]
         payload["run_reports"], metrics = {}, {"c_targets": {}}
         for c_target, (run, report, scores, predicted) in zip(payload["c_targets"], kept):
-            tag = epsilon_tag(c_target)
+            tag = evaluation.tag(c_target)
             payload["run_reports"][tag] = report
             metrics["c_targets"][tag] = self._emit(
                 run.subdir, method, scores, predicted,
-                {"target_epsilon": epsilon_tag(self.eps), "report": report},
+                {"target_epsilon": evaluation.tag(self.eps), "report": report},
             )
         evaluation.write_json(payload, self.cell_dir / method / "privacy.json")
         evaluation.write_metrics_json(metrics, self.cell_dir / method / "metrics.json")
@@ -538,8 +533,8 @@ def _sctd_runs(s: dict) -> list[_Run]:
 def _sn_runs(s: dict) -> list[_Run]:
     if not s["c_targets"]:
         raise ValueError("sn needs at least one c_target")
-    _reject_shared_tags("sn c_targets", s["c_targets"], epsilon_tag)
-    return [_Run(f"sn/c_{epsilon_tag(c)}", selectivenet_loss(c, s["lam"], s["alpha"]), (13, i))
+    _reject_shared_tags("sn c_targets", s["c_targets"], evaluation.tag)
+    return [_Run(f"sn/c_{evaluation.tag(c)}", selectivenet_loss(c, s["lam"], s["alpha"]), (13, i))
             for i, c in enumerate(s["c_targets"])]
 
 
@@ -586,10 +581,10 @@ def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Pat
     (building the cell included) is recorded as failed and the remaining
     methods still run.
     """
-    cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{epsilon_tag(eps)}"
+    cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{evaluation.tag(eps)}"
     records, cell = [], None
     for method, (settings, runs) in sorted(config.methods.items()):
-        record = {"seed": seed, "epsilon": epsilon_tag(eps), "method": method,
+        record = {"seed": seed, "epsilon": evaluation.tag(eps), "method": method,
                   "dir": str(cell_dir / method)}
         marker = cell_dir / method / "metrics.json"
         try:
@@ -694,7 +689,7 @@ def _panel_cells(p: dict, seeds, epsilons, datasets, stream: int, stats) -> list
             for eps in epsilons:
                 result = recipe.train(data, test, spec, cross_entropy_loss(), eps, 1.0 / len(data),
                                       run_seed)
-                cells.append({"seed": seed, **keys, "epsilon": epsilon_tag(eps),
+                cells.append({"seed": seed, **keys, "epsilon": evaluation.tag(eps),
                               **stats(result, test)})
     return cells
 
@@ -732,7 +727,7 @@ def panel_outlier(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
     cells = _panel_cells(p, seeds, epsilons, datasets, 2, stats)
     by_eps = {}
     for eps in epsilons:
-        tag = epsilon_tag(eps)
+        tag = evaluation.tag(eps)
         rows = [c for c in cells if c["epsilon"] == tag]
         by_eps[tag] = {
             "n_correct": sum(c["outlier_correct"] for c in rows),
@@ -755,7 +750,7 @@ def panel_imbalance(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
     p = _panel_params(IMBALANCE_PANEL_DEFAULTS, overrides)
     if not p["p0_grid"]:
         raise ValueError("need at least one p0")
-    _reject_shared_tags("p0_grid", p["p0_grid"], epsilon_tag)
+    _reject_shared_tags("p0_grid", p["p0_grid"], evaluation.tag)
     sep, count = p["class_separation"], p["count_per_class"]
     components = [{"mean": [-sep, 0.0], "count": count, "label": 0},
                   {"mean": [sep, 0.0], "count": count, "label": 1}]

@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpselect import accountant, cli, harness, selection, trainer
+from dpselect import accountant, cli, evaluation, harness, selection, trainer
 from dpselect.harness import (
     ExperimentConfig,
-    epsilon_tag,
     evaluate_run,
     panel_bound,
     panel_imbalance,
@@ -131,9 +130,9 @@ class TestEpsilonParsing:
             parse_epsilon("nan")
 
     def test_tags(self):
-        assert epsilon_tag(math.inf) == "inf"
-        assert epsilon_tag(7.0) == "7"
-        assert epsilon_tag(0.5) == "0.5"
+        assert evaluation.tag(math.inf) == "inf"
+        assert evaluation.tag(7.0) == "7"
+        assert evaluation.tag(0.5) == "0.5"
 
 
 class TestExperimentConfig:

@@ -4,7 +4,8 @@ A sweep skips every method whose ``metrics.json`` exists, so a change that
 alters what a cell writes but keeps ``ExperimentConfig.hash()`` would let a
 re-run trust cells written by the old code. This script runs one small
 six-method sweep (two seeds, epsilon in {inf, 3}, ``native_score`` off and
-on; 300 test points, so every evaluation pass crosses a block boundary of
+on; a [16, 16] MLP, so gradients backpropagate through a second hidden
+layer; 300 test points, so every evaluation pass crosses a block boundary of
 ``models.EVAL_BLOCK_ROWS``) against each tree's ``src/`` and matches the two trees' run directories
 by the config name in their ``config.json``. Where both trees write one
 config hash, every file must hold the same bytes. Where the hash moved, the
@@ -82,7 +83,7 @@ def sweep_config(native: bool) -> dict:
             "train_fraction": 0.5,
             "base_seed": 13,
         },
-        "model": {"hidden_sizes": [16]},
+        "model": {"hidden_sizes": [16, 16]},
         "training": {"steps": 60, "checkpoint_interval": 20},
         "privacy": {"epsilons": ["inf", 3], "sampling_rate": 0.1},
         "methods": {

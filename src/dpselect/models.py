@@ -87,21 +87,22 @@ class ModelSpec:
         """Width of the main output layer (prediction head for selective nets)."""
         return self.num_classes + 1 if self.abstention_head else self.num_classes
 
+    @property
+    def heads(self) -> tuple[tuple[str, int], ...]:
+        """(name, width) of each output layer, in layout order."""
+        if self.selectivenet_heads:
+            return (("f", self.num_classes), ("g", 1), ("h", self.num_classes))
+        return (("out", self.n_outputs),)
+
     def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """Ordered (name, shape) pairs defining the flat parameter vector."""
         entries: list[tuple[str, tuple[int, ...]]] = []
         prev = self.input_dim
         for i, width in enumerate(self.hidden_sizes):
-            entries.append((f"h{i}.W", (width, prev)))
-            entries.append((f"h{i}.b", (width,)))
+            entries += [(f"h{i}.W", (width, prev)), (f"h{i}.b", (width,))]
             prev = width
-        if self.selectivenet_heads:
-            for name, width in (("f", self.num_classes), ("g", 1), ("h", self.num_classes)):
-                entries.append((f"{name}.W", (width, prev)))
-                entries.append((f"{name}.b", (width,)))
-        else:
-            entries.append(("out.W", (self.n_outputs, prev)))
-            entries.append(("out.b", (self.n_outputs,)))
+        for name, width in self.heads:
+            entries += [(f"{name}.W", (width, prev)), (f"{name}.b", (width,))]
         return tuple(entries)
 
     @property
@@ -178,16 +179,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _dense(params: ParamVector, name: str, a: np.ndarray,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ W.T + b`` of layer ``name``, into ``out`` or one new array."""
-    z = np.matmul(a, params.view(f"{name}.W").T, out=out)
+def _dense(params: ParamVector, name: str, a: np.ndarray) -> np.ndarray:
+    """``a @ W.T + b`` of layer ``name``, in one new array."""
+    z = a @ params.view(f"{name}.W").T
     z += params.view(f"{name}.b")
     return z
 
 
 def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
-                    dropout_seed: DropoutSeed, out: list[np.ndarray] | None = None):
+                    dropout_seed: DropoutSeed):
     """Run the hidden stack; returns layer inputs and dropout scales.
 
     ``acts[l]`` is the (post-dropout) input of hidden layer ``l``; the last
@@ -195,13 +195,12 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     unit with probability ``dropout_rate`` and rescales survivors by
     ``1 / (1 - rate)``. Layer ``l``'s mask is drawn from the generator
     ``dropout_seed(l)``, e.g. a step of :class:`rng.RunStreams`. ReLU is
-    ``np.maximum(z, 0)``, so a NaN pre-activation stays NaN. Layer ``l``
-    is computed in ``out[l]`` when ``out`` is given.
+    ``np.maximum(z, 0)``, so a NaN pre-activation stays NaN.
     """
     rate = spec.dropout_rate if dropout_seed is not None else 0.0
     acts, scales = [x], []
     for layer in range(len(spec.hidden_sizes)):
-        a = _dense(params, f"h{layer}", acts[-1], None if out is None else out[layer])
+        a = _dense(params, f"h{layer}", acts[-1])
         np.maximum(a, 0.0, out=a)
         scale = None
         if rate > 0.0:
@@ -213,10 +212,6 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     return acts, scales
 
 
-def _head_names(spec: ModelSpec) -> tuple[str, ...]:
-    return ("f", "g", "h") if spec.selectivenet_heads else ("out",)
-
-
 def _as_outputs(spec: ModelSpec, heads):
     """Logits, or :class:`SelectiveNetOutputs` of the ``f``, ``g`` and ``h`` outputs."""
     if spec.selectivenet_heads:
@@ -225,12 +220,9 @@ def _as_outputs(spec: ModelSpec, heads):
     return heads[0]
 
 
-def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray,
-                  out: list[np.ndarray] | None = None):
-    """The heads' pre-activations, each computed in its ``out`` entry when given."""
-    names = _head_names(spec)
-    outs = out or (None,) * len(names)
-    return _as_outputs(spec, [_dense(params, n, rep, o) for n, o in zip(names, outs)])
+def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray):
+    """The heads' pre-activations."""
+    return _as_outputs(spec, [_dense(params, name, rep) for name, _ in spec.heads])
 
 
 def _batch(spec: ModelSpec, x) -> np.ndarray:
@@ -248,29 +240,27 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     With ``dropout_seed=None`` the pass is deterministic; otherwise dropout
     is active and ``dropout_seed(layer)`` gives each hidden layer's mask
     generator. The pass runs ``EVAL_BLOCK_ROWS`` rows at a time: every
-    block's hidden layers are computed in one set of ``min(N,
-    EVAL_BLOCK_ROWS)``-row buffers, and its head outputs straight into its
-    rows of the results, so it holds O(EVAL_BLOCK_ROWS x width) activations
-    however many rows it scores. Row ``i`` of a deterministic pass equals
-    the pass over row ``i``'s own block bit for bit. Each hidden layer's
-    mask generator is taken once per pass, on first use, and held across
-    blocks: consecutive ``random((EVAL_BLOCK_ROWS, width))`` draws fill the
-    same numbers as one ``random((N, width))``. Returns (N, ``n_outputs``)
-    logits, or :class:`SelectiveNetOutputs` when the spec has selective
-    heads.
+    block's layers are computed in fresh arrays, freed before the next
+    block, and its head outputs copied into its rows of the results, so it
+    holds O(EVAL_BLOCK_ROWS x width) activations however many rows it
+    scores. Row ``i`` of a deterministic pass equals the pass over row
+    ``i``'s own block bit for bit. Each hidden layer's mask generator is
+    taken once per pass, on first use, and held across blocks: consecutive
+    ``random((EVAL_BLOCK_ROWS, width))`` draws fill the same numbers as one
+    ``random((N, width))``. Returns (N, ``n_outputs``) logits, or
+    :class:`SelectiveNetOutputs` when the spec has selective heads.
     """
     x = _batch(spec, x)
     if dropout_seed is not None:
         dropout_seed = functools.cache(dropout_seed)
-    n = x.shape[0]
-    hidden = [np.empty((min(n, EVAL_BLOCK_ROWS), width)) for width in spec.hidden_sizes]
-    heads = [np.empty((n, len(params.view(f"{name}.b")))) for name in _head_names(spec)]
-    for start in range(0, n, EVAL_BLOCK_ROWS):
-        block = x[start:start + EVAL_BLOCK_ROWS]
-        acts, _ = _hidden_forward(params, spec, block, dropout_seed,
-                                  [a[:len(block)] for a in hidden])
-        _head_outputs(params, spec, acts[-1], [h[start:start + len(block)] for h in heads])
-    return _as_outputs(spec, heads)
+    results = [np.empty((len(x), width)) for _, width in spec.heads]
+    for start in range(0, len(x), EVAL_BLOCK_ROWS):
+        rows = slice(start, start + EVAL_BLOCK_ROWS)
+        rep = _hidden_forward(params, spec, x[rows], dropout_seed)[0][-1]
+        for (name, _), result in zip(spec.heads, results):
+            result[rows] = _dense(params, name, rep)
+        del rep  # frees this block's layers before the next block computes its own
+    return _as_outputs(spec, results)
 
 
 def head_probs(out) -> np.ndarray:

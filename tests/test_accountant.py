@@ -144,6 +144,28 @@ class TestConversion:
         assert 1.25 in curve.orders and 2 in curve.orders
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("fn, args, match", [
+        (RdpCurve, ((2.0, 3.0), (0.1,)), "orders and values must be matching 1-D arrays"),
+        (RdpCurve, ((1.0, 2.0), (0.1, 0.2)), "Renyi orders must exceed 1"),
+        (rdp_gaussian, (1.0, 1.0), "order must exceed 1"),
+        (rdp_gaussian, (-1.0, 2.0), "sigma must be >= 0"),
+        (rdp_subsampled_gaussian, (1.5, 1.0, 2), r"sampling rate must be in \[0, 1\]"),
+        (rdp_subsampled_gaussian, (0.1, -1.0, 2), "sigma must be >= 0"),
+        (rdp_subsampled_gaussian, (0.1, 1.0, 2.5), "integer order >= 2"),
+        (subsampled_gaussian_curve, (-0.1, 1.0), r"sampling rate must be in \[0, 1\]"),
+        (subsampled_gaussian_curve, (0.1, -1.0), "sigma must be >= 0"),
+        (compose, (gaussian_curve(1.0), -1), "steps must be >= 0"),
+        (rdp_to_dp, (gaussian_curve(1.0), 1.0), r"delta must be in \(0, 1\)"),
+        (split_budget, (3.0, 1e-5, 0, 0.02, 400), "n_runs must be >= 1"),
+    ], ids=["curve_shapes", "curve_orders", "gaussian_order", "gaussian_sigma",
+            "subsampled_q", "subsampled_sigma", "subsampled_order", "vector_curve_q",
+            "vector_curve_sigma", "compose_steps", "to_dp_delta", "split_runs"])
+    def test_rejected(self, fn, args, match):
+        with pytest.raises(ValueError, match=match):
+            fn(*args)
+
+
 class TestCalibration:
     @pytest.mark.parametrize("eps", [1.0, 3.0, 7.0])
     def test_round_trip_lands_in_band(self, eps):

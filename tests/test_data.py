@@ -32,6 +32,12 @@ class TestLabeledDataset:
             LabeledDataset(np.array([[np.nan, 0.0]]), np.array([0]), 2)
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 2]), 2)
+        with pytest.raises(ValueError, match=r"features must be 2-D, got shape \(3,\)"):
+            LabeledDataset(np.zeros(3), np.zeros(3, dtype=int), 2)
+        with pytest.raises(ValueError, match=r"labels shape \(3,\) does not match 2 rows"):
+            LabeledDataset(np.zeros((2, 2)), np.zeros(3, dtype=int), 2)
+        with pytest.raises(ValueError, match="num_classes must be >= 1"):
+            LabeledDataset(np.zeros((2, 2)), np.zeros(2, dtype=int), 0)
 
     def test_subset_and_counts(self):
         data = make_dataset(n=20)
@@ -88,6 +94,10 @@ class TestMixture:
         data = gen_mixture(spec, seed=2)
         var = data.features.var(axis=0)
         assert var[0] > 3.0 and var[1] < 0.05
+
+    def test_no_components_rejected(self):
+        with pytest.raises(ValueError, match="mixture needs at least one component"):
+            MixtureSpec(())
 
     def test_invalid_covariance_rejected(self):
         # symmetric but indefinite: eigenvalues 3 and -1
@@ -190,6 +200,20 @@ class TestCsv:
         # data rows and columns are reported 1-based, header excluded
         with pytest.raises(CsvFormatError, match=r"row 2.*column 2"):
             load_csv(path)
+
+    @pytest.mark.parametrize("text, label_column, error, match", [
+        ("x,y,label\n", -1, EmptyDatasetError, "contains a header but no data rows"),
+        ("1.0,2.0,0\n3.0,4.0,1\n", "label", CsvFormatError,
+         "label column 'label' requires a header row"),
+        ("x,y,label\n1.0,2.0,0\n", "target", CsvFormatError,
+         r"label column 'target' not in header \['x', 'y', 'label'\]"),
+        ("1.0,2.0,0\n3.0,1\n", -1, CsvFormatError, "row 2: expected 3 cells, got 2"),
+    ], ids=["header_only", "name_without_header", "name_not_in_header", "ragged_row"])
+    def test_malformed_file_rejected(self, tmp_path, text, label_column, error, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=match):
+            load_csv(path, label_column=label_column)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -69,6 +69,10 @@ class TestBuildCurve:
             RiskCoverageCurve(np.array([0.25, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             RiskCoverageCurve(np.array([0.5, 1.0]), np.array([1.0, 1.5]))
+        with pytest.raises(ValueError, match="coverages and accuracies must be matching"):
+            RiskCoverageCurve(np.array([0.5, 1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="coverages and accuracies must be matching"):
+            RiskCoverageCurve(np.array([]), np.array([]))
 
 
 class TestBound:
@@ -129,6 +133,9 @@ class TestSummaries:
         assert accuracy_at_coverage(curve, 1.0) == pytest.approx(0.5)
         # below the first grid point, clamp to the first
         assert accuracy_at_coverage(curve, 0.1) == 1.0
+        for coverage in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"coverage must be in \(0, 1\]"):
+                accuracy_at_coverage(curve, coverage)
 
     def test_coverage_at_accuracy(self):
         curve = build_curve(np.array([0.1, 0.2, 0.9, 1.0]),

@@ -91,6 +91,11 @@ class TestSat:
         np.testing.assert_allclose(out, [[0.95, 0.05]], atol=1e-15)
         assert out.sum() == pytest.approx(1.0)
 
+    def test_target_update_checks_shapes(self):
+        with pytest.raises(ValueError, match=r"probs shape \(1, 3\) != targets shape \(1, 2\)"):
+            sat_update_targets(np.array([[1.0, 0.0]]), np.full((1, 3), 1 / 3), momentum=0.9,
+                               epoch=5, burn_in_epochs=2)
+
     def test_head_grad_rows_sum_to_entropy_term(self):
         # weights sum to one, so at beta = 0 each gradient row sums to zero
         p = np.array([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3]])

@@ -1,4 +1,5 @@
 import functools
+import json
 import tracemalloc
 from dataclasses import asdict
 
@@ -46,6 +47,26 @@ class TestSpec:
         with pytest.raises(ValueError):
             ModelSpec(input_dim=2, num_classes=2, abstention_head=True,
                       selectivenet_heads=True)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"input_dim": 0}, "input_dim must be >= 1"),
+        ({"num_classes": 1}, "num_classes must be >= 2"),
+        ({"hidden_sizes": (8, 0)}, "hidden sizes must be >= 1"),
+    ], ids=["input_dim", "num_classes", "hidden_sizes"])
+    def test_sizes_are_checked(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ModelSpec(**{"input_dim": 2, "num_classes": 2, **kwargs})
+
+    def test_heads_are_the_output_layers_in_layout_order(self):
+        plain = ModelSpec(input_dim=2, num_classes=3, hidden_sizes=(4,))
+        assert plain.heads == (("out", 3),)
+        assert ModelSpec(input_dim=2, num_classes=3, abstention_head=True).heads == (("out", 4),)
+        spec = ModelSpec(input_dim=2, num_classes=3, hidden_sizes=(4,),
+                         selectivenet_heads=True)
+        assert spec.heads == (("f", 3), ("g", 1), ("h", 3))
+        assert spec.layout() == (("h0.W", (4, 2)), ("h0.b", (4,)),
+                                 ("f.W", (3, 4)), ("f.b", (3,)), ("g.W", (1, 4)),
+                                 ("g.b", (1,)), ("h.W", (3, 4)), ("h.b", (3,)))
 
     def test_dict_round_trip(self):
         spec = ModelSpec(input_dim=3, num_classes=4, hidden_sizes=(5, 6),
@@ -221,6 +242,10 @@ class TestForward:
             tracemalloc.stop()
         assert labels.shape == (20_000,)
         assert peak < 4 * 2**20
+        # A block's layers are freed before the next block's are computed, so the
+        # pass peaks near one block of both layers plus the (N, 2) logits; a block
+        # kept alive into the next one would add 1 MiB.
+        assert peak < models.EVAL_BLOCK_ROWS * 512 * 8 + 20_000 * 2 * 8 + 2**18
 
 
 class TestGradients:
@@ -361,6 +386,18 @@ class TestFactorizedClipping:
             np.sqrt(models._sq_norms(factors)), np.linalg.norm(rows, axis=1), rtol=1e-12
         )
 
+    @pytest.mark.parametrize("heads, loss, match", [
+        ("selective", cross_entropy_loss(), "cross_entropy loss cannot train selective heads"),
+        ("abstention", sat_loss(), "sat loss needs per-example targets"),
+    ], ids=["ce_on_selective_heads", "sat_without_targets"])
+    def test_loss_must_fit_the_heads(self, heads, loss, match):
+        spec = ModelSpec(input_dim=3, num_classes=2, hidden_sizes=(4,),
+                         abstention_head=heads == "abstention",
+                         selectivenet_heads=heads == "selective")
+        with pytest.raises(ValueError, match=match):
+            batch_grad(init_params(spec, seed=0), spec, np.zeros((2, 3)),
+                       np.zeros(2, dtype=int), loss)
+
     def test_empty_batch_and_bad_clip(self):
         params, spec, _, _, loss, _ = self.batch("linear")
         empty = batch_grad(params, spec, np.zeros((0, 3)), np.zeros(0, dtype=int), loss,
@@ -389,6 +426,18 @@ class TestPersistence:
             b'"selectivenet_heads": false, "dropout_rate": 0.0}, "layout": [["out.W", [2, 1]], '
             b'["out.b", [2]]], "values": [1.1385684507554432, -2.704060077435391, 0.0, 0.0]}'
         )
+
+    @pytest.mark.parametrize("change, match", [
+        ({"version": 2}, "unsupported checkpoint version 2"),
+        ({"layout": [["out.W", [3, 4]], ["out.b", [3]]]},
+         "checkpoint layout does not match its model spec"),
+    ], ids=["version", "layout"])
+    def test_rejects_a_changed_header(self, tmp_path, change, match):
+        path = tmp_path / "params.json"
+        save_params(init_params(MLP, seed=10), MLP, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+        with pytest.raises(ValueError, match=match):
+            load_params(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"

@@ -119,6 +119,20 @@ def test_a_held_generator_is_not_reseeded_by_the_next_call():
     assert np.array_equal(step1.random(6), numpy_generator(3, rng.STREAM_BATCH, 1).random(6))
 
 
+def test_run_streams_reject_negative_keys():
+    with pytest.raises(ValueError, match="seeds and stream keys must be non-negative"):
+        rng.RunStreams(-1)
+    with pytest.raises(ValueError, match="seeds and stream keys must be non-negative"):
+        rng.RunStreams(1).dropout(0, -1)
+
+
+def test_step_words_seed_only_pcg64():
+    words = rng._StepWords(np.zeros(4, dtype=np.uint64))
+    for n_words, dtype in [(4, np.uint32), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="a step seeds only PCG64: four uint64 words"):
+            words.generate_state(n_words, dtype)
+
+
 def test_run_streams_reject_bad_steps():
     streams = rng.RunStreams(1)
     with pytest.raises(ValueError):

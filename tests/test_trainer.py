@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import functools
 import math
+import os
 import sys
 import threading
 import time
@@ -67,6 +68,30 @@ class TestPrimitives:
     def test_poisson_sample_rate(self):
         sizes = [len(poisson_sample(1000, 0.05, 0, t)) for t in range(200)]
         assert np.mean(sizes) == pytest.approx(50, rel=0.1)
+
+    def test_clip_norm_must_be_positive(self):
+        with pytest.raises(ValueError, match="clip_norm must be positive"):
+            clip_rows(np.ones((2, 3)), 0.0)
+
+    @pytest.mark.parametrize("q", [0.0, 1.5])
+    def test_poisson_sample_rate_out_of_range(self, q):
+        with pytest.raises(ValueError, match=r"sampling rate must be in \(0, 1\]"):
+            poisson_sample(10, q, seed=0, step=1)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"epsilon": 0.0}, r"epsilon must be positive \(math.inf allowed\)"),
+        ({"steps": -1}, "steps must be >= 0"),
+        ({"delta": None}, r"finite epsilon requires delta in \(0, 1\)"),
+    ], ids=["epsilon", "steps", "no_delta"])
+    def test_privacy_config_is_checked(self, change, match):
+        args = {"epsilon": 3.0, "delta": 1e-5, "clip_norm": 1.0, "sampling_rate": 0.1,
+                "steps": 10}
+        with pytest.raises(ValueError, match=match):
+            PrivacyConfig(**{**args, **change})
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_usable_cpus_is_the_affinity_set(self):
+        assert trainer._usable_cpus() == len(os.sched_getaffinity(0))
 
     def test_steps_per_epoch(self):
         assert steps_per_epoch(0.05) == 20
@@ -363,7 +388,8 @@ class TestNoiseWorker:
         rejected += [({"out": params.values}, "separate vector"),
                      ({"x": data.features[0]}, "batch"),
                      ({"clip_norm": 0.0}, "clip_norm must be positive"),
-                     ({"loss": selectivenet_loss(0.5)}, "selectivenet_heads")]
+                     ({"loss": selectivenet_loss(0.5)}, "selectivenet_heads"),
+                     ({"loss": sat_loss()}, "sat loss requires abstention_head=True")]
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
             threads = {"noise_worker": worker} if threaded else {}
             for change, match in rejected:
@@ -659,6 +685,15 @@ class TestLogPersistence:
             "final_selection.csv": b"0.5\n-1\n2\n",
         }
 
+    def test_rejects_another_version(self, tmp_path):
+        log = CheckpointLog(checkpoint_times=np.array([5]), predictions=np.zeros((1, 3)),
+                            final_probs=np.full((3, 2), 0.5), eval_set_id="x")
+        save_checkpoint_log(log, tmp_path / "log")
+        header = tmp_path / "log" / "log.json"
+        header.write_text(header.read_text().replace('"version": 1', '"version": 2'))
+        with pytest.raises(ValueError, match="unsupported log version 2"):
+            load_checkpoint_log(tmp_path / "log")
+
     def test_rejects_foreign_directory(self, tmp_path):
         (tmp_path / "log.json").write_text("{}")
         with pytest.raises(ValueError):
@@ -669,6 +704,13 @@ class TestLogPersistence:
             CheckpointLog(
                 checkpoint_times=np.array([5, 5]),
                 predictions=np.zeros((2, 3), dtype=int),
+                final_probs=np.full((3, 2), 0.5),
+                eval_set_id="x",
+            )
+        with pytest.raises(ValueError, match="predictions shape does not match"):
+            CheckpointLog(
+                checkpoint_times=np.array([5, 10]),
+                predictions=np.zeros((2, 4), dtype=int),
                 final_probs=np.full((3, 2), 0.5),
                 eval_set_id="x",
             )

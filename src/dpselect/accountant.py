@@ -85,7 +85,7 @@ def rdp_gaussian(sigma: float, alpha: float) -> float:
     """Closed-form Gaussian RDP, valid at any order above 1."""
     if alpha <= 1.0:
         raise ValueError("order must exceed 1")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return math.inf
@@ -96,7 +96,7 @@ def rdp_subsampled_gaussian(q: float, sigma: float, alpha: int) -> float:
     """Integer-order upper bound for the Poisson-subsampled Gaussian."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("sampling rate must be in [0, 1]")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if float(alpha) != int(alpha) or alpha < 2:
         raise ValueError("subsampled bound requires an integer order >= 2")
@@ -147,7 +147,7 @@ def subsampled_gaussian_curve(q: float, sigma: float) -> RdpCurve:
         return gaussian_curve(sigma)
     if not 0.0 <= q <= 1.0:
         raise ValueError("sampling rate must be in [0, 1]")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     orders = np.asarray(INTEGER_ORDERS, dtype=np.float64)
     if q == 0.0:

@@ -53,7 +53,7 @@ class RiskCoverageCurve:
             raise ValueError("coverages and accuracies must be matching 1-D arrays")
         if not np.array_equal(cov, np.arange(1, n + 1) / n):
             raise ValueError("coverages must be the full grid i/N, i = 1..N")
-        if acc.min() < 0.0 or acc.max() > 1.0:
+        if not (acc.min() >= 0.0 and acc.max() <= 1.0):
             raise ValueError("accuracies must lie in [0, 1]")
         object.__setattr__(self, "coverages", cov)
         object.__setattr__(self, "accuracies", acc)
@@ -95,7 +95,7 @@ def auc(curve: RiskCoverageCurve) -> float:
 def bound(a_full: float, coverage) -> np.ndarray | float:
     """Best achievable selective accuracy at the given coverage(s)."""
     c = np.asarray(coverage, dtype=np.float64)
-    if np.any(c <= 0) or np.any(c > 1):
+    if not np.all((c > 0) & (c <= 1)):
         raise ValueError("coverage must be in (0, 1]")
     out = np.where(c <= a_full, 1.0, a_full / np.maximum(c, 1e-300))
     return float(out) if np.isscalar(coverage) else out

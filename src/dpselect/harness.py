@@ -374,11 +374,13 @@ class _Run(NamedTuple):
 
 
 class _Method(NamedTuple):
-    """Defaults, ``runs(settings)``, ``score(cell, run, result, settings)`` and ``emit``.
+    """Defaults, ``runs(settings)``, ``score`` and ``emit``.
 
-    Without ``emit`` the one run trains at the cell budget and is emitted into
-    ``<method>/``; with it, the runs share one split budget's noise level and
-    ``emit`` writes the method's output shape (and decides how it scores).
+    Without ``emit`` the one run trains at the cell budget, is scored by
+    ``score(cell, run, result, settings)`` and is emitted into ``<method>/``;
+    with it, the runs share one split budget's noise level and ``emit``
+    writes the method's output shape and decides what ``score`` takes
+    (``de``'s takes the members' stacked final probabilities).
     """
 
     defaults: dict

@@ -212,19 +212,6 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     return acts, scales
 
 
-def _as_outputs(spec: ModelSpec, heads):
-    """Logits, or :class:`SelectiveNetOutputs` of the ``f``, ``g`` and ``h`` outputs."""
-    if spec.selectivenet_heads:
-        f, g, h = heads
-        return SelectiveNetOutputs(f, g[..., 0], h)
-    return heads[0]
-
-
-def _head_outputs(params: ParamVector, spec: ModelSpec, rep: np.ndarray):
-    """The heads' pre-activations."""
-    return _as_outputs(spec, [_dense(params, name, rep) for name, _ in spec.heads])
-
-
 def _batch(spec: ModelSpec, x) -> np.ndarray:
     """``x`` as a float64 (N, input_dim) batch; any other shape is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
@@ -260,7 +247,10 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
         for (name, _), result in zip(spec.heads, results):
             result[rows] = _dense(params, name, rep)
         del rep  # frees this block's layers before the next block computes its own
-    return _as_outputs(spec, results)
+    if spec.selectivenet_heads:
+        f, g, h = results
+        return SelectiveNetOutputs(f, g[:, 0], h)
+    return results[0]
 
 
 def head_probs(out) -> np.ndarray:
@@ -283,7 +273,7 @@ def check_grad_args(params: ParamVector, spec: ModelSpec, x, loss: LossSpec, *, 
                     clip_norm: float = math.inf, out: np.ndarray | None = None) -> np.ndarray:
     """``x`` as a float64 (N, input_dim) batch, once a gradient call's arguments pass;
     a ValueError otherwise, before anything is computed or written."""
-    if clip_norm <= 0:
+    if not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
     if out is not None and (out.shape != (len(params),)
                             or np.may_share_memory(out, params.values)):
@@ -301,24 +291,20 @@ def check_grad_args(params: ParamVector, spec: ModelSpec, x, loss: LossSpec, *, 
 
 
 def _head_factors(params, spec, rep, loss, y, entropy_beta, sat_targets):
-    """Per-example upstream vectors of the heads, by head layer name."""
+    """Per-example upstream vectors of the heads, in ``spec.heads`` order."""
+    logits = [_dense(params, name, rep) for name, _ in spec.heads]
     if spec.selectivenet_heads:
-        out = _head_outputs(params, spec, rep)
-        fp = softmax(out.f_logits)
-        hp = softmax(out.h_logits)
-        g = sigmoid(out.g_raw)
+        f, g, h = logits
         s_f, s_raw, s_h = losses.selectivenet_head_grads(
-            fp, g, hp, y, loss.c_target, loss.lam, loss.alpha, entropy_beta
+            softmax(f), sigmoid(g[:, 0]), softmax(h), y, loss.c_target, loss.lam, loss.alpha,
+            entropy_beta,
         )
-        heads = {"f": s_f, "g": s_raw[:, None], "h": s_h}
-    else:
-        probs = softmax(_head_outputs(params, spec, rep))
-        if loss.kind == "cross_entropy":
-            s = losses.ce_entropy_head_grads(probs, y, entropy_beta)
-        else:  # sat, as check_grad_args allows no other loss on this head
-            s = losses.sat_head_grads(probs, y, sat_targets, entropy_beta)
-        heads = {"out": s}
-    return heads
+        return [s_f, s_raw[:, None], s_h]
+    probs = softmax(logits[0])
+    if loss.kind == "cross_entropy":
+        return [losses.ce_entropy_head_grads(probs, y, entropy_beta)]
+    # sat, as check_grad_args allows no other loss on this head
+    return [losses.sat_head_grads(probs, y, sat_targets, entropy_beta)]
 
 
 def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
@@ -333,10 +319,10 @@ def _factors(params, spec, x, y, loss, entropy_beta, sat_targets, dropout_seed):
     """
     acts, scales = _hidden_forward(params, spec, x, dropout_seed)
     heads = _head_factors(params, spec, acts[-1], loss, y, entropy_beta, sat_targets)
-    factors = [(name, u, acts[-1]) for name, u in heads.items()]
+    factors = [(name, u, acts[-1]) for (name, _), u in zip(spec.heads, heads)]
     if spec.hidden_sizes:
         upstream = functools.reduce(
-            np.add, (u @ params.view(f"{name}.W") for name, u in heads.items())
+            np.add, (u @ params.view(f"{name}.W") for name, u, _ in factors)
         )
     for layer in reversed(range(len(spec.hidden_sizes))):
         if scales[layer] is not None:
@@ -408,7 +394,6 @@ def batch_grad(
     dropout_seed: DropoutSeed = None,
     clip_norm: float = math.inf,
     out: np.ndarray | None = None,
-    checked: bool = False,
 ) -> np.ndarray:
     """Mean over the batch of the per-example gradients, each clipped to ``clip_norm``.
 
@@ -419,13 +404,11 @@ def batch_grad(
     ``clip_norm`` skips the weights and gives the plain mean-loss gradient;
     an empty batch gives zeros. The result is written into ``out`` (a
     float64 vector of length P that does not overlap the parameters) when
-    it is given, and into a new array otherwise. ``checked=True`` skips
-    :func:`check_grad_args` for a caller that has just run it and passes
-    the batch it returned.
+    it is given, and into a new array otherwise. :func:`check_grad_args`
+    checks the arguments first.
     """
-    if not checked:
-        x = check_grad_args(params, spec, x, loss, sat_targets=sat_targets,
-                            clip_norm=clip_norm, out=out)
+    x = check_grad_args(params, spec, x, loss, sat_targets=sat_targets,
+                        clip_norm=clip_norm, out=out)
     if out is None:
         out = np.empty(len(params), dtype=np.float64)
     if len(x) == 0:

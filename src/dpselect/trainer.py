@@ -68,7 +68,7 @@ class PrivacyConfig:
     noise_multiplier: float | str = "auto"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive (math.inf allowed)")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must be in (0, 1]")
@@ -179,7 +179,7 @@ def clip_rows(rows: np.ndarray, clip_norm: float) -> np.ndarray:
 
     The materialized reference for the clipping inside :func:`models.batch_grad`.
     """
-    if clip_norm <= 0:
+    if not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
     if not math.isfinite(clip_norm):
         return rows
@@ -224,13 +224,17 @@ def dpsgd_step(
     it is read only when ``sigma > 0``, and is then required. The noise is
     ``sigma c`` times a ``standard_normal`` draw, plus 0.0, which is
     ``normal(0, sigma c)`` bit for bit. With ``sigma = 0`` and infinite
-    ``clip_norm`` the update degenerates to plain minibatch SGD.
+    ``clip_norm`` the update degenerates to plain minibatch SGD; ``sigma``
+    must be >= 0 and finite.
 
     The gradient and then the new parameters are computed in ``out`` and the
     noise in ``noise_out``, when they are given: float64 vectors of length P
     that overlap neither each other nor ``params``; otherwise each is a new
-    array. Every argument is checked (the gradient's by
-    :func:`models.check_grad_args`) before anything is drawn or written.
+    array. The step's own arguments are checked first. The gradient's are
+    checked by :func:`models.check_grad_args`: with a ``noise_worker``
+    before the draw is submitted, and otherwise by :func:`models.batch_grad`,
+    after which the noise is drawn inline. Either way a rejected call draws
+    and writes nothing.
 
     With a ``noise_worker`` (an executor of one thread, as :func:`train`
     opens for wide private runs) the noise is drawn on the worker while this
@@ -240,9 +244,10 @@ def dpsgd_step(
     cancelled and made inline instead, so a worker that the scheduler wakes
     late costs no wait; a draw in flight is waited for, also when the
     gradient raises. So nothing writes ``noise_out`` after the call returns
-    or re-raises. Without a worker the noise is drawn inline, after the
-    gradient.
+    or re-raises.
     """
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma!r}")
     if sigma > 0.0 and not math.isfinite(clip_norm):
         raise ValueError("noise requires a finite clip_norm")
     if sigma > 0.0 and not isinstance(noise_seed, np.random.Generator):
@@ -251,19 +256,20 @@ def dpsgd_step(
             (out is not None and np.may_share_memory(noise_out, out))
             or np.may_share_memory(noise_out, params.values)):
         raise ValueError("noise_out must not overlap out or the parameters")
-    x = models.check_grad_args(params, spec, x, loss, sat_targets=sat_targets,
-                               clip_norm=clip_norm, out=out)
     draw = pending = None
     if sigma > 0.0:
         draw = functools.partial(_draw_noise, noise_seed, len(params), sigma * clip_norm,
-                                 x.shape[0], noise_out)
+                                 noise_out)
         if noise_worker is not None:
-            pending = noise_worker.submit(draw)
+            # The worker may write noise_out before batch_grad checks anything.
+            x = models.check_grad_args(params, spec, x, loss, sat_targets=sat_targets,
+                                       clip_norm=clip_norm, out=out)
+            pending = noise_worker.submit(draw, len(x))
     try:
         grad = models.batch_grad(
             params, spec, x, y, loss,
             entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,
-            clip_norm=clip_norm, out=out, checked=True,
+            clip_norm=clip_norm, out=out,
         )
     except BaseException:
         if pending is not None and not pending.cancel():
@@ -272,12 +278,12 @@ def dpsgd_step(
     if pending is not None and pending.cancel():
         pending = None  # the worker had not started it: draw here rather than wait for it
     if draw is not None:
-        grad += draw() if pending is None else pending.result()
+        grad += draw(len(x)) if pending is None else pending.result()
     return _descend(params, grad, learning_rate)
 
 
-def _draw_noise(noise_seed: np.random.Generator, size: int, scale: float, batch: int,
-                out: np.ndarray | None) -> np.ndarray:
+def _draw_noise(noise_seed: np.random.Generator, size: int, scale: float,
+                out: np.ndarray | None, batch: int) -> np.ndarray:
     """``normal(0, scale, size) / max(batch, 1)`` in ``out``; only numpy calls, so
     it may run on a worker thread."""
     noise = noise_seed.standard_normal(size, out=out)
@@ -303,10 +309,8 @@ def sgd_step(
     """Plain minibatch step on the mean loss; empty batches change nothing.
 
     The new parameters are computed in ``out`` when it is given, as in
-    :func:`dpsgd_step`; an empty batch returns ``params`` itself.
+    :func:`dpsgd_step`.
     """
-    if x.shape[0] == 0:
-        return params
     grad = models.batch_grad(
         params, spec, x, y, loss,
         entropy_beta=entropy_beta, sat_targets=sat_targets, dropout_seed=dropout_seed,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, asdict
@@ -8,9 +9,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from dpselect import accountant
 from dpselect.accountant import (
     INTEGER_ORDERS,
     CalibrationError,
+    PrivacyReport,
     RdpCurve,
     account,
     calibrate_sigma,
@@ -150,17 +153,21 @@ class TestArgumentChecks:
         (RdpCurve, ((1.0, 2.0), (0.1, 0.2)), "Renyi orders must exceed 1"),
         (rdp_gaussian, (1.0, 1.0), "order must exceed 1"),
         (rdp_gaussian, (-1.0, 2.0), "sigma must be >= 0"),
+        (rdp_gaussian, (math.nan, 2.0), "sigma must be >= 0"),
         (rdp_subsampled_gaussian, (1.5, 1.0, 2), r"sampling rate must be in \[0, 1\]"),
         (rdp_subsampled_gaussian, (0.1, -1.0, 2), "sigma must be >= 0"),
+        (rdp_subsampled_gaussian, (0.1, math.nan, 2), "sigma must be >= 0"),
         (rdp_subsampled_gaussian, (0.1, 1.0, 2.5), "integer order >= 2"),
         (subsampled_gaussian_curve, (-0.1, 1.0), r"sampling rate must be in \[0, 1\]"),
         (subsampled_gaussian_curve, (0.1, -1.0), "sigma must be >= 0"),
+        (subsampled_gaussian_curve, (0.1, math.nan), "sigma must be >= 0"),
         (compose, (gaussian_curve(1.0), -1), "steps must be >= 0"),
         (rdp_to_dp, (gaussian_curve(1.0), 1.0), r"delta must be in \(0, 1\)"),
         (split_budget, (3.0, 1e-5, 0, 0.02, 400), "n_runs must be >= 1"),
     ], ids=["curve_shapes", "curve_orders", "gaussian_order", "gaussian_sigma",
-            "subsampled_q", "subsampled_sigma", "subsampled_order", "vector_curve_q",
-            "vector_curve_sigma", "compose_steps", "to_dp_delta", "split_runs"])
+            "gaussian_nan_sigma", "subsampled_q", "subsampled_sigma", "subsampled_nan_sigma",
+            "subsampled_order", "vector_curve_q", "vector_curve_sigma",
+            "vector_curve_nan_sigma", "compose_steps", "to_dp_delta", "split_runs"])
     def test_rejected(self, fn, args, match):
         with pytest.raises(ValueError, match=match):
             fn(*args)
@@ -185,6 +192,17 @@ class TestCalibration:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             calibrate_sigma(math.inf, 1e-5, 0.01, 100)
+
+    def test_bisection_that_never_lands_raises(self, monkeypatch):
+        # Below sigma = 2 the stub spends twice the target, from 2 on half of it, so
+        # no probe lands in [target * (1 - CALIBRATION_RTOL), target].
+        def jumping(sigma, q, steps, delta):
+            return PrivacyReport(6.0 if sigma < 2.0 else 1.5, delta, sigma, q, steps)
+
+        monkeypatch.setattr(accountant, "account", jumping)
+        with pytest.raises(CalibrationError, match=re.escape(
+                "bisection failed to land in [2.997, 3] within bracket [0.3, 100.0]")):
+            calibrate_sigma(3.0, 1e-5, 0.01, 100)
 
 
 class TestCache:

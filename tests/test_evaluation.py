@@ -69,6 +69,8 @@ class TestBuildCurve:
             RiskCoverageCurve(np.array([0.25, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             RiskCoverageCurve(np.array([0.5, 1.0]), np.array([1.0, 1.5]))
+        with pytest.raises(ValueError, match=r"accuracies must lie in \[0, 1\]"):
+            RiskCoverageCurve(np.array([0.5, 1.0]), np.array([np.nan, 1.0]))
         with pytest.raises(ValueError, match="coverages and accuracies must be matching"):
             RiskCoverageCurve(np.array([0.5, 1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="coverages and accuracies must be matching"):
@@ -88,6 +90,8 @@ class TestBound:
             bound(0.5, 0.0)
         with pytest.raises(ValueError):
             bound(0.5, 1.5)
+        with pytest.raises(ValueError, match=r"coverage must be in \(0, 1\]"):
+            bound(0.5, np.array([0.5, np.nan]))
 
     @given(curve_cases())
     @settings(max_examples=200, deadline=None)

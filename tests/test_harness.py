@@ -845,6 +845,14 @@ class TestCli:
         assert payload == asdict(expected())
         assert key_tree(payload) == keys
 
+    def test_accountant_command_rejects_nan_sigma(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["accountant", "--sigma", "nan", "--q", "0.02", "--steps", "100",
+                      "--delta", "1e-5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith("error: accountant: sigma must be >= 0")
+
     def test_evaluate_command(self, capsys, tmp_path):
         summary = run(small_config(), tmp_path)
         sr_dir = next(r["dir"] for r in summary["records"] if r["method"] == "sr")

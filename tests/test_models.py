@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -172,11 +173,15 @@ class TestForward:
                          selectivenet_heads=heads == "selective")
         params = init_params(spec, seed=4)
         x = np.random.default_rng(5).normal(size=(n, 3))
-        acts, _ = models._hidden_forward(params, spec, x, None)
-        want = models._head_outputs(params, spec, acts[-1])
+        rep = models._hidden_forward(params, spec, x, None)[0][-1]
+        want = [models._dense(params, name, rep) for name, _ in spec.heads]
         got = forward(params, spec, x)
-        parts = zip(got, want) if heads == "selective" else [(got, want)]
-        for part, ref in parts:
+        if heads == "selective":
+            got, want[1] = list(got), want[1][:, 0]
+        else:
+            got = [got]
+        assert len(got) == len(want)
+        for part, ref in zip(got, want):
             assert part.shape == ref.shape and part.tobytes() == ref.tobytes()
 
     def test_selectivenet_output_structure(self):
@@ -403,9 +408,10 @@ class TestFactorizedClipping:
         empty = batch_grad(params, spec, np.zeros((0, 3)), np.zeros(0, dtype=int), loss,
                            clip_norm=1.0)
         np.testing.assert_array_equal(empty, np.zeros(spec.param_count))
-        with pytest.raises(ValueError, match="clip_norm"):
-            batch_grad(params, spec, np.zeros((1, 3)), np.zeros(1, dtype=int), loss,
-                       clip_norm=0.0)
+        for clip_norm in (0.0, math.nan):
+            with pytest.raises(ValueError, match="clip_norm must be positive"):
+                batch_grad(params, spec, np.zeros((1, 3)), np.zeros(1, dtype=int), loss,
+                           clip_norm=clip_norm)
 
 
 class TestPersistence:

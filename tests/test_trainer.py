@@ -70,8 +70,9 @@ class TestPrimitives:
         assert np.mean(sizes) == pytest.approx(50, rel=0.1)
 
     def test_clip_norm_must_be_positive(self):
-        with pytest.raises(ValueError, match="clip_norm must be positive"):
-            clip_rows(np.ones((2, 3)), 0.0)
+        for clip_norm in (0.0, math.nan):
+            with pytest.raises(ValueError, match="clip_norm must be positive"):
+                clip_rows(np.ones((2, 3)), clip_norm)
 
     @pytest.mark.parametrize("q", [0.0, 1.5])
     def test_poisson_sample_rate_out_of_range(self, q):
@@ -80,9 +81,10 @@ class TestPrimitives:
 
     @pytest.mark.parametrize("change, match", [
         ({"epsilon": 0.0}, r"epsilon must be positive \(math.inf allowed\)"),
+        ({"epsilon": math.nan}, r"epsilon must be positive \(math.inf allowed\)"),
         ({"steps": -1}, "steps must be >= 0"),
         ({"delta": None}, r"finite epsilon requires delta in \(0, 1\)"),
-    ], ids=["epsilon", "steps", "no_delta"])
+    ], ids=["epsilon", "nan_epsilon", "steps", "no_delta"])
     def test_privacy_config_is_checked(self, change, match):
         args = {"epsilon": 3.0, "delta": 1e-5, "clip_norm": 1.0, "sampling_rate": 0.1,
                 "steps": 10}
@@ -124,6 +126,18 @@ class TestStepEquivalence:
         assert not np.array_equal(out.values, params.values)
         quiet = sgd_step(params, spec, x, y, cross_entropy_loss(), learning_rate=0.5)
         np.testing.assert_array_equal(quiet.values, params.values)
+
+    @pytest.mark.parametrize("x, loss, match", [
+        (np.zeros(0), cross_entropy_loss(), r"expected an \(N, 2\) batch"),
+        (np.zeros((0, 3)), cross_entropy_loss(), r"expected an \(N, 2\) batch"),
+        (np.zeros((0, 2)), sat_loss(), "sat loss requires abstention_head=True"),
+    ], ids=["one_dimensional", "wrong_width", "sat_on_plain_head"])
+    def test_empty_batch_is_checked(self, x, loss, match):
+        # An empty batch takes the checked gradient path like any other.
+        spec = ModelSpec(input_dim=2, num_classes=2)
+        params = init_params(spec, seed=1)
+        with pytest.raises(ValueError, match=match):
+            sgd_step(params, spec, x, np.zeros(0, dtype=int), loss, learning_rate=0.5)
 
     def test_noise_requires_finite_clip(self):
         spec = ModelSpec(input_dim=2, num_classes=2)
@@ -382,20 +396,24 @@ class TestNoiseWorker:
         before = params.values.copy()
         out, noise = np.full(len(params), 7.0), np.full(len(params), 5.0)
         call = {"x": data.features[:15], "y": data.labels[:15], "loss": cross_entropy_loss(),
-                "clip_norm": 1.0, "out": out, "noise_out": noise}
+                "clip_norm": 1.0, "sigma": 1.3, "out": out, "noise_out": noise}
         rejected = [({"noise_out": noise_out}, "overlap")
                     for noise_out in (params.values, out, out[::2])]
         rejected += [({"out": params.values}, "separate vector"),
                      ({"x": data.features[0]}, "batch"),
                      ({"clip_norm": 0.0}, "clip_norm must be positive"),
+                     ({"clip_norm": math.nan}, "noise requires a finite clip_norm"),
+                     ({"sigma": math.nan}, "sigma must be >= 0 and finite"),
+                     ({"sigma": -1.0}, "sigma must be >= 0 and finite"),
+                     ({"sigma": math.inf}, "sigma must be >= 0 and finite"),
                      ({"loss": selectivenet_loss(0.5)}, "selectivenet_heads"),
                      ({"loss": sat_loss()}, "sat loss requires abstention_head=True")]
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as worker:
             threads = {"noise_worker": worker} if threaded else {}
             for change, match in rejected:
                 with pytest.raises(ValueError, match=match):
-                    dpsgd_step(params, WIDE, **{**call, **change}, sigma=1.3,
-                               learning_rate=0.2, noise_seed=rng.generator(6), **threads)
+                    dpsgd_step(params, WIDE, **{**call, **change}, learning_rate=0.2,
+                               noise_seed=rng.generator(6), **threads)
         assert out.tobytes() == np.full(len(params), 7.0).tobytes()
         assert noise.tobytes() == np.full(len(params), 5.0).tobytes()
         assert params.values.tobytes() == before.tobytes()

@@ -94,6 +94,8 @@ def auc(curve: RiskCoverageCurve) -> float:
 
 def bound(a_full: float, coverage) -> np.ndarray | float:
     """Best achievable selective accuracy at the given coverage(s)."""
+    if not 0.0 <= a_full <= 1.0:  # also rejects nan
+        raise ValueError(f"a_full must be in [0, 1], got {a_full!r}")
     c = np.asarray(coverage, dtype=np.float64)
     if not np.all((c > 0) & (c <= 1)):
         raise ValueError("coverage must be in (0, 1]")

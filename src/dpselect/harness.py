@@ -18,14 +18,19 @@ Selective nets emit the files above once per coverage target, in
 ``metrics.json`` doubles as the cell's completion marker: re-running an
 unchanged config skips every completed method, so a finished sweep performs
 zero new training. Every file is moved into place whole, so a crash never
-leaves a truncated marker. The config hash is taken over the canonical
-JSON of the fully defaulted config, which makes it stable under key
-reordering, and over ``trainer.ALGORITHM_VERSION``, so cells trained by
-older arithmetic land in another run directory instead of being skipped.
+leaves a truncated marker; a marker that does not parse all the same (the
+rename is not synced to disk) has its method redone. The config hash is
+taken over the canonical JSON of the fully defaulted config, which makes it
+stable under key reordering, and over ``trainer.ALGORITHM_VERSION``, so
+cells trained by older arithmetic land in another run directory instead of
+being skipped.
 
 Method cost model per cell: the ``_METHODS`` table gives each method its
-default settings, the runs it trains and its scorer, and a cell trains each
-run at most once. Softmax response, Monte Carlo dropout and checkpoint
+default settings, the runs it trains, what it keeps of each run and how it
+writes them, and a cell trains each run at most once. Every method trains
+through one loop, which reduces each run to its report, final prediction
+row and kept scores (or, for ``de``, final probabilities) before the next
+one trains. Softmax response, Monte Carlo dropout and checkpoint
 disagreement score one shared base run; self-adaptive training owns one run;
 a deep ensemble of M members and the per-target-coverage selective nets are
 accounted jointly, one noise level calibrated so the composition of all
@@ -374,18 +379,20 @@ class _Run(NamedTuple):
 
 
 class _Method(NamedTuple):
-    """Defaults, ``runs(settings)``, ``score`` and ``emit``.
+    """Defaults, ``runs(settings)``, ``keep`` and ``emit``.
 
-    Without ``emit`` the one run trains at the cell budget, is scored by
-    ``score(cell, run, result, settings)`` and is emitted into ``<method>/``;
-    with it, the runs share one split budget's noise level and ``emit``
-    writes the method's output shape and decides what ``score`` takes
-    (``de``'s takes the members' stacked final probabilities).
+    A cell trains a method's runs one at a time and keeps of each only
+    ``(run, asdict(report), final prediction row, keep(cell, run, result,
+    settings))`` before the next one trains. Without ``emit`` the one run
+    trains at the cell budget and ``_emit_one`` writes it into ``<method>/``;
+    with it, the runs share one split budget's noise level and
+    ``emit(cell, method, settings, kept, payload)`` writes the method's
+    output shape.
     """
 
     defaults: dict
     runs: Callable[[dict], list[_Run]]
-    score: Callable
+    keep: Callable
     emit: Callable | None = None
 
 
@@ -434,74 +441,57 @@ class _Cell:
             raise result.with_traceback(None)
         return result
 
-    def _emit(self, subdir: str, method: str, scores, predicted, payload: dict) -> dict:
-        labels, refs = self.test_data.labels, self.refs
-        return _emit_method(self.cell_dir / subdir, method, scores, predicted, labels, refs, payload)
-
-    def _ensemble_sigma(self, n_runs: int):
-        """Shared noise level plus its accounting payload for n_runs runs."""
-        if math.isinf(self.eps):
-            return None, {"target_epsilon": "inf", "n_runs": n_runs}
-        bs = accountant.split_budget(self.eps, self.delta, n_runs, self.recipe.sampling_rate,
-                                     self.recipe.template.steps)
-        return bs.sigma, {"target_epsilon": evaluation.tag(self.eps), "split": asdict(bs)}
-
     def run_method(self, method: str, settings: dict, runs: list[_Run]) -> dict:
-        """Train ``method``'s runs and write its outputs; returns its metrics.
-
-        A method with an ``emit`` gets its runs as a lazy iterator of
-        ``(run, result)`` pairs, each trained when the emitter asks for it, so
-        the emitter can reduce one run to what it writes before the next trains.
-        """
-        row = _METHODS[method]
+        """Train ``method``'s runs one at a time, keep what it writes of each, and emit them."""
+        row, sigma = _METHODS[method], None
+        payload = {"target_epsilon": evaluation.tag(self.eps)}
         if row.emit is None:
-            (run,) = runs
-            result = self.train(run)
-            payload = {"target_epsilon": evaluation.tag(self.eps), "delta": self.delta,
-                       "report": asdict(result.report)}
-            scores = row.score(self, run, result, settings)
-            return self._emit(method, method, scores, result.log.predictions[-1], payload)
-        sigma, payload = self._ensemble_sigma(len(runs))
-        trained = ((run, self.train(run, sigma)) for run in runs)
-        return row.emit(self, method, row, settings, trained, payload)
-
-    def _emit_ensemble(self, method, row, settings, trained, payload) -> dict:
-        """One output for the members' mean; ``row.score`` takes their stacked probs.
-
-        Each member is kept as its report and final probabilities only.
-        """
-        payload["member_reports"], member_probs = [], []
-        for _, result in trained:
-            payload["member_reports"].append(asdict(result.report))
-            member_probs.append(result.log.final_probs)
-            del result  # no finished member stays alive while the next one trains
-        member_probs = np.stack(member_probs)
-        predicted = np.argmax(member_probs.mean(axis=0), axis=1)
-        return self._emit(method, method, row.score(member_probs), predicted, payload)
-
-    def _emit_per_target(self, method, row, settings, trained, payload) -> dict:
-        """One output per coverage target, then the joint account and all targets' metrics.
-
-        Each target is kept as its report, scores and final prediction row;
-        nothing is written until the last target has trained.
-        """
+            payload["delta"] = self.delta
+        elif math.isinf(self.eps):
+            payload["n_runs"] = len(runs)
+        else:
+            split = accountant.split_budget(self.eps, self.delta, len(runs),
+                                            self.recipe.sampling_rate, self.recipe.template.steps)
+            sigma, payload["split"] = split.sigma, asdict(split)
         kept = []
-        for run, result in trained:
-            kept.append((run, asdict(result.report), row.score(self, run, result, settings),
-                         result.log.predictions[-1].copy()))
-            del result  # no finished target stays alive while the next one trains
-        payload["c_targets"] = settings["c_targets"]
-        payload["run_reports"], metrics = {}, {"c_targets": {}}
-        for c_target, (run, report, scores, predicted) in zip(payload["c_targets"], kept):
-            tag = evaluation.tag(c_target)
-            payload["run_reports"][tag] = report
-            metrics["c_targets"][tag] = self._emit(
-                run.subdir, method, scores, predicted,
-                {"target_epsilon": evaluation.tag(self.eps), "report": report},
-            )
-        evaluation.write_json(payload, self.cell_dir / method / "privacy.json")
-        evaluation.write_metrics_json(metrics, self.cell_dir / method / "metrics.json")
-        return metrics
+        for run in runs:
+            result = self.train(run, sigma)
+            kept.append((run, asdict(result.report), result.log.predictions[-1].copy(),
+                         row.keep(self, run, result, settings)))
+            del result  # only a shared run, which the cell keeps, outlives its turn
+        return (row.emit or _emit_one)(self, method, settings, kept, payload)
+
+
+def _emit_one(cell: _Cell, method, settings, kept, payload) -> dict:
+    """The one run's scores and report into ``<method>/``."""
+    ((_, report, predicted, scores),) = kept
+    return _emit_method(cell.cell_dir / method, method, scores, predicted, cell.test_data.labels,
+                        cell.refs, {**payload, "report": report})
+
+
+def _emit_ensemble(cell: _Cell, method, settings, kept, payload) -> dict:
+    """One output for the members' mean, scored by ``score_de`` of their stacked probs."""
+    payload["member_reports"] = [report for _, report, _, _ in kept]
+    member_probs = np.stack([probs for *_, probs in kept])
+    predicted = np.argmax(member_probs.mean(axis=0), axis=1)
+    return _emit_method(cell.cell_dir / method, method, selection.score_de(member_probs),
+                        predicted, cell.test_data.labels, cell.refs, payload)
+
+
+def _emit_per_target(cell: _Cell, method, settings, kept, payload) -> dict:
+    """One output per coverage target, then the joint account and all targets' metrics."""
+    payload["c_targets"] = settings["c_targets"]
+    payload["run_reports"], metrics = {}, {"c_targets": {}}
+    for c_target, (run, report, predicted, scores) in zip(payload["c_targets"], kept):
+        tag = evaluation.tag(c_target)
+        payload["run_reports"][tag] = report
+        metrics["c_targets"][tag] = _emit_method(
+            cell.cell_dir / run.subdir, method, scores, predicted, cell.test_data.labels,
+            cell.refs, {"target_epsilon": payload["target_epsilon"], "report": report},
+        )
+    evaluation.write_json(payload, cell.cell_dir / method / "privacy.json")
+    evaluation.write_metrics_json(metrics, cell.cell_dir / method / "metrics.json")
+    return metrics
 
 
 def _class_scores(native):
@@ -564,13 +554,13 @@ _METHODS: dict[str, _Method] = {
         lambda s: [_Run("sat", sat_loss(s["momentum"], s["burn_in_epochs"]), (11,))],
         _class_scores(lambda log: selection.score_sat(log.final_probs)),
     ),
-    "de": _Method({"members": 5}, _de_runs, lambda probs: selection.score_de(probs),
-                  _Cell._emit_ensemble),
+    "de": _Method({"members": 5}, _de_runs,
+                  lambda cell, run, result, s: result.log.final_probs, _emit_ensemble),
     "sn": _Method(
         {"c_targets": [0.1, 0.25, 0.5, 0.75, 1.0], "alpha": 0.5, "lam": 32.0,
          "native_score": False},
         _sn_runs, _class_scores(lambda log: selection.score_sn(log.final_selection)),
-        _Cell._emit_per_target,
+        _emit_per_target,
     ),
 }
 
@@ -579,9 +569,10 @@ def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Pat
     """Execute one (seed, epsilon) cell; one record per method.
 
     A method whose ``metrics.json`` already exists is skipped, and the cell's
-    data is drawn only for the first method that is not. A method that raises
-    (building the cell included) is recorded as failed and the remaining
-    methods still run.
+    data is drawn only for the first method that is not. A marker that does
+    not parse is redone, and its record notes ``"redone"``. A method that
+    raises (building the cell included) is recorded as failed and the
+    remaining methods still run.
     """
     cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{evaluation.tag(eps)}"
     records, cell = [], None
@@ -590,9 +581,12 @@ def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Pat
                   "dir": str(cell_dir / method)}
         marker = cell_dir / method / "metrics.json"
         try:
-            if marker.exists():
-                record["status"] = "skipped"
-                record["metrics"] = json.loads(marker.read_text())
+            try:
+                stored = json.loads(marker.read_text()) if marker.exists() else None
+            except ValueError:  # a truncated or garbled marker: the method trains again
+                stored, record["note"] = None, "redone"
+            if stored is not None:
+                record["status"], record["metrics"] = "skipped", stored
             else:
                 cell = cell or _Cell(config, seed, eps, cell_dir)
                 record["status"] = "ok"

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +50,14 @@ ALGORITHM_VERSION = 4
 OVERLAP_MIN_PARAMS = 2**14
 
 
+def _check_steps(steps) -> None:
+    """A step count is an integer >= 0; a bool, a float and nan are none."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+
+
 @dataclass(frozen=True)
 class PrivacyConfig:
     """Privacy regime of one training run.
@@ -72,8 +81,7 @@ class PrivacyConfig:
             raise ValueError("epsilon must be positive (math.inf allowed)")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must be in (0, 1]")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        _check_steps(self.steps)
         if math.isinf(self.epsilon):
             return
         if self.delta is None or not 0.0 < self.delta < 1.0:
@@ -109,8 +117,7 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        _check_steps(self.steps)
         if not 0 <= self.entropy_beta < math.inf:
             raise ValueError(f"entropy_beta must be >= 0 and finite, got {self.entropy_beta!r}")
         if self.checkpoint_interval < 1:

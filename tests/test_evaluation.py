@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -92,6 +93,9 @@ class TestBound:
             bound(0.5, 1.5)
         with pytest.raises(ValueError, match=r"coverage must be in \(0, 1\]"):
             bound(0.5, np.array([0.5, np.nan]))
+        for a_full in (math.nan, -0.5, 1.5):
+            with pytest.raises(ValueError, match=r"a_full must be in \[0, 1\]"):
+                bound(a_full, 0.9)
 
     @given(curve_cases())
     @settings(max_examples=200, deadline=None)

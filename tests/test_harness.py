@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpselect import accountant, cli, evaluation, harness, selection, trainer
+from dpselect import accountant, cli, evaluation, harness, models, selection, trainer
 from dpselect.harness import (
     ExperimentConfig,
     evaluate_run,
@@ -508,6 +508,25 @@ class TestRunSweep:
         assert {r["status"] for r in again["records"]} == {"skipped"}
         assert tree_digest(tmp_path) == before
 
+    @pytest.mark.parametrize("method, kept_bytes", [("sr", 10), ("sn", 0)],
+                             ids=["truncated_sr", "empty_sn"])
+    def test_unreadable_marker_is_redone(self, tmp_path, method, kept_bytes):
+        # A rename without fsync can leave a truncated or empty marker after a power
+        # loss: its method trains again, into the bytes of a clean run.
+        cfg = small_config(privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={"sctd": {}, "sn": {"c_targets": [0.5, 1.0]}, "sr": {}})
+        first = run(cfg, tmp_path)
+        clean = tree_digest(tmp_path)
+        marker = Path(first["run_dir"]) / "seed_0" / "eps_3" / method / "metrics.json"
+        marker.write_bytes(marker.read_bytes()[:kept_bytes])
+        again = run(cfg, tmp_path)
+        assert again["ok"]
+        assert {r["method"]: (r["status"], r.get("note")) for r in again["records"]} == {
+            name: ("ok", "redone") if name == method else ("skipped", None)
+            for name in ("sctd", "sn", "sr")}
+        assert [r["metrics"] for r in again["records"]] == [r["metrics"] for r in first["records"]]
+        assert tree_digest(tmp_path) == clean
+
     def test_finished_rerun_draws_no_data(self, tmp_path, monkeypatch):
         cfg = small_config(seeds=[0, 1])
         assert run(cfg, tmp_path)["ok"]
@@ -720,22 +739,58 @@ class TestRunSweep:
         assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "serial")
 
     def test_native_scores_come_from_the_saved_run(self, tmp_path):
-        cfg = small_config(
-            privacy={"epsilons": [3], "sampling_rate": 0.2},
-            methods={"sat": {"native_score": True},
-                     "sn": {"native_score": True, "c_targets": [0.5, 1.0]}},
-        )
-        summary = run(cfg, tmp_path)
-        assert summary["ok"]
-        cell = Path(summary["run_dir"]) / "seed_0" / "eps_3"
-        log = trainer.load_checkpoint_log(cell / "sat" / "checkpoints" / "log")
-        _, scores, _, _ = selection.read_scores_csv(cell / "sat" / "scores.csv")
-        assert np.array_equal(scores, selection.score_sat(log.final_probs))
-        for tag in ("0.5", "1"):
-            run_dir = cell / "sn" / f"c_{tag}"
-            log = trainer.load_checkpoint_log(run_dir / "checkpoints" / "log")
-            _, scores, _, _ = selection.read_scores_csv(run_dir / "scores.csv")
-            assert np.array_equal(scores, selection.score_sn(log.final_selection))
+        # Every method's scores.csv is re-derived from the runs its cell saved, with
+        # sat and sn scored natively and by class-portion SR.
+        for native in (True, False):
+            cfg = small_config(
+                privacy={"epsilons": [3], "sampling_rate": 0.2},
+                methods={"sr": {}, "mcdo": {}, "sctd": {}, "sat": {"native_score": native},
+                         "de": {"members": 2},
+                         "sn": {"native_score": native, "c_targets": [0.5, 1.0]}},
+            )
+            summary = run(cfg, tmp_path)
+            assert summary["ok"]
+            self.check_scores_against_saved_runs(
+                Path(summary["run_dir"]) / "seed_0" / "eps_3",
+                harness._build_dataset(cfg.source, 0)[1], native)
+
+    @staticmethod
+    def check_scores_against_saved_runs(cell: Path, test, native: bool):
+        def written(subdir):
+            return selection.read_scores_csv(cell / subdir / "scores.csv")[1:3]
+
+        def log_of(subdir):
+            return trainer.load_checkpoint_log(cell / subdir / "checkpoints" / "log")
+
+        params, spec = models.load_params(cell / "base" / "checkpoints" / "params.json")
+        base = log_of("base")
+        expected = {
+            "sr": (selection.score_sr(base.final_probs), base),
+            "sctd": (selection.score_sctd(base, 3.0), base),
+            "mcdo": (selection.score_mcdo(params, spec, test.features, passes=20,
+                                          seed=harness.derive_seed(0, 10, 1)), base),
+        }
+        for subdir in ("sat", "sn/c_0.5", "sn/c_1"):
+            log = log_of(subdir)
+            if not native:
+                scores = selection.score_sr_of(log.final_probs, test.num_classes)
+            elif subdir == "sat":
+                scores = selection.score_sat(log.final_probs)
+            else:
+                scores = selection.score_sn(log.final_selection)
+            expected[subdir] = scores, log
+        for subdir, (scores, log) in expected.items():
+            written_scores, predicted = written(subdir)
+            assert np.array_equal(written_scores, scores), subdir
+            assert np.array_equal(predicted, log.predictions[-1]), subdir
+        members = [cell / "de" / f"member_{m}" / "checkpoints" for m in range(2)]
+        probs = np.stack([trainer.load_checkpoint_log(m / "log").final_probs for m in members])
+        scores, predicted = written("de")
+        assert np.array_equal(scores, selection.score_de(probs))
+        assert np.array_equal(predicted, np.argmax(probs.mean(axis=0), axis=1))
+        privacy = json.loads((cell / "de" / "privacy.json").read_text())
+        assert privacy["member_reports"] == [json.loads((m / "privacy.json").read_text())
+                                             for m in members]
 
 
 @pytest.mark.parametrize("panel", [panel_outlier, panel_imbalance])

@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpselect import losses, models, selection
 from dpselect.losses import cross_entropy_loss, sat_loss, selectivenet_loss
@@ -390,6 +392,33 @@ class TestFactorizedClipping:
         np.testing.assert_allclose(
             np.sqrt(models._sq_norms(factors)), np.linalg.norm(rows, axis=1), rtol=1e-12
         )
+
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(0, 40),
+           kind=st.sampled_from(["cross_entropy", "sat"]),
+           clip_norm=st.floats(1e-3, 10.0), scale=st.floats(0.1, 4.0))
+    @settings(max_examples=150, deadline=None)
+    def test_one_example_moves_the_clipped_sum_by_at_most_c(self, seed, batch, kind, clip_norm,
+                                                              scale):
+        # DP-SGD's sensitivity: S = B * batch_grad(clip_norm=c) over B examples moves by
+        # at most c when one example z is added (as the last row), for every loss whose
+        # clipped share of an example depends on that example alone.
+        spec = ModelSpec(input_dim=3, num_classes=3, hidden_sizes=(8,),
+                         abstention_head=kind == "sat")
+        loss = sat_loss() if kind == "sat" else cross_entropy_loss()
+        rng = np.random.default_rng(seed)
+        params = init_params(spec, seed=0).replace(rng.normal(size=spec.param_count) * scale)
+        x = rng.normal(size=(batch + 1, 3)) * rng.uniform(0.1, 30.0)
+        y = rng.integers(0, 3, size=batch + 1)
+        targets = rng.dirichlet(np.ones(3), size=batch + 1)
+
+        def clipped_sum(n):
+            kwargs = {"sat_targets": targets[:n]} if kind == "sat" else {}
+            grad = batch_grad(params, spec, x[:n], y[:n], loss, entropy_beta=0.01,
+                              clip_norm=clip_norm, **kwargs)
+            return n * grad
+
+        moved = np.linalg.norm(clipped_sum(batch + 1) - clipped_sum(batch))
+        assert moved <= clip_norm * (1 + 1e-9)
 
     @pytest.mark.parametrize("heads, loss, match", [
         ("selective", cross_entropy_loss(), "cross_entropy loss cannot train selective heads"),

@@ -83,13 +83,27 @@ class TestPrimitives:
         ({"epsilon": 0.0}, r"epsilon must be positive \(math.inf allowed\)"),
         ({"epsilon": math.nan}, r"epsilon must be positive \(math.inf allowed\)"),
         ({"steps": -1}, "steps must be >= 0"),
+        ({"steps": math.nan}, "steps must be an integer, got nan"),
+        ({"steps": 10.0}, "steps must be an integer, got 10.0"),
         ({"delta": None}, r"finite epsilon requires delta in \(0, 1\)"),
-    ], ids=["epsilon", "nan_epsilon", "steps", "no_delta"])
+    ], ids=["epsilon", "nan_epsilon", "steps", "nan_steps", "float_steps", "no_delta"])
     def test_privacy_config_is_checked(self, change, match):
         args = {"epsilon": 3.0, "delta": 1e-5, "clip_norm": 1.0, "sampling_rate": 0.1,
                 "steps": 10}
         with pytest.raises(ValueError, match=match):
             PrivacyConfig(**{**args, **change})
+
+    @pytest.mark.parametrize("change, match", [
+        ({"steps": -1}, "steps must be >= 0"),
+        ({"steps": math.nan}, "steps must be an integer, got nan"),
+        ({"steps": 10.0}, "steps must be an integer, got 10.0"),
+        ({"steps": True}, "steps must be an integer, got True"),
+    ], ids=["steps", "nan_steps", "float_steps", "bool_steps"])
+    def test_train_config_is_checked(self, change, match):
+        args = {"learning_rate": 0.5, "steps": 10, "loss": cross_entropy_loss(),
+                "checkpoint_interval": 5}
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**{**args, **change})
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_usable_cpus_is_the_affinity_set(self):

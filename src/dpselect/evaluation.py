@@ -220,11 +220,20 @@ def write_table(path: str | Path, header: str | None, columns, newline: str = "\
 
 
 def read_table(path: str | Path, header: str | None) -> list[list[str]]:
-    """Each row's cells of a :func:`write_table` file, after its ``header`` line."""
+    """Each row's cells of a :func:`write_table` file, after its ``header`` line.
+
+    Every row must hold as many cells as the header, or as the first row
+    when there is none; a file cut short fails here, not in its reader.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if header is not None and lines[:1] != [header]:
         raise ValueError(f"{path} does not start with the header {header!r}")
-    return [line.split(",") for line in lines[header is not None:]]
+    rows = [line.split(",") for line in lines]
+    width = len(rows[0]) if rows else 0
+    for number, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise ValueError(f"{path} line {number} holds {len(row)} cells, not {width}")
+    return rows[header is not None:]
 
 
 def write_json(payload: dict, path: str | Path) -> None:

@@ -117,16 +117,19 @@ _FLOORS = {"seeds": ("a seed", "a non-negative integer", 0),
 def _checked(what: str, default, value, floor: tuple | None = None):
     """``value`` if it has the JSON kind of ``default``, as that kind; else a ``ValueError``.
 
-    An object's default keys are checked in turn, and a list's items against
-    the default's first (epsilons where it holds ``"inf"``). A bool is no
-    number, a float takes any number and returns a float, and null takes null
-    or a number. A ``_FLOORS`` integer has a floor; a string (a name) takes
-    anything. Ranges are checked by what the parse builds from the values.
+    An object takes only keys its default defines and checks each one it holds,
+    and a list's items are checked against the default's first (epsilons where
+    it holds ``"inf"``). A bool is no number, a float takes any number and
+    returns a float, and null takes null or a number. A ``_FLOORS`` integer has
+    a floor; a string (a name, or a value parsed by hand) takes anything.
+    Ranges are checked by what the parse builds from the values.
     """
     if isinstance(default, dict):
-        value = _json_object(what, value)
+        if unknown := sorted(set(_json_object(what, value)) - set(default)):
+            raise ValueError(f"unknown {what + ' ' if what else ''}key {unknown[0]!r}; "
+                             f"known: {sorted(default)}")
         return {key: _checked(f"{what}.{key}".lstrip("."), item, value[key], _FLOORS.get(key))
-                for key, item in default.items()}
+                for key, item in default.items() if key in value}
     if isinstance(default, str):
         return value
     if isinstance(default, list) and isinstance(value, (list, tuple)):  # tuple: a panel's
@@ -232,8 +235,10 @@ class ExperimentConfig:
         if "kind" not in _json_object("dataset", raw.get("dataset", {})):
             raise ValueError("config needs a dataset block with a 'kind'")
         self.source = _dataset_source(raw["dataset"])
-        methods = {name: _METHODS[name].defaults for name in raw["methods"]}
-        checked = _checked("", {**_DEFAULTS, "methods": methods}, raw)
+        methods = {name: row.defaults for name, row in _METHODS.items()}
+        checked = _checked("", {**_DEFAULTS, "dataset": "", "methods": methods}, raw)
+        if not checked["methods"]:
+            raise ValueError("need at least one method")
         model, training, privacy = checked["model"], checked["training"], checked["privacy"]
         _check_grid(checked["seeds"], raw["privacy"]["epsilons"])  # messages quote raw values
         self.seeds, self.epsilons = checked["seeds"], privacy["epsilons"]
@@ -256,10 +261,9 @@ class ExperimentConfig:
         raw = _deep_merge(_DEFAULTS, _json_object("a config", user))
         methods, raw["methods"] = user.get("methods", _DEFAULTS["methods"]), {}
         for name, settings in _json_object("methods", methods).items():
-            if name not in _METHODS:
-                raise ValueError(f"unknown method {name!r}; known: {tuple(_METHODS)}")
             settings = _json_object(f"methods.{name}", settings or {})
-            raw["methods"][name] = _deep_merge(_METHODS[name].defaults, settings)
+            defaults = _METHODS[name].defaults if name in _METHODS else {}  # else rejected below
+            raw["methods"][name] = _deep_merge(defaults, settings)
         return cls(raw)
 
     @classmethod
@@ -282,14 +286,13 @@ class ExperimentConfig:
         return hashlib.sha256(stamped.encode()).hexdigest()[:12]
 
 
-# Each dataset kind's optional settings and their defaults. A mixture's
-# components, ``imbalance`` block and a csv's ``label_column`` type are
-# checked below; ``MixtureSpec`` checks the means and covariances, and
-# ``load_csv`` that the label column is in the file.
+# Each dataset kind's keys but ``kind``, with its optional settings' defaults; a
+# string marks a key ``_dataset_source`` checks by hand (``MixtureSpec`` the means
+# and covariances, and ``load_csv`` that the label column is in the file).
 _DATASET_DEFAULTS = {
     "gaussian_outlier": {"base_seed": 0, "n_major": 1000, "outlier_mean": [10.0, 0.0]},
-    "mixture": {"base_seed": 0, "train_fraction": 0.5},
-    "csv": {"base_seed": 0, "train_fraction": 0.8},
+    "mixture": {"components": "", "imbalance": "", "base_seed": 0, "train_fraction": 0.5},
+    "csv": {"path": "", "label_column": "", "base_seed": 0, "train_fraction": 0.8},
 }
 
 
@@ -303,7 +306,7 @@ def _dataset_source(dcfg: dict) -> tuple:
     kind = dcfg["kind"]
     if not isinstance(kind, str) or kind not in _DATASET_DEFAULTS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    defaults = _DATASET_DEFAULTS[kind]
+    defaults = {"kind": kind, **_DATASET_DEFAULTS[kind]}
     try:
         settings = _checked("dataset", defaults, {**defaults, **dcfg})
         if kind == "gaussian_outlier":
@@ -320,12 +323,14 @@ def _dataset_source(dcfg: dict) -> tuple:
                                                            for c in components):
                 raise ValueError("dataset.components must be a list of JSON objects, "
                                  f"got {components!r}")
+            components = [_checked(f"dataset.components[{i}]",
+                                   {"mean": "", "covariance": "", "count": 1, "label": 0}, c)
+                          for i, c in enumerate(components)]
             source = MixtureSpec(tuple(MixtureComponent(
-                tuple(c["mean"]), c.get("covariance", 1.0),
-                **_checked(f"dataset.components[{i}]", {"count": 1, "label": 0}, c),
-            ) for i, c in enumerate(components)))
+                tuple(c["mean"]), c.get("covariance", 1.0), c["count"], c["label"])
+                for c in components))
         check_train_fraction(settings["train_fraction"])
-        imbalance = dcfg.get("imbalance") if kind == "mixture" else None
+        imbalance = dcfg.get("imbalance")
         if imbalance is not None and _json_object("dataset.imbalance", imbalance):
             imbalance = _checked("dataset.imbalance", {"class_id": 0, "p0": 1.0}, imbalance)
             imbalance = imbalance["class_id"], imbalance["p0"]
@@ -660,13 +665,6 @@ IMBALANCE_PANEL_DEFAULTS = {
 _DEFAULT_EPSILONS = (math.inf, 7.0, 3.0, 1.0)
 
 
-def _panel_params(defaults: dict, overrides: dict) -> dict:
-    """The panel's defaults under ``overrides``, checked; a key outside the defaults is a typo."""
-    if unknown := sorted(set(overrides) - set(defaults)):
-        raise ValueError(f"unknown panel settings {unknown}; known: {sorted(defaults)}")
-    return _checked("", defaults, {**defaults, **overrides})
-
-
 def _panel_cells(p: dict, seeds, epsilons, datasets, stream: int, stats) -> list[dict]:
     """One run per (seed, dataset, epsilon), seeded by ``derive_seed(base_seed, seed, stream)``.
 
@@ -706,7 +704,7 @@ def panel_outlier(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
     outlier's prediction and inflates wrong-class confidence.
     """
     _check_grid(seeds, epsilons)
-    p = _panel_params(OUTLIER_PANEL_DEFAULTS, overrides)
+    p = _checked("", OUTLIER_PANEL_DEFAULTS, {**OUTLIER_PANEL_DEFAULTS, **overrides})
 
     def stats(result, test) -> dict:
         outlier_idx = int(np.flatnonzero(test.labels == 0)[0])
@@ -719,7 +717,8 @@ def panel_outlier(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
             "sigma": result.report.sigma,
         }
 
-    datasets = [({}, {"kind": "gaussian_outlier", **p})]
+    datasets = [({}, {"kind": "gaussian_outlier", "n_major": p["n_major"],
+                      "outlier_mean": p["outlier_mean"], "base_seed": p["base_seed"]})]
     cells = _panel_cells(p, seeds, epsilons, datasets, 2, stats)
     by_eps = {}
     for eps in epsilons:
@@ -743,14 +742,15 @@ def panel_imbalance(seeds=(0, 1, 2, 3, 4), epsilons=_DEFAULT_EPSILONS,
     selective score.
     """
     _check_grid(seeds, epsilons)
-    p = _panel_params(IMBALANCE_PANEL_DEFAULTS, overrides)
+    p = _checked("", IMBALANCE_PANEL_DEFAULTS, {**IMBALANCE_PANEL_DEFAULTS, **overrides})
     if not p["p0_grid"]:
         raise ValueError("need at least one p0")
     _reject_shared_tags("p0_grid", p["p0_grid"], evaluation.tag)
     sep, count = p["class_separation"], p["count_per_class"]
     components = [{"mean": [-sep, 0.0], "count": count, "label": 0},
                   {"mean": [sep, 0.0], "count": count, "label": 1}]
-    dataset = {"kind": "mixture", "components": components, **p}
+    dataset = {"kind": "mixture", "components": components,
+               "train_fraction": p["train_fraction"], "base_seed": p["base_seed"]}
 
     def stats(result, test) -> dict:
         scores = selection.score_sr(result.log.final_probs)

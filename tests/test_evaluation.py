@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,19 @@ class TestTable:
         write_table(tmp_path / "t.csv", "a,b", [[1], [2]])
         with pytest.raises(ValueError, match="does not start with the header 'coverage,"):
             read_curve_csv(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("header, text, line, cells, width",
+                             [("a,b", "a,b\n1,2\n3", 3, 1, 2), (None, "1,2\n3,4\n5,6,", 3, 3, 2),
+                              ("a,b", "a,b\n1,2\n\n", 3, 1, 2)],
+                             ids=["cut_short", "headerless_extra_cell", "blank_line"])
+    def test_reader_rejects_a_row_of_another_width(self, tmp_path, header, text, line, cells,
+                                                   width):
+        # A cut-short file used to raise an IndexError in its reader, not a ValueError.
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        message = f"{path} line {line} holds {cells} cells, not {width}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_table(path, header)
 
 
 class TestMetricsJson:

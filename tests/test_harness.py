@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -389,6 +390,55 @@ class TestExperimentConfig:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: {argv[0]}: " in err and error.replace("TMP", str(tmp_path)) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "dataset, path, argv, what",
+        [(None, (), [], ""), (None, ("model",), [], "model "),
+         (None, ("training",), [], "training "), (None, ("privacy",), [], "privacy "),
+         (None, ("methods",), [], "methods "),
+         *[(None, ("methods", name), [], f"methods.{name} ") for name in harness._METHODS],
+         ({"kind": "gaussian_outlier"}, ("dataset",), [], "dataset "),
+         ({"kind": "csv", "path": "no.csv"}, ("dataset",), [], "dataset "),
+         (None, ("dataset",), [], "dataset "),
+         (None, ("dataset", "components", 1), [], "dataset.components[1] "),
+         (mixture(imbalance={"class_id": 0, "p0": 0.5})["dataset"], ("dataset", "imbalance"), [],
+          "dataset.imbalance "),
+         (None, None, ["--set", "training.stpes=5"], "training ")],
+        ids=["top_level", "model", "training", "privacy", "methods",
+             *[f"method_{name}" for name in harness._METHODS], "gaussian_outlier", "csv",
+             "mixture", "component", "imbalance", "set_flag"],
+    )
+    def test_unknown_keys_rejected_at_load(self, tmp_path, capsys, dataset, path, argv, what):
+        # A misspelled key used to be ignored: the sweep trained the default in its place.
+        user = small_user(methods={name: {} for name in harness._METHODS})
+        user["dataset"] = dataset or user["dataset"]
+        key = "stpes" if argv else "typo"
+        if path is not None:
+            node = user
+            for part in path:
+                node = node[part] if isinstance(node, list) else node.setdefault(part, {})
+            node[key] = {}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(user))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                      *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        line = err.splitlines()[-1]
+        assert line.startswith(f"dpselect: error: sweep: unknown {what}key {key!r}; known: [")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+    def test_empty_methods_rejected_at_load(self, tmp_path, capsys):
+        # An empty methods block used to train nothing and report "ok": true.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(small_user(methods={})))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "dpselect: error: sweep: need at least one method")
         assert not (tmp_path / "out").exists()
 
     def test_load_applies_overrides(self, tmp_path):
@@ -809,7 +859,7 @@ def test_panels_reject_repeated_cells(tmp_path, panel, grid, clash):
 @pytest.mark.parametrize("panel", [panel_outlier, panel_imbalance])
 def test_panels_reject_unknown_overrides(tmp_path, panel):
     # A typo would otherwise run the default and record the typo in params.
-    with pytest.raises(ValueError, match=r"unknown panel settings \['stpes'\]; known: .*'steps'"):
+    with pytest.raises(ValueError, match=r"^unknown key 'stpes'; known: .*'steps'"):
         panel(seeds=(0,), epsilons=(math.inf,), out_dir=tmp_path, steps=2, stpes=5)
     assert not any(tmp_path.iterdir())
 
@@ -935,6 +985,20 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"error: evaluate: {method_dir} holds no {missing}" in err
+        assert "Traceback" not in err
+
+    def test_evaluate_command_rejects_a_truncated_table(self, capsys, tmp_path):
+        # A scores.csv cut short used to end in an IndexError traceback.
+        summary = run(small_config(), tmp_path)
+        scores = Path(next(r["dir"] for r in summary["records"] if r["method"] == "sr"))
+        scores /= "scores.csv"
+        scores.write_bytes(scores.read_bytes()[:200])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--dir", str(scores.parent)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"dpselect: error: evaluate: {re.escape(str(scores))} line \\d+ "
+                            "holds \\d cells, not 5", err.splitlines()[-1])
         assert "Traceback" not in err
 
     def test_oracle_command(self, capsys, tmp_path):

@@ -18,34 +18,10 @@ import numpy as np
 from . import accountant, evaluation, harness
 
 
-def _parse_set(pairs: list[str]) -> dict:
-    """Turn repeated ``--set a.b.c=VALUE`` flags into a nested override dict."""
-    overrides: dict = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep:
-            raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = overrides
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node := node.setdefault(part, {}), dict):
-                raise ValueError(f"--set {key}: {part} was set to {node!r}, not an object")
-        node[parts[-1]] = value
-    return overrides
-
-
 def _at_least_one(flag: str, count: int) -> int:
     if count < 1:
         raise ValueError(f"{flag} must be >= 1, got {count}")
     return count
-
-
-def _load_config(args) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig.load(args.config, _parse_set(args.set))
 
 
 def _emit(payload: dict) -> None:
@@ -54,9 +30,8 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
     summary = harness.run(
-        config,
+        harness.ExperimentConfig.load(args.config, args.set),
         args.out,
         jobs=_at_least_one("--jobs", args.jobs),
         seeds=args.seed or None,
@@ -144,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="KEY=VALUE",
-            help="override a config entry (dotted path, JSON value)",
+            help="replace the value at a dotted config path: an object replaces an object "
+                 "whole, and a VALUE that does not parse as JSON is a string",
         )
 
     p = sub.add_parser("sweep", help="run the full (seed, epsilon) grid")

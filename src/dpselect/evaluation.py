@@ -206,6 +206,15 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def remove_temps(directory: str | Path, recursive: bool = False) -> None:
+    """Delete the temp files that killed ``write_atomic`` calls left in ``directory``.
+
+    Call it only on a directory that no live writer shares.
+    """
+    for tmp in Path(directory).glob(("**/" if recursive else "") + ".*.tmp"):
+        tmp.unlink(missing_ok=True)
+
+
 def write_table(path: str | Path, header: str | None, columns, newline: str = "\n") -> None:
     """Comma-separated rows of ``columns`` (no cell may hold a comma), after ``header``.
 

@@ -19,7 +19,8 @@ Selective nets emit the files above once per coverage target, in
 unchanged config skips every completed method, so a finished sweep performs
 zero new training. Every file is moved into place whole, so a crash never
 leaves a truncated marker; a marker that does not parse all the same (the
-rename is not synced to disk) has its method redone. The config hash is
+rename is not synced to disk) has its method redone. A rewrite first deletes
+the temp files a killed write left where it writes. The config hash is
 taken over the canonical JSON of the fully defaulted config, which makes it
 stable under key reordering, and over ``trainer.ALGORITHM_VERSION``, so
 cells trained by older arithmetic land in another run directory instead of
@@ -47,7 +48,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -267,12 +268,29 @@ class ExperimentConfig:
         return cls(raw)
 
     @classmethod
-    def load(cls, path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
+    def load(cls, path: str | Path, overrides: Iterable[str] = ()) -> "ExperimentConfig":
+        """The config file at ``path``, edited by ``--set KEY=VALUE`` strings, then defaulted.
+
+        Each override in turn replaces the value at its dotted path ``KEY``,
+        as an edit by hand would, so an object replaces an object whole.
+        ``VALUE`` is its JSON value, or the string itself if it does not parse.
+        """
         if not Path(path).is_file():
             raise ValueError(f"no config file {path}")
         user = json.loads(Path(path).read_text())
-        if overrides:
-            user = _deep_merge(user, overrides)
+        for pair in overrides:
+            key, sep, raw = pair.partition("=")
+            if not sep:
+                raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
+            *parents, leaf = key.split(".")
+            node = _json_object("a config", user)
+            for part in parents:
+                if not isinstance(node := node.setdefault(part, {}), dict):
+                    raise ValueError(f"--set {key}: {part} was set to {node!r}, not an object")
+            try:
+                node[leaf] = json.loads(raw)
+            except json.JSONDecodeError:
+                node[leaf] = raw
         return cls.from_dict(user)
 
     def hash(self) -> str:
@@ -575,9 +593,10 @@ def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Pat
 
     A method whose ``metrics.json`` already exists is skipped, and the cell's
     data is drawn only for the first method that is not. A marker that does
-    not parse is redone, and its record notes ``"redone"``. A method that
-    raises (building the cell included) is recorded as failed and the
-    remaining methods still run.
+    not parse is redone, and its record notes ``"redone"``. Redoing a method
+    first removes the temp files killed writes left in its directory and its
+    runs'. A method that raises (building the cell included) is recorded as
+    failed and the remaining methods still run.
     """
     cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{evaluation.tag(eps)}"
     records, cell = [], None
@@ -593,6 +612,8 @@ def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Pat
             if stored is not None:
                 record["status"], record["metrics"] = "skipped", stored
             else:
+                for subdir in {method, *(run.subdir for run in runs)}:
+                    evaluation.remove_temps(cell_dir / subdir, recursive=True)
                 cell = cell or _Cell(config, seed, eps, cell_dir)
                 record["status"] = "ok"
                 record["metrics"] = cell.run_method(method, settings, runs)
@@ -616,6 +637,7 @@ def run(config: ExperimentConfig, out_root: str | Path, jobs: int = 1, seeds=Non
     epsilons = config.epsilons if epsilons is None else [parse_epsilon(e) for e in epsilons]
     _check_grid(seeds, epsilons)
     run_dir = Path(out_root) / config.hash()
+    evaluation.remove_temps(run_dir)
     evaluation.write_json(config.raw, run_dir / "config.json")
     cells = [(config, seed, eps, run_dir) for seed in seeds for eps in epsilons]
     if jobs > 1:

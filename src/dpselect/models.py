@@ -212,7 +212,7 @@ def _hidden_forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     return acts, scales
 
 
-def _batch(spec: ModelSpec, x) -> np.ndarray:
+def check_batch(spec: ModelSpec, x) -> np.ndarray:
     """``x`` as a float64 (N, input_dim) batch; any other shape is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
@@ -237,7 +237,7 @@ def forward(params: ParamVector, spec: ModelSpec, x: np.ndarray,
     ``random((N, width))``. Returns (N, ``n_outputs``) logits, or
     :class:`SelectiveNetOutputs` when the spec has selective heads.
     """
-    x = _batch(spec, x)
+    x = check_batch(spec, x)
     if dropout_seed is not None:
         dropout_seed = functools.cache(dropout_seed)
     results = [np.empty((len(x), width)) for _, width in spec.heads]
@@ -278,7 +278,7 @@ def check_grad_args(params: ParamVector, spec: ModelSpec, x, loss: LossSpec, *, 
     if out is not None and (out.shape != (len(params),)
                             or np.may_share_memory(out, params.values)):
         raise ValueError("out must be a separate vector of one entry per parameter")
-    x = _batch(spec, x)
+    x = check_batch(spec, x)
     if loss.kind == "sat" and not spec.abstention_head:
         raise ValueError("sat loss requires abstention_head=True")
     if loss.kind == "selectivenet" and not spec.selectivenet_heads:

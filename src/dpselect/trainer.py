@@ -360,7 +360,8 @@ def train(
     Checkpoints land on every multiple of ``checkpoint_interval`` plus the
     final step. Self-adaptive targets start as one-hot rows and track the
     renormalized class probabilities of sampled points once the burn-in
-    epochs (of ``steps_per_epoch(q)`` steps each) have passed. Raises if a
+    epochs (of ``steps_per_epoch(q)`` steps each) have passed. Raises before
+    the first step if ``eval_set`` is not an (N, input_dim) batch. Raises if a
     finite epsilon target would be exceeded by the realized account, and if
     the run diverged: its final parameters or final probabilities are not
     all finite (checked once, after the last step).
@@ -394,6 +395,7 @@ def train(
     """
     if eval_set is None:
         eval_set = data
+    models.check_batch(spec, eval_set.features)
     if privacy.steps != train_cfg.steps:
         raise ValueError(
             f"privacy horizon {privacy.steps} != optimizer steps {train_cfg.steps}"

@@ -115,6 +115,10 @@ def tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+class Killed(BaseException):
+    """A kill mid-write: ``run_cell`` catches only ``Exception``, so the sweep stops."""
+
+
 class TestEpsilonParsing:
     def test_infinity_spellings(self):
         assert parse_epsilon("inf") == math.inf
@@ -444,7 +448,7 @@ class TestExperimentConfig:
     def test_load_applies_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(small_config().raw))
-        cfg = ExperimentConfig.load(path, {"training": {"steps": 40}})
+        cfg = ExperimentConfig.load(path, ["training.steps=40"])
         assert cfg.raw["training"]["steps"] == 40
         assert cfg.raw["training"]["checkpoint_interval"] == 5
 
@@ -576,6 +580,53 @@ class TestRunSweep:
             for name in ("sctd", "sn", "sr")}
         assert [r["metrics"] for r in again["records"]] == [r["metrics"] for r in first["records"]]
         assert tree_digest(tmp_path) == clean
+
+    @staticmethod
+    def patch_writer(monkeypatch, kill_at=None) -> list:
+        """Count the writes; the ``kill_at``-th leaves half a temp file and stops the sweep.
+
+        The temp carries pid 0, which no resuming process has, so a rewrite of
+        its file cannot consume it. ``models`` and ``trainer`` import the writer
+        by name, and forked workers inherit the patch.
+        """
+        writes, write = [], evaluation.write_atomic
+
+        def writer(path, text):
+            writes.append(path)
+            if len(writes) == kill_at:
+                path = Path(path)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.with_name(f".{path.name}.0.tmp").write_text(text[: len(text) // 2])
+                raise Killed
+            write(path, text)
+
+        for module in (evaluation, models, trainer):
+            monkeypatch.setattr(module, "write_atomic", writer)
+        return writes
+
+    @pytest.mark.parametrize("jobs, kill_points", [(1, None), (2, (1, 2, 40, 63))],
+                             ids=["serial", "jobs_2"])
+    def test_resume_after_a_kill_at_any_write(self, tmp_path, monkeypatch, jobs, kill_points):
+        # Each kill used to leave its temp file in the resumed tree for good.
+        cfg = small_config(training={"steps": 4, "checkpoint_interval": 2},
+                           privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={"sr": {}, "mcdo": {}, "sctd": {}, "sat": {},
+                                    "de": {"members": 2}, "sn": {"c_targets": [0.5, 1.0]}})
+        with monkeypatch.context() as patch:
+            writes = self.patch_writer(patch)
+            assert run(cfg, tmp_path / "clean")["ok"]
+        assert len(writes) == 63
+        clean = tree_digest(tmp_path / "clean")
+        for kill_at in kill_points or range(1, len(writes) + 1):
+            out = tmp_path / f"killed_at_{kill_at}"
+            with monkeypatch.context() as patch:
+                self.patch_writer(patch, kill_at)
+                with pytest.raises(Killed):
+                    run(cfg, out, jobs=jobs)
+            assert len(list(out.rglob("*.tmp"))) == 1, kill_at
+            assert run(cfg, out, jobs=jobs)["ok"], kill_at
+            assert list(out.rglob("*.tmp")) == [], kill_at
+            assert tree_digest(out) == clean, kill_at
 
     def test_finished_rerun_draws_no_data(self, tmp_path, monkeypatch):
         cfg = small_config(seeds=[0, 1])
@@ -910,19 +961,82 @@ class TestPanelBound:
         assert payload["panel"] == "bound"
 
 
-class TestCli:
-    def test_set_flag_nesting(self):
-        overrides = cli._parse_set(["training.steps=40", "privacy.epsilons=[1,3]",
-                                    "name=alt"])
-        assert overrides == {
-            "training": {"steps": 40},
-            "privacy": {"epsilons": [1, 3]},
-            "name": "alt",
-        }
+def write_config(tmp_path: Path, user: dict) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(user))
+    return path
 
-    def test_set_flag_requires_equals(self):
+
+def sweep(tmp_path, capsys, user, *flags) -> tuple[int, dict]:
+    """``dpselect sweep`` of ``user`` with a ``--set`` per flag: exit code and summary."""
+    argv = ["sweep", "--config", str(write_config(tmp_path, user)),
+            "--out", str(tmp_path / "out")]
+    for flag in flags:
+        argv += ["--set", flag]
+    return cli.main(argv), json.loads(capsys.readouterr().out)
+
+
+class TestCli:
+    def test_set_flag_nesting(self, tmp_path):
+        cfg = ExperimentConfig.load(write_config(tmp_path, small_user()),
+                                    ["training.steps=40", "privacy.epsilons=[1,3]", "name=alt"])
+        raw = cfg.raw
+        assert (raw["training"]["steps"], raw["privacy"]["epsilons"], raw["name"]) == (
+            40, [1, 3], "alt")
+
+    def test_set_flag_requires_equals(self, tmp_path):
         with pytest.raises(ValueError, match="--set expects KEY=VALUE"):
-            cli._parse_set(["training.steps"])
+            ExperimentConfig.load(write_config(tmp_path, small_user()), ["training.steps"])
+
+    @pytest.mark.parametrize(
+        "flag, path, value",
+        [("training.steps=8", ("training", "steps"), 8),
+         ("privacy.epsilons=[3]", ("privacy", "epsilons"), [3]),
+         ("name=alt", ("name",), "alt"),
+         ('name="7"', ("name",), "7"),
+         ("model.hidden_sizes=[4]", ("model", "hidden_sizes"), [4]),
+         ("methods.sn.alpha=0.25", ("methods", "sn", "alpha"), 0.25)],
+        ids=["training_steps", "epsilons", "bare_string", "json_string", "new_block",
+             "new_method"],
+    )
+    def test_leaf_set_hashes_as_the_file_edited_by_hand(self, tmp_path, flag, path, value):
+        user = small_user()
+        config = ExperimentConfig.load(write_config(tmp_path, user), [flag])
+        node = user
+        for part in path[:-1]:
+            node = node.setdefault(part, {})
+        node[path[-1]] = value
+        assert config.hash() == ExperimentConfig.from_dict(user).hash()
+
+    def test_set_object_replaces_the_object(self, tmp_path, capsys):
+        # The value used to be merged into the file's methods: sr and sn both trained.
+        user = small_user(methods={"sr": {}, "sn": {"c_targets": [0.5, 1.0]}})
+        rc, summary = sweep(tmp_path, capsys, user, 'methods={"sr": {}}')
+        assert rc == 0 and summary["ok"]
+        assert [r["method"] for r in summary["records"]] == ["sr"]
+        assert summary["config_hash"] == small_config(methods={"sr": {}}).hash()
+        cell = Path(summary["run_dir"]) / "seed_0" / "eps_inf"
+        assert sorted(p.name for p in cell.iterdir()) == ["base", "sr"]
+
+    def test_set_empty_object_leaves_no_method(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            sweep(tmp_path, capsys, small_user(), "methods={}")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "dpselect: error: sweep: need at least one method")
+        assert not (tmp_path / "out").exists()
+
+    def test_set_dataset_block_replaces_the_mixture(self, tmp_path, capsys):
+        # The mixture's keys used to stay: "unknown dataset key 'components'".
+        labels = np.repeat([0, 1], 40)
+        features = np.random.default_rng(0).normal(size=(80, 2)) + 3.0 * labels[:, None]
+        csv_path = tmp_path / "d.csv"
+        evaluation.write_table(csv_path, None, [features[:, 0], features[:, 1], labels])
+        block = {"kind": "csv", "path": str(csv_path)}
+        rc, summary = sweep(tmp_path, capsys, small_user(), f"dataset={json.dumps(block)}")
+        assert rc == 0 and summary["ok"]
+        assert {r["status"] for r in summary["records"]} == {"ok"}
+        assert summary["config_hash"] == small_config(dataset=block).hash()
 
     def test_accountant_command(self, capsys):
         rc = cli.main(["accountant", "--eps-target", "3", "--q", "0.02",

@@ -589,6 +589,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="horizon"):
             train(data, spec, cfg, PrivacyConfig.non_private(20, 0.5))
 
+    def test_eval_set_of_another_width_rejected_before_the_first_step(self, monkeypatch):
+        # It used to train all 2,000 steps and fail at the final checkpoint's prediction.
+        steps = []
+        monkeypatch.setattr(trainer, "dpsgd_step", lambda *a, **k: steps.append(a))
+        data, eval_set = two_blob_data(), two_blob_data(seed=9)
+        eval_set = LabeledDataset(np.hstack([eval_set.features, eval_set.features[:, :1]]),
+                                  eval_set.labels, eval_set.num_classes)
+        spec = ModelSpec(input_dim=2, num_classes=2)
+        cfg = TrainConfig(learning_rate=0.5, steps=2000, loss=cross_entropy_loss(),
+                          checkpoint_interval=2000, seed=0)
+        with pytest.raises(ValueError, match=r"expected an \(N, 2\) batch, got shape \(80, 3\)"):
+            train(data, spec, cfg, PrivacyConfig.non_private(2000, 0.5), eval_set)
+        assert steps == []
+
     def test_insufficient_noise_rejected(self):
         data = two_blob_data()
         spec = ModelSpec(input_dim=2, num_classes=2)

@@ -7,7 +7,9 @@ six-method sweep (two seeds, epsilon in {inf, 3}, ``native_score`` off and
 on; a [16, 16] MLP, so gradients backpropagate through a second hidden
 layer; 300 test points, so every evaluation pass crosses a block boundary of
 ``models.EVAL_BLOCK_ROWS``) against each tree's ``src/`` and matches the two trees' run directories
-by the config name in their ``config.json``. Where both trees write one
+by the config name in their ``config.json``. The ``native_score`` sweep runs
+with ``--jobs 2`` in both trees, so the process pool's tree is held to the
+bytes of the base tree too. Where both trees write one
 config hash, every file must hold the same bytes. Where the hash moved, the
 cells land in a fresh directory, so the files that differ (with the hash
 directory set aside) are printed but do not fail.
@@ -102,7 +104,7 @@ def run_sweeps(tree: Path, out: Path, work: Path) -> None:
         config = work / f"config_{native}.json"
         config.write_text(json.dumps(sweep_config(native), indent=2))
         argv = [sys.executable, "-m", "dpselect.cli", "sweep", "--config", str(config),
-                "--out", str(out)]
+                "--out", str(out), "--jobs", "2" if native else "1"]
         done = subprocess.run(argv, env=env, cwd=work, capture_output=True, text=True)
         if done.returncode != 0:
             sys.exit(f"sweep failed in {tree}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")

@@ -232,9 +232,11 @@ def read_table(path: str | Path, header: str | None) -> list[list[str]]:
     """Each row's cells of a :func:`write_table` file, after its ``header`` line.
 
     Every row must hold as many cells as the header, or as the first row
-    when there is none; a file cut short fails here, not in its reader.
+    when there is none, and end in a newline; a file cut short fails here,
+    not in its reader, even inside its last cell.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
     if header is not None and lines[:1] != [header]:
         raise ValueError(f"{path} does not start with the header {header!r}")
     rows = [line.split(",") for line in lines]
@@ -242,6 +244,8 @@ def read_table(path: str | Path, header: str | None) -> list[list[str]]:
     for number, row in enumerate(rows, 1):
         if len(row) != width:
             raise ValueError(f"{path} line {number} holds {len(row)} cells, not {width}")
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{path} line {len(lines)} is cut short: no newline ends it")
     return rows[header is not None:]
 
 

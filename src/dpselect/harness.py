@@ -1,51 +1,44 @@
 """Experiment harness: config-driven sweeps over seeds and privacy levels.
 
-A sweep is a grid of cells (seed, epsilon); each cell trains the models its
-requested methods need and evaluates every method into its own directory::
+A sweep is a grid of cells (seed, epsilon). A cell trains the runs its
+methods read and writes each method's ``scores.csv``, ``curves.csv``,
+``privacy.json`` and, last, ``metrics.json`` into
+``<out>/<config-hash>/seed_<s>/eps_<tag>/<method>/`` (README, "Output
+layout"). Each run saves its parameters, checkpoint log and, last,
+``privacy.json`` in a ``checkpoints/`` directory: ``base/`` holds the run
+shared by sr, mcdo and sctd, and ``sat/``, ``de/member_<m>/`` and
+``sn/c_<tag>/`` the others. Selective nets write the method files once per
+coverage target, in ``sn/c_<tag>/``, plus ``sn/metrics.json`` and
+``sn/privacy.json``.
 
-    <out>/<config-hash>/seed_<s>/eps_<tag>/<method>/
-        scores.csv      per-point scores, predictions, labels
-        curves.csv      coverage, accuracy, bound, gap
-        metrics.json    a_full, auc, normalized_score, coverage_at
-        privacy.json    realized accounting for everything trained here
+A re-run skips a method whose ``metrics.json`` parses and whose tables read
+whole and reproduce it, and trains no run that reads back whole; anything
+else is redone. Every file is moved into place whole, but the rename is not
+synced, so a power loss can still cut one short. A rewrite first deletes the
+temp files a killed write left where it writes. The config hash covers the
+canonical JSON of the fully defaulted config and ``trainer.ALGORITHM_VERSION``,
+so cells trained by older arithmetic land in another run directory.
 
-Each training run saves its parameters and checkpoint log in a
-``checkpoints/`` directory: ``base/`` holds the run shared by sr, mcdo and
-sctd, and ``sat/``, ``de/member_<m>/`` and ``sn/c_<tag>/`` the others.
-Selective nets emit the files above once per coverage target, in
-``sn/c_<tag>/``, plus ``sn/metrics.json`` and ``sn/privacy.json``.
-
-``metrics.json`` doubles as the cell's completion marker: re-running an
-unchanged config skips every completed method, so a finished sweep performs
-zero new training. Every file is moved into place whole, so a crash never
-leaves a truncated marker; a marker that does not parse all the same (the
-rename is not synced to disk) has its method redone. A rewrite first deletes
-the temp files a killed write left where it writes. The config hash is
-taken over the canonical JSON of the fully defaulted config, which makes it
-stable under key reordering, and over ``trainer.ALGORITHM_VERSION``, so
-cells trained by older arithmetic land in another run directory instead of
-being skipped.
-
-Method cost model per cell: the ``_METHODS`` table gives each method its
-default settings, the runs it trains, what it keeps of each run and how it
-writes them, and a cell trains each run at most once. Every method trains
-through one loop, which reduces each run to its report, final prediction
-row and kept scores (or, for ``de``, final probabilities) before the next
-one trains. Softmax response, Monte Carlo dropout and checkpoint
-disagreement score one shared base run; self-adaptive training owns one run;
-a deep ensemble of M members and the per-target-coverage selective nets are
-accounted jointly, one noise level calibrated so the composition of all
-their runs meets the cell's budget.
+Method cost model: the ``_METHODS`` table gives each method its default
+settings, the runs it reads, how it scores a saved run and how it writes the
+scores. A sweep first trains each unfinished run its pending methods read,
+once however many read it; then it scores the pending methods from the saved
+runs, read one at a time. Cells go one by one, or all at once on the ``jobs``
+pool. Softmax response, Monte Carlo dropout and checkpoint disagreement score
+one shared base run; self-adaptive training owns one run; a deep ensemble of
+M members and the per-target-coverage selective nets are accounted jointly,
+one noise level calibrated so the composition of all their runs meets the
+cell's budget.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import copy
+import functools
 import hashlib
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -226,7 +219,7 @@ class ExperimentConfig:
     ``raw`` is the defaulted JSON that ``hash()`` digests. Parsing it checks
     every setting and builds what the cells train from: the dataset
     ``source``, one run ``recipe`` and ``methods[name] = (settings, runs)``.
-    The parsed config pickles, so cells can run in worker processes.
+    The parsed config pickles, so runs and cells' scoring can go to worker processes.
     """
 
     def __init__(self, raw: dict):
@@ -380,6 +373,31 @@ def _save_run(directory: Path, result: trainer.TrainResult, spec: ModelSpec) -> 
     evaluation.write_json(asdict(result.report), directory / "privacy.json")
 
 
+def _load_run(directory: Path) -> trainer.TrainResult:
+    """The run ``_save_run`` wrote to ``directory``, bit for bit; a table cut short raises."""
+    report = accountant.PrivacyReport(**json.loads((directory / "privacy.json").read_text()))
+    params, _ = models.load_params(directory / "params.json")
+    return trainer.TrainResult(params, trainer.load_checkpoint_log(directory / "log"), report)
+
+
+def _trusted(marker: Path, outputs: list[Path]) -> dict:
+    """``marker``'s metrics if each output's scores reproduce its metrics and curve, else raise."""
+    for directory in outputs:
+        curve, metrics, stored = _recompute(directory)
+        written = evaluation.read_curve_csv(directory / "curves.csv")
+        if metrics != stored or not np.array_equal(written.accuracies, curve.accuracies):
+            raise ValueError(f"{directory} does not reproduce its metrics")
+    return json.loads(marker.read_text())
+
+
+def _attempt(call: Callable, *args, failed: Callable[[str], object] = str):
+    """``call(*args)``, or ``failed`` of the error text (``"Type: message"``) it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # the sweep records the failure and goes on
+        return failed(f"{type(exc).__name__}: {exc}")
+
+
 def _emit_method(method_dir: Path, method: str, scores: np.ndarray, predicted: np.ndarray,
                  true_labels: np.ndarray, accuracy_refs, privacy_payload: dict) -> dict:
     """Write the full artifact set; metrics.json lands last as the marker."""
@@ -402,87 +420,110 @@ class _Run(NamedTuple):
 
 
 class _Method(NamedTuple):
-    """Defaults, ``runs(settings)``, ``keep`` and ``emit``.
+    """Defaults, ``runs(settings)``, ``score(cell, run, result, settings)`` and ``emit``.
 
-    A cell trains a method's runs one at a time and keeps of each only
-    ``(run, asdict(report), final prediction row, keep(cell, run, result,
-    settings))`` before the next one trains. Without ``emit`` the one run
-    trains at the cell budget and ``_emit_one`` writes it into ``<method>/``;
-    with it, the runs share one split budget's noise level and
-    ``emit(cell, method, settings, kept, payload)`` writes the method's
-    output shape.
+    Without ``emit`` the one run trains at the cell budget and ``_emit_one``
+    writes it into ``<method>/``; with it, the runs share one split budget's
+    noise level and ``emit(cell, method, settings, kept, payload)`` writes them.
     """
 
     defaults: dict
     runs: Callable[[dict], list[_Run]]
-    keep: Callable
+    score: Callable
     emit: Callable | None = None
 
 
 class _Cell:
-    """One (seed, epsilon) grid cell; trains each of its runs at most once.
+    """One (seed, epsilon) grid cell: its directory and, drawn on first use, its data."""
 
-    A cell holds at most one training run's result at a time, plus the
-    results of runs that more than one of the config's methods read (today
-    only ``base``, shared by sr, mcdo and sctd), which it keeps until it ends.
-    """
+    def __init__(self, config: ExperimentConfig, seed: int, eps: float, run_dir: Path):
+        self.config, self.recipe, self.refs = config, config.recipe, config.refs
+        self.seed, self.eps = seed, eps
+        self.cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{evaluation.tag(eps)}"
 
-    def __init__(self, config: ExperimentConfig, seed: int, eps: float, cell_dir: Path):
-        self.recipe, self.refs = config.recipe, config.refs
-        self.seed, self.eps, self.cell_dir = seed, eps, cell_dir
-        self.train_data, self.test_data = _build_dataset(config.source, seed)
-        self.delta = 1.0 / len(self.train_data) if config.delta is None else config.delta
-        readers = Counter(run.subdir for _, runs in config.methods.values() for run in runs)
-        self._shared = {subdir for subdir, n in readers.items() if n > 1}
-        self._trained: dict[str, trainer.TrainResult | Exception] = {}
+    @functools.cached_property
+    def data(self) -> tuple[LabeledDataset, LabeledDataset]:
+        return _build_dataset(self.config.source, self.seed)
+
+    test_data = property(lambda self: self.data[1])
+
+    @property
+    def delta(self) -> float:
+        return 1.0 / len(self.data[0]) if self.config.delta is None else self.config.delta
 
     def spec(self, run: _Run) -> ModelSpec:
-        return self.recipe.spec(self.train_data, run.loss.kind)
+        return self.recipe.spec(self.data[0], run.loss.kind)
 
-    def train(self, run: _Run, sigma=None) -> trainer.TrainResult:
-        """Train ``run`` (at noise ``sigma`` if given) and save it, once per cell.
+    def split(self, n_runs: int) -> accountant.BudgetSplit:
+        return accountant.split_budget(self.eps, self.delta, n_runs, self.recipe.sampling_rate,
+                                       self.recipe.template.steps)
 
-        The result of a run that several methods read is kept for the cell's
-        lifetime; any other run's result belongs to the caller alone. A shared
-        run that raises is not retried: every method that reads it gets the
-        same exception. It is kept and raised without its traceback and chained
-        exceptions, whose frames would hold the failed run's arrays.
+    def plan(self) -> tuple[list[dict], list[tuple[_Run, int | None]]]:
+        """A record per method, and once each unfinished run that a pending method reads.
+
+        A pending method's record has no status yet. A run comes with the
+        number of runs that split its method's budget, if any.
         """
-        result = self._trained.get(run.subdir)
-        if result is None:
-            spec, seed = self.spec(run), derive_seed(self.seed, *run.stream)
+        records, untrained = [], {}
+        for method, (settings, runs) in sorted(self.config.methods.items()):
+            record = {"seed": self.seed, "epsilon": evaluation.tag(self.eps), "method": method,
+                      "dir": str(self.cell_dir / method)}
+            records.append(record)
+            row, marker = _METHODS[method], self.cell_dir / method / "metrics.json"
+            outputs = [run.subdir for run in runs] if row.emit is _emit_per_target else [method]
             try:
-                result = self.recipe.train(self.train_data, self.test_data, spec, run.loss,
-                                           self.eps, self.delta, seed, sigma)
-                _save_run(self.cell_dir / run.subdir / "checkpoints", result, spec)
-            except Exception as exc:
-                exc.__cause__ = exc.__context__ = None
-                result = exc
-            if run.subdir in self._shared:
-                self._trained[run.subdir] = result
-        if isinstance(result, Exception):
-            raise result.with_traceback(None)
-        return result
+                trusted = _trusted(marker, [self.cell_dir / subdir for subdir in outputs])
+                record["status"], record["metrics"] = "skipped", trusted
+                continue
+            except Exception:  # a missing or garbled marker, or a table cut short
+                if marker.exists():
+                    record["note"] = "redone"
+            split = len(runs) if row.emit and math.isfinite(self.eps) else None
+            for run in runs:
+                untrained.setdefault(run.subdir, (run, split))
+        # A run that does not read back whole trains again.
+        return records, [(run, split) for run, split in untrained.values() if not _attempt(
+            _load_run, self.cell_dir / run.subdir / "checkpoints", failed=lambda error: None)]
 
-    def run_method(self, method: str, settings: dict, runs: list[_Run]) -> dict:
-        """Train ``method``'s runs one at a time, keep what it writes of each, and emit them."""
-        row, sigma = _METHODS[method], None
-        payload = {"target_epsilon": evaluation.tag(self.eps)}
+    def score(self, records: list[dict], errors: dict[str, str | None]) -> list[dict]:
+        """Score each pending method, or fail it with the error of a run it reads; the records."""
+        for record in (r for r in records if "status" not in r):
+            settings, runs = self.config.methods[record["method"]]
+            error = next((errors[run.subdir] for run in runs if errors.get(run.subdir)), None)
+            error = error or _attempt(lambda: record.update(
+                status="ok", metrics=self.emit(record["method"], settings, runs)))
+            if error:
+                record.update(status="failed", error=error)
+        return records
+
+    def emit(self, method: str, settings: dict, runs: list[_Run]) -> dict:
+        """Read ``method``'s saved runs one at a time, keeping ``(run, asdict(report), final
+        prediction row, score(...))`` of each, and write them."""
+        evaluation.remove_temps(self.cell_dir / method, recursive=True)
+        row, payload = _METHODS[method], {"target_epsilon": evaluation.tag(self.eps)}
         if row.emit is None:
             payload["delta"] = self.delta
         elif math.isinf(self.eps):
             payload["n_runs"] = len(runs)
         else:
-            split = accountant.split_budget(self.eps, self.delta, len(runs),
-                                            self.recipe.sampling_rate, self.recipe.template.steps)
-            sigma, payload["split"] = split.sigma, asdict(split)
+            payload["split"] = asdict(self.split(len(runs)))
         kept = []
         for run in runs:
-            result = self.train(run, sigma)
+            result = _load_run(self.cell_dir / run.subdir / "checkpoints")
             kept.append((run, asdict(result.report), result.log.predictions[-1].copy(),
-                         row.keep(self, run, result, settings)))
-            del result  # only a shared run, which the cell keeps, outlives its turn
+                         row.score(self, run, result, settings)))
+            del result  # one run's arrays at a time
         return (row.emit or _emit_one)(self, method, settings, kept, payload)
+
+
+def _train(cell: _Cell, run: _Run, split: int | None) -> None:
+    """Train and save ``run``, at the noise level of its budget split ``split`` ways if given."""
+    directory = cell.cell_dir / run.subdir / "checkpoints"
+    evaluation.remove_temps(directory, recursive=True)
+    sigma = cell.split(split).sigma if split else None
+    spec, seed = cell.spec(run), derive_seed(cell.seed, *run.stream)
+    result = cell.recipe.train(*cell.data, spec, run.loss, cell.eps, cell.delta, seed, sigma)
+    _save_run(directory, result, spec)
 
 
 def _emit_one(cell: _Cell, method, settings, kept, payload) -> dict:
@@ -588,40 +629,47 @@ _METHODS: dict[str, _Method] = {
 }
 
 
+def _submit(pool, call: Callable, *args) -> concurrent.futures.Future:
+    """``call(*args)`` on ``pool``; without a pool, or once a dead worker broke it, called here."""
+    try:
+        if pool is not None:
+            return pool.submit(call, *args)
+    except concurrent.futures.BrokenExecutor:
+        pass
+    future = concurrent.futures.Future()
+    future.set_result(call(*args))  # each call given catches its own errors
+    return future
+
+
+def _run_cells(cells: list[_Cell], pool=None) -> list[dict]:
+    """Plan the cells, train their unfinished runs, then score each cell; every record.
+
+    On a pool the cells' runs, and then their scorings, spread over its workers.
+    A call that a dead worker left unfinished fails with its ``BrokenProcessPool``
+    text: a run, the methods that read it; a cell's scoring, its pending methods.
+    """
+    plans = [cell.plan() for cell in cells]
+    trained = [{run.subdir: _submit(pool, _attempt, _train, cell, run, split)
+                for run, split in untrained} for cell, (_, untrained) in zip(cells, plans)]
+    scored = [_submit(pool, cell.score, records, {subdir: _attempt(future.result)
+                                                  for subdir, future in runs.items()})
+              for cell, (records, _), runs in zip(cells, plans, trained)]
+    return [record for (records, _), future in zip(plans, scored)
+            for record in _attempt(future.result, failed=functools.partial(_fail, records))]
+
+
+def _fail(records: list[dict], error: str) -> list[dict]:
+    """``records``, each that is still pending failed with ``error``."""
+    return [r if "status" in r else {**r, "status": "failed", "error": error} for r in records]
+
+
 def run_cell(config: ExperimentConfig, seed: int, eps: float, run_dir: str | Path) -> list[dict]:
     """Execute one (seed, epsilon) cell; one record per method.
 
-    A method whose ``metrics.json`` already exists is skipped, and the cell's
-    data is drawn only for the first method that is not. A marker that does
-    not parse is redone, and its record notes ``"redone"``. Redoing a method
-    first removes the temp files killed writes left in its directory and its
-    runs'. A method that raises (building the cell included) is recorded as
-    failed and the remaining methods still run.
+    Trains the runs the cell plans, then scores its pending methods from the
+    run tree. The cell draws its data at most once, and only if it uses it.
     """
-    cell_dir = Path(run_dir) / f"seed_{seed}" / f"eps_{evaluation.tag(eps)}"
-    records, cell = [], None
-    for method, (settings, runs) in sorted(config.methods.items()):
-        record = {"seed": seed, "epsilon": evaluation.tag(eps), "method": method,
-                  "dir": str(cell_dir / method)}
-        marker = cell_dir / method / "metrics.json"
-        try:
-            try:
-                stored = json.loads(marker.read_text()) if marker.exists() else None
-            except ValueError:  # a truncated or garbled marker: the method trains again
-                stored, record["note"] = None, "redone"
-            if stored is not None:
-                record["status"], record["metrics"] = "skipped", stored
-            else:
-                for subdir in {method, *(run.subdir for run in runs)}:
-                    evaluation.remove_temps(cell_dir / subdir, recursive=True)
-                cell = cell or _Cell(config, seed, eps, cell_dir)
-                record["status"] = "ok"
-                record["metrics"] = cell.run_method(method, settings, runs)
-        except Exception as exc:  # a broken method must not kill the sweep
-            record["status"] = "failed"
-            record["error"] = f"{type(exc).__name__}: {exc}"
-        records.append(record)
-    return records
+    return _run_cells([_Cell(config, seed, eps, run_dir)])
 
 
 def run(config: ExperimentConfig, out_root: str | Path, jobs: int = 1, seeds=None,
@@ -629,9 +677,8 @@ def run(config: ExperimentConfig, out_root: str | Path, jobs: int = 1, seeds=Non
     """Run the full sweep grid; returns a machine-readable summary.
 
     ``seeds`` and ``epsilons`` restrict the grid (command-line overrides).
-    With ``jobs > 1`` cells run in a bounded process pool; each cell owns its
-    output directory exclusively and the summary is assembled only after all
-    cells have finished.
+    With ``jobs > 1`` a bounded process pool trains every run that the cells
+    plan, each into its own directory, and then scores the cells.
     """
     seeds = config.seeds if seeds is None else list(seeds)
     epsilons = config.epsilons if epsilons is None else [parse_epsilon(e) for e in epsilons]
@@ -639,13 +686,13 @@ def run(config: ExperimentConfig, out_root: str | Path, jobs: int = 1, seeds=Non
     run_dir = Path(out_root) / config.hash()
     evaluation.remove_temps(run_dir)
     evaluation.write_json(config.raw, run_dir / "config.json")
-    cells = [(config, seed, eps, run_dir) for seed in seeds for eps in epsilons]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(run_cell, *zip(*cells)))
+    if jobs == 1:
+        records = [r for seed in seeds for eps in epsilons
+                   for r in run_cell(config, seed, eps, run_dir)]
     else:
-        per_cell = [run_cell(*cell) for cell in cells]
-    records = [record for cell_records in per_cell for record in cell_records]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            records = _run_cells([_Cell(config, seed, eps, run_dir)
+                                  for seed in seeds for eps in epsilons], pool)
     ok = all(r["status"] != "failed" for r in records)
     return {"config_hash": config.hash(), "run_dir": str(run_dir), "ok": ok, "records": records}
 
@@ -655,12 +702,17 @@ def evaluate_run(method_dir: str | Path) -> dict:
     method_dir = Path(method_dir)
     if missing := [n for n in ("scores.csv", "metrics.json") if not (method_dir / n).is_file()]:
         raise ValueError(f"{method_dir} holds no {missing[0]}; pass one method's directory")
+    _, metrics, stored = _recompute(method_dir)
+    return {"metrics": metrics, "matches_stored": metrics == stored}
+
+
+def _recompute(method_dir: Path) -> tuple[evaluation.RiskCoverageCurve, dict, dict]:
+    """The curve of ``method_dir``'s persisted scores, its metrics and the stored metrics."""
     _, scores, predicted, true_labels = selection.read_scores_csv(method_dir / "scores.csv")
     stored = json.loads((method_dir / "metrics.json").read_text())
     curve = evaluation.build_curve(scores, predicted == true_labels)
     refs = tuple(float(k) for k in stored.get("coverage_at", {}))
-    metrics = evaluation.curve_metrics(curve, refs)
-    return {"metrics": metrics, "matches_stored": metrics == stored}
+    return curve, evaluation.curve_metrics(curve, refs), stored
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,12 @@ ALGORITHM_VERSION = 4
 OVERLAP_MIN_PARAMS = 2**14
 
 
-def _check_steps(steps) -> None:
-    """A step count is an integer >= 0; a bool, a float and nan are none."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+def _check_count(name: str, value, floor: int) -> None:
+    """A count is an integer >= ``floor``; a bool, a float and nan are none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class PrivacyConfig:
             raise ValueError("epsilon must be positive (math.inf allowed)")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError("sampling_rate must be in (0, 1]")
-        _check_steps(self.steps)
+        _check_count("steps", self.steps, 0)
         if math.isinf(self.epsilon):
             return
         if self.delta is None or not 0.0 < self.delta < 1.0:
@@ -117,11 +117,10 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite, "
                              f"got {self.learning_rate!r}")
-        _check_steps(self.steps)
+        _check_count("steps", self.steps, 0)
         if not 0 <= self.entropy_beta < math.inf:
             raise ValueError(f"entropy_beta must be >= 0 and finite, got {self.entropy_beta!r}")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
+        _check_count("checkpoint_interval", self.checkpoint_interval, 1)
         if self.steps > 0 and self.checkpoint_interval > self.steps:
             raise ValueError("checkpoint_interval exceeds total steps")
 
@@ -152,6 +151,11 @@ class CheckpointLog:
             raise ValueError("checkpoint_times must be strictly increasing")
         if preds.shape != (times.shape[0], probs.shape[0]):
             raise ValueError("predictions shape does not match times and eval set")
+        if self.final_selection is not None:
+            selection = np.asarray(self.final_selection, dtype=np.float64)
+            if selection.shape != probs.shape[:1]:
+                raise ValueError("final_selection shape does not match the eval set")
+            object.__setattr__(self, "final_selection", selection)
         object.__setattr__(self, "checkpoint_times", times)
         object.__setattr__(self, "predictions", preds)
         object.__setattr__(self, "final_probs", probs)
@@ -524,6 +528,9 @@ def load_checkpoint_log(directory: str | Path) -> CheckpointLog:
     if header["has_selection"]:
         table = read_table(directory / "final_selection.csv", None)
         selection = np.array(table, dtype=np.float64).ravel()
+    if probs.shape != (header["eval_size"], header["num_outputs"]):
+        raise ValueError(f"{directory} holds {probs.shape} final probs, not "
+                         f"{(header['eval_size'], header['num_outputs'])}")
     return CheckpointLog(
         checkpoint_times=np.array(header["checkpoint_times"], dtype=np.int64),
         predictions=preds,

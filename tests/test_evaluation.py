@@ -239,6 +239,19 @@ class TestTable:
             read_table(path, header)
 
 
+    @pytest.mark.parametrize("header, newline", [("a,b", "\r\n"), (None, "\n")],
+                             ids=["scores_like", "log_like"])
+    def test_reader_rejects_a_last_cell_cut_short(self, tmp_path, header, newline):
+        # A cut inside the last number used to read back as another number.
+        path = tmp_path / "t.csv"
+        write_table(path, header, [np.array([0.25, 0.1]), np.array([0.5, 0.7])], newline=newline)
+        path.write_bytes(path.read_bytes()[: -len(newline) - 3])
+        lines = 3 if header else 2
+        message = f"{path} line {lines} is cut short: no newline ends it"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_table(path, header)
+
+
 class TestMetricsJson:
     def test_writes_sorted_json(self, tmp_path):
         write_metrics_json({"b": 1, "a": 0.5}, tmp_path / "metrics.json")

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
 import tempfile
 import threading
@@ -582,18 +584,22 @@ class TestRunSweep:
         assert tree_digest(tmp_path) == clean
 
     @staticmethod
-    def patch_writer(monkeypatch, kill_at=None) -> list:
+    def patch_writer(monkeypatch, kill_at=None):
         """Count the writes; the ``kill_at``-th leaves half a temp file and stops the sweep.
 
         The temp carries pid 0, which no resuming process has, so a rewrite of
         its file cannot consume it. ``models`` and ``trainer`` import the writer
-        by name, and forked workers inherit the patch.
+        by name, and forked workers inherit the patch. The count is one shared
+        value, made before the pool, so that writes spread over workers are
+        counted once across them.
         """
-        writes, write = [], evaluation.write_atomic
+        writes, write = multiprocessing.Value("i", 0), evaluation.write_atomic
 
         def writer(path, text):
-            writes.append(path)
-            if len(writes) == kill_at:
+            with writes.get_lock():
+                writes.value += 1
+                count = writes.value
+            if count == kill_at:
                 path = Path(path)
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.with_name(f".{path.name}.0.tmp").write_text(text[: len(text) // 2])
@@ -615,9 +621,9 @@ class TestRunSweep:
         with monkeypatch.context() as patch:
             writes = self.patch_writer(patch)
             assert run(cfg, tmp_path / "clean")["ok"]
-        assert len(writes) == 63
+        assert writes.value == 63
         clean = tree_digest(tmp_path / "clean")
-        for kill_at in kill_points or range(1, len(writes) + 1):
+        for kill_at in kill_points or range(1, writes.value + 1):
             out = tmp_path / f"killed_at_{kill_at}"
             with monkeypatch.context() as patch:
                 self.patch_writer(patch, kill_at)
@@ -627,6 +633,67 @@ class TestRunSweep:
             assert run(cfg, out, jobs=jobs)["ok"], kill_at
             assert list(out.rglob("*.tmp")) == [], kill_at
             assert tree_digest(out) == clean, kill_at
+
+    def test_resume_trusts_no_cut_short_table(self, tmp_path, monkeypatch):
+        # A table cut short used to be trusted on resume: sr and sctd were skipped and
+        # reported ok, and a missing de or sn marker retrained every run.
+        methods = {m: {} for m in ("sr", "mcdo", "sctd", "sat", "de")}
+        cfg = small_config(privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={**methods, "sn": {"native_score": True}})
+        assert run(cfg, tmp_path / "clean")["ok"]
+        clean = tree_digest(tmp_path / "clean")
+        summary = run(cfg, tmp_path / "out")
+        cell = Path(summary["run_dir"]) / "seed_0" / "eps_3"
+        (cell / "sr" / "scores.csv").write_bytes((cell / "sr" / "scores.csv").read_bytes()[:200])
+        for table in (cell / "sctd" / "curves.csv",
+                      cell / "de" / "member_1" / "checkpoints" / "log" / "final_probs.csv",
+                      cell / "sn" / "c_0.1" / "checkpoints" / "log" / "final_selection.csv"):
+            lines = table.read_text().splitlines(keepends=True)
+            table.write_text("".join(lines[: len(lines) // 2]))
+        (cell / "de" / "metrics.json").unlink()
+        (cell / "sn" / "metrics.json").unlink()
+        seeds, train = [], trainer.train
+
+        def counting_train(data, spec, train_cfg, privacy, **kwargs):
+            seeds.append(train_cfg.seed)
+            return train(data, spec, train_cfg, privacy, **kwargs)
+
+        monkeypatch.setattr(harness.trainer, "train", counting_train)
+        again = run(cfg, tmp_path / "out")
+        assert again["ok"]
+        assert {r["method"]: (r["status"], r.get("note")) for r in again["records"]} == {
+            "sr": ("ok", "redone"), "sctd": ("ok", "redone"), "de": ("ok", None),
+            "mcdo": ("skipped", None), "sat": ("skipped", None), "sn": ("ok", None)}
+        # de/member_1 and sn/c_0.1 alone
+        assert seeds == [harness.derive_seed(0, 12, 1), harness.derive_seed(0, 13, 0)]
+        assert tree_digest(tmp_path / "out") == clean
+
+    def test_resume_trains_no_saved_member_again(self, tmp_path, monkeypatch):
+        # A sweep stopped after de's members were saved, before de/metrics.json was
+        # written, used to train every member again on resume.
+        cfg = small_config(privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={"de": {"members": 2}, "sr": {}})
+        assert run(cfg, tmp_path / "clean")["ok"]
+        emit = harness._emit_method
+
+        def killed_at_de(method_dir, method, *args):
+            if method == "de":
+                raise Killed
+            return emit(method_dir, method, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_emit_method", killed_at_de)
+            with pytest.raises(Killed):
+                run(cfg, tmp_path / "out")
+        cell = tmp_path / "out" / cfg.hash() / "seed_0" / "eps_3"
+        assert all((cell / "de" / f"member_{m}" / "checkpoints" / "privacy.json").is_file()
+                   for m in range(2))
+        assert not (cell / "de" / "metrics.json").exists()
+        calls = []
+        monkeypatch.setattr(harness.trainer, "train", lambda *a, **k: calls.append(a))
+        assert run(cfg, tmp_path / "out")["ok"]
+        assert calls == []
+        assert tree_digest(tmp_path / "out") == tree_digest(tmp_path / "clean")
 
     def test_finished_rerun_draws_no_data(self, tmp_path, monkeypatch):
         cfg = small_config(seeds=[0, 1])
@@ -807,6 +874,72 @@ class TestRunSweep:
         assert serial["ok"] and parallel["ok"]
         assert len(parallel["records"]) == 8
         assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "serial")
+
+    def test_parallel_cell_spreads_its_runs_over_the_pool(self, tmp_path, monkeypatch):
+        # --jobs used to be a pool over cells, so one cell trained in one process.
+        pids, train = tmp_path / "pids", trainer.train
+        pids.mkdir()
+
+        def recording_train(*args, **kwargs):
+            (pids / str(os.getpid())).touch()
+            return train(*args, **kwargs)
+
+        cfg = small_config(training={"steps": 60, "checkpoint_interval": 20},
+                           privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={m: {} for m in ("sr", "mcdo", "sctd", "sat", "de", "sn")})
+        serial = run(cfg, tmp_path / "serial", jobs=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.trainer, "train", recording_train)
+            parallel = run(cfg, tmp_path / "parallel", jobs=2)
+        assert serial["ok"] and parallel["ok"]
+        workers = {int(p.name) for p in pids.iterdir()}
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert tree_digest(tmp_path / "parallel") == tree_digest(tmp_path / "serial")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_parallel_failed_run_is_trained_once(self, tmp_path, monkeypatch):
+        # On the pool, base diverges in a worker: its error text is the record of sr,
+        # mcdo and sctd, and it is not trained again for any of them.
+        trained, train = multiprocessing.Value("i", 0), trainer.train
+
+        def counting_train(*args, **kwargs):
+            with trained.get_lock():
+                trained.value += 1
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(harness.trainer, "train", counting_train)
+        cfg = small_config(training={"steps": 20, "checkpoint_interval": 5,
+                                     "learning_rate": 1e200},
+                           methods={"sr": {}, "mcdo": {}, "sctd": {}})
+        summary = run(cfg, tmp_path, jobs=2)
+        assert [r["status"] for r in summary["records"]] == ["failed"] * 3
+        assert len({r["error"] for r in summary["records"]}) == 1
+        assert summary["records"][0]["error"].startswith("ValueError: training diverged")
+        assert trained.value == 1
+
+    def test_a_dead_worker_fails_only_its_unfinished_runs(self, tmp_path, monkeypatch):
+        # A worker that dies breaks the pool: the runs it left unfinished fail the
+        # methods that read them, the summary is still written, and a resume mends it.
+        train, sat_seed = trainer.train, harness.derive_seed(0, 11)
+
+        def dying_on_sat(data, spec, train_cfg, privacy, **kwargs):
+            if train_cfg.seed == sat_seed:
+                os._exit(1)
+            return train(data, spec, train_cfg, privacy, **kwargs)
+
+        cfg = small_config(privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={m: {} for m in ("sr", "mcdo", "sctd", "sat", "de", "sn")})
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.trainer, "train", dying_on_sat)
+            broken = run(cfg, tmp_path / "out", jobs=2)
+        records = {r["method"]: r for r in broken["records"]}
+        assert not broken["ok"] and len(records) == 6
+        assert records["sat"]["error"].startswith("BrokenProcessPool: ")
+        assert all(r["status"] == "ok" or r["error"].startswith("BrokenProcessPool: ")
+                   for r in records.values())
+        assert run(cfg, tmp_path / "out")["ok"]
+        assert run(cfg, tmp_path / "clean")["ok"]
+        assert tree_digest(tmp_path / "out") == tree_digest(tmp_path / "clean")
 
     def test_parallel_wide_private_sweep_after_a_threaded_run(self, tmp_path, monkeypatch):
         # A private [256, 256] model takes the noise worker in train(). After one such

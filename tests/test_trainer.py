@@ -105,6 +105,16 @@ class TestPrimitives:
         with pytest.raises(ValueError, match=match):
             TrainConfig(**{**args, **change})
 
+    @pytest.mark.parametrize("interval", [2.5, 4.0, math.nan, True],
+                             ids=["fraction", "integral_float", "nan", "bool"])
+    def test_checkpoint_interval_must_be_an_integer(self, interval):
+        # Built directly, 2.5 and 4.0 used to train and then fail in numpy's indexing,
+        # nan in arange, and True trained as interval 1.
+        with pytest.raises(ValueError,
+                           match=f"^checkpoint_interval must be an integer, got {interval!r}$"):
+            TrainConfig(learning_rate=0.5, steps=10, loss=cross_entropy_loss(),
+                        checkpoint_interval=interval)
+
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
     def test_usable_cpus_is_the_affinity_set(self):
         assert trainer._usable_cpus() == len(os.sched_getaffinity(0))
@@ -760,6 +770,20 @@ class TestLogPersistence:
                 final_probs=np.full((3, 2), 0.5),
                 eval_set_id="x",
             )
+
+    @pytest.mark.parametrize("table", ["final_selection.csv", "final_probs.csv+predictions.csv"])
+    def test_load_rejects_tables_cut_at_a_row(self, tmp_path, table):
+        # Cut at a line boundary, each table still parses; a final_selection.csv cut so
+        # used to load, and sn's native scores then failed on every resume.
+        log = CheckpointLog(checkpoint_times=np.array([5]), predictions=np.zeros((1, 3)),
+                            final_probs=np.full((3, 2), 0.5), eval_set_id="x",
+                            final_selection=np.array([0.5, -1, 2]))
+        save_checkpoint_log(log, tmp_path / "log")
+        for name in table.split("+"):
+            path = tmp_path / "log" / name
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+        with pytest.raises(ValueError, match="does not match the eval set|not \\(3, 2\\)"):
+            load_checkpoint_log(tmp_path / "log")
 
     def test_eval_set_id_distinguishes_data(self):
         assert eval_set_id(two_blob_data(seed=0)) != eval_set_id(two_blob_data(seed=1))

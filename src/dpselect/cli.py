@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=harness.parse_epsilon, default=math.inf)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="recompute metrics from persisted scores")
+    p = sub.add_parser("evaluate", help="read back a method's files and recompute its metrics")
     p.add_argument("--dir", required=True, help="method output directory")
     p.set_defaults(func=_cmd_evaluate)
 

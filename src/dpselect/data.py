@@ -94,6 +94,8 @@ class MixtureSpec:
         dims = {len(c.mean) for c in self.components}
         if len(dims) != 1:
             raise ValueError(f"component means disagree on dimension: {dims}")
+        if not self.input_dim:
+            raise ValueError("component means must hold at least one number, got []")
         for c in self.components:
             if c.count < 1:
                 raise ValueError("component count must be >= 1")

@@ -185,7 +185,7 @@ def write_curve_csv(curve: RiskCoverageCurve, path: str | Path) -> None:
 
 
 def read_curve_csv(path: str | Path) -> RiskCoverageCurve:
-    table = np.array(read_table(path, _CURVE_HEADER), dtype=np.float64)
+    table = np.array(read_table(path, _CURVE_HEADER), dtype=np.float64).reshape(-1, 4)
     return RiskCoverageCurve(table[:, 0], table[:, 1])
 
 

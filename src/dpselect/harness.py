@@ -11,13 +11,13 @@ shared by sr, mcdo and sctd, and ``sat/``, ``de/member_<m>/`` and
 coverage target, in ``sn/c_<tag>/``, plus ``sn/metrics.json`` and
 ``sn/privacy.json``.
 
-A re-run skips a method whose ``metrics.json`` parses and whose tables read
-whole and reproduce it, and trains no run that reads back whole; anything
-else is redone. Every file is moved into place whole, but the rename is not
-synced, so a power loss can still cut one short. A rewrite first deletes the
-temp files a killed write left where it writes. The config hash covers the
-canonical JSON of the fully defaulted config and ``trainer.ALGORITHM_VERSION``,
-so cells trained by older arithmetic land in another run directory.
+A re-run skips a method whose output passes ``evaluate_run``, and trains no
+run of a redone method that reads back whole; anything else is redone. Files
+are moved into place whole but not synced: a file that a power loss cuts short
+redoes its method, or retrains its run. A rewrite first deletes the temp files
+a killed write left where it writes. The config hash covers the canonical JSON
+of the fully defaulted config and ``trainer.ALGORITHM_VERSION``, so cells
+trained by older arithmetic land in another run directory.
 
 Method cost model: the ``_METHODS`` table gives each method its default
 settings, the runs it reads, how it scores a saved run and how it writes the
@@ -340,12 +340,16 @@ def _dataset_source(dcfg: dict) -> tuple:
             source = MixtureSpec(tuple(MixtureComponent(
                 tuple(c["mean"]), c.get("covariance", 1.0), c["count"], c["label"])
                 for c in components))
+            if source.num_classes < 2:
+                raise ValueError("dataset.components must carry two labels or more, got only 0")
         check_train_fraction(settings["train_fraction"])
         imbalance = dcfg.get("imbalance")
         if imbalance is not None and _json_object("dataset.imbalance", imbalance):
             imbalance = _checked("dataset.imbalance", {"class_id": 0, "p0": 1.0}, imbalance)
             imbalance = imbalance["class_id"], imbalance["p0"]
             check_subsample(source.num_classes, *imbalance)
+        if isinstance(source, Path) and not source.is_file():  # checked after the values' types
+            raise ValueError(f"dataset.path {str(source)!r} is not a file")
     except KeyError as exc:
         raise ValueError(f"a {kind} dataset block needs {exc}") from None
     except TypeError as exc:
@@ -375,19 +379,17 @@ def _save_run(directory: Path, result: trainer.TrainResult, spec: ModelSpec) -> 
 
 def _load_run(directory: Path) -> trainer.TrainResult:
     """The run ``_save_run`` wrote to ``directory``, bit for bit; a table cut short raises."""
-    report = accountant.PrivacyReport(**json.loads((directory / "privacy.json").read_text()))
+    report = accountant.PrivacyReport(**_read_json(directory / "privacy.json"))
     params, _ = models.load_params(directory / "params.json")
     return trainer.TrainResult(params, trainer.load_checkpoint_log(directory / "log"), report)
 
 
-def _trusted(marker: Path, outputs: list[Path]) -> dict:
-    """``marker``'s metrics if each output's scores reproduce its metrics and curve, else raise."""
-    for directory in outputs:
-        curve, metrics, stored = _recompute(directory)
-        written = evaluation.read_curve_csv(directory / "curves.csv")
-        if metrics != stored or not np.array_equal(written.accuracies, curve.accuracies):
-            raise ValueError(f"{directory} does not reproduce its metrics")
-    return json.loads(marker.read_text())
+def _read_json(path: Path):
+    """The JSON value in ``path``; a file cut short is a ``ValueError`` that names it."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} does not parse: {exc}") from None
 
 
 def _attempt(call: Callable, *args, failed: Callable[[str], object] = str):
@@ -471,13 +473,15 @@ class _Cell:
             records.append(record)
             row, marker = _METHODS[method], self.cell_dir / method / "metrics.json"
             outputs = [run.subdir for run in runs] if row.emit is _emit_per_target else [method]
-            try:
-                trusted = _trusted(marker, [self.cell_dir / subdir for subdir in outputs])
-                record["status"], record["metrics"] = "skipped", trusted
-                continue
-            except Exception:  # a missing or garbled marker, or a table cut short
-                if marker.exists():
-                    record["note"] = "redone"
+            try:  # sn's own privacy.json is the joint account of its targets
+                if all(evaluate_run(self.cell_dir / subdir)["matches_stored"] for subdir in outputs):
+                    _read_json(marker.with_name("privacy.json"))
+                    record["status"], record["metrics"] = "skipped", _read_json(marker)
+                    continue
+            except Exception:  # a file missing, cut short or garbled
+                pass
+            if marker.exists():
+                record["note"] = "redone"
             split = len(runs) if row.emit and math.isfinite(self.eps) else None
             for run in runs:
                 untrained.setdefault(run.subdir, (run, split))
@@ -581,8 +585,8 @@ def _mcdo_runs(s: dict) -> list[_Run]:
 
 
 def _sctd_runs(s: dict) -> list[_Run]:
-    if not math.isfinite(s["k"]):
-        raise ValueError(f"methods.sctd.k must be finite, got {s['k']!r}")
+    if not 0 <= s["k"] < math.inf:  # a negative k would weigh early checkpoints most
+        raise ValueError(f"methods.sctd.k must be finite and >= 0, got {s['k']!r}")
     return [_BASE_RUN]
 
 
@@ -698,21 +702,20 @@ def run(config: ExperimentConfig, out_root: str | Path, jobs: int = 1, seeds=Non
 
 
 def evaluate_run(method_dir: str | Path) -> dict:
-    """Recompute metrics from persisted scores and compare with the stored copy."""
+    """Read back every file ``_emit_method`` wrote; ``matches_stored`` if its curve and metrics
+    are those of its scores. A file missing, cut short or garbled raises a ``ValueError``."""
     method_dir = Path(method_dir)
-    if missing := [n for n in ("scores.csv", "metrics.json") if not (method_dir / n).is_file()]:
+    names = ("scores.csv", "curves.csv", "privacy.json", "metrics.json")
+    if missing := [n for n in names if not (method_dir / n).is_file()]:
         raise ValueError(f"{method_dir} holds no {missing[0]}; pass one method's directory")
-    _, metrics, stored = _recompute(method_dir)
-    return {"metrics": metrics, "matches_stored": metrics == stored}
-
-
-def _recompute(method_dir: Path) -> tuple[evaluation.RiskCoverageCurve, dict, dict]:
-    """The curve of ``method_dir``'s persisted scores, its metrics and the stored metrics."""
     _, scores, predicted, true_labels = selection.read_scores_csv(method_dir / "scores.csv")
-    stored = json.loads((method_dir / "metrics.json").read_text())
     curve = evaluation.build_curve(scores, predicted == true_labels)
-    refs = tuple(float(k) for k in stored.get("coverage_at", {}))
-    return curve, evaluation.curve_metrics(curve, refs), stored
+    written = evaluation.read_curve_csv(method_dir / "curves.csv")
+    _read_json(method_dir / "privacy.json")
+    stored = _read_json(method_dir / "metrics.json")
+    metrics = evaluation.curve_metrics(curve, tuple(map(float, stored.get("coverage_at", {}))))
+    same = metrics == stored and np.array_equal(written.accuracies, curve.accuracies)
+    return {"metrics": metrics, "matches_stored": same}
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,12 @@ class TestTable:
         with pytest.raises(ValueError, match="does not start with the header 'coverage,"):
             read_curve_csv(tmp_path / "t.csv")
 
+    def test_curve_reader_rejects_a_header_alone(self, tmp_path):
+        # A curves.csv cut after its header line used to raise an IndexError.
+        (tmp_path / "curves.csv").write_text("coverage,accuracy,bound,gap\n")
+        with pytest.raises(ValueError, match="matching 1-D arrays"):
+            read_curve_csv(tmp_path / "curves.csv")
+
     @pytest.mark.parametrize("header, text, line, cells, width",
                              [("a,b", "a,b\n1,2\n3", 3, 1, 2), (None, "1,2\n3,4\n5,6,", 3, 3, 2),
                               ("a,b", "a,b\n1,2\n\n", 3, 1, 2)],

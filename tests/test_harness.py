@@ -352,6 +352,17 @@ class TestExperimentConfig:
             (mixture(math.inf), [], "scalar covariance must be >= 0 and finite, got inf"),
             (mixture([[1.0, 0.0], [0.0, math.inf]]), [], "covariance matrix must be finite"),
             (mixture([[1.0, math.nan], [math.nan, 1.0]]), [], "covariance matrix must be finite"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": [], "count": 30, "label": 0}, {"mean": [], "count": 30, "label": 1}]}},
+             [], "component means must hold at least one number, got []"),
+            ({"dataset": {"kind": "mixture", "components": [
+                {"mean": [-1.5], "count": 30, "label": 0}, {"mean": [1.5], "count": 30,
+                                                            "label": 0}]}},
+             [], "dataset.components must carry two labels or more, got only 0"),
+            ({"dataset": {"kind": "csv", "path": "no.csv"}}, [],
+             "dataset.path 'no.csv' is not a file"),
+            ({"methods": {"sctd": {"k": -2}}}, [],
+             "methods.sctd.k must be finite and >= 0, got -2.0"),
         ],
         ids=["checkpoint_interval", "learning_rate", "sampling_rate", "sat_momentum",
              "sn_c_target", "sn_alpha", "delta_zero", "delta_negative", "delta_above_one",
@@ -379,7 +390,8 @@ class TestExperimentConfig:
              "accountant_sigma_with_eps_target", "component_mean_string",
              "component_mean_nan", "component_mean_bool", "label_column_list",
              "label_column_fraction", "label_column_bool", "covariance_nan", "covariance_inf",
-             "covariance_matrix_inf", "covariance_matrix_nan"],
+             "covariance_matrix_inf", "covariance_matrix_nan", "component_means_empty",
+             "mixture_one_label", "csv_path_not_a_file", "sctd_k_negative"],
     )
     def test_untrainable_settings_rejected_at_load(self, tmp_path, capsys, overrides, argv,
                                                    error):
@@ -513,7 +525,7 @@ def test_integer_floats_run_tree_is_pinned(tmp_path):
         digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
         files += 1
-    assert (digest.hexdigest()[:16], files) == ("3f264f9a6010a6c3", 69)
+    assert (digest.hexdigest()[:16], files) == ("b2674cc280d44e36", 69)
     privacy = json.loads((Path(summary["run_dir"]) / "seed_0/eps_3/sn/privacy.json").read_text())
     assert privacy["c_targets"] == [1.0] and privacy["run_reports"]["1"]["sampling_rate"] == 1.0
 
@@ -668,6 +680,27 @@ class TestRunSweep:
         assert seeds == [harness.derive_seed(0, 12, 1), harness.derive_seed(0, 13, 0)]
         assert tree_digest(tmp_path / "out") == clean
 
+    @pytest.mark.parametrize("account", ["sr/privacy.json", "sn/c_0.5/privacy.json",
+                                         "sn/privacy.json"], ids=["sr", "sn_target", "sn"])
+    def test_resume_redoes_a_cut_account(self, tmp_path, monkeypatch, account):
+        # A privacy.json cut short used to be kept: its method was skipped. Redoing it
+        # reads its saved runs and trains none of them.
+        cfg = small_config(privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={"sctd": {}, "sn": {"c_targets": [0.5, 1.0]}, "sr": {}})
+        first = run(cfg, tmp_path)
+        clean = tree_digest(tmp_path)
+        cut = Path(first["run_dir"]) / "seed_0" / "eps_3" / account
+        cut.write_bytes(cut.read_bytes()[:30])
+        calls = []
+        monkeypatch.setattr(harness.trainer, "train", lambda *a, **k: calls.append(a))
+        again = run(cfg, tmp_path)
+        assert again["ok"] and calls == []
+        method = account.split("/")[0]
+        assert {r["method"]: (r["status"], r.get("note")) for r in again["records"]} == {
+            name: ("ok", "redone") if name == method else ("skipped", None)
+            for name in ("sctd", "sn", "sr")}
+        assert tree_digest(tmp_path) == clean
+
     def test_resume_trains_no_saved_member_again(self, tmp_path, monkeypatch):
         # A sweep stopped after de's members were saved, before de/metrics.json was
         # written, used to train every member again on resume.
@@ -731,7 +764,8 @@ class TestRunSweep:
             assert key_tree(json.loads((cell / subdir / "privacy.json").read_text())) == keys
 
     def test_failure_is_isolated(self, tmp_path):
-        cfg = small_config(dataset={"kind": "csv", "path": str(tmp_path / "no.csv")})
+        (tmp_path / "empty.csv").touch()  # loads, and fails every cell
+        cfg = small_config(dataset={"kind": "csv", "path": str(tmp_path / "empty.csv")})
         summary = run(cfg, tmp_path / "out")
         assert not summary["ok"]
         assert all(r["status"] == "failed" for r in summary["records"])
@@ -819,7 +853,9 @@ class TestRunSweep:
     def test_cell_memory_does_not_grow_with_runs(self, tmp_path):
         # One eps=inf cell, 1,500 test rows and 20 checkpoints a run: keeping every
         # run's result until the cell ended grew its traced peak by 2.1 MB from
-        # 2 + 2 to 6 + 6 ensemble members and coverage targets.
+        # 2 + 2 to 6 + 6 ensemble members and coverage targets. The same cell run
+        # untraced first interns every path part the traced call uses, so that a
+        # growth of the interpreter's interned-string table is not measured.
         def cell_peak(n):
             components = [{"mean": [mean, 0.0], "count": 1500, "label": label}
                           for mean, label in ((-1.5, 0), (1.5, 1))]
@@ -831,6 +867,7 @@ class TestRunSweep:
                 methods={"sr": {}, "sctd": {}, "de": {"members": n},
                          "sn": {"c_targets": [0.1 * (i + 1) for i in range(n)]}},
             )
+            harness.run_cell(cfg, 0, math.inf, tmp_path / "untraced" / str(n))
             tracemalloc.start()
             try:
                 records = harness.run_cell(cfg, 0, math.inf, tmp_path / str(n))
@@ -1248,6 +1285,32 @@ class TestCli:
                             "holds \\d cells, not 5", err.splitlines()[-1])
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case, code", [("edited_curve", 1), ("cut_account", 2)])
+    def test_evaluate_command_reads_every_file(self, capsys, tmp_path, case, code):
+        # evaluate used to read only scores.csv and metrics.json, and exited 0 on both.
+        summary = run(small_config(), tmp_path)
+        method_dir = Path(next(r["dir"] for r in summary["records"] if r["method"] == "sr"))
+        if case == "edited_curve":
+            curves = method_dir / "curves.csv"
+            header, first, *rest = curves.read_text().splitlines(keepends=True)
+            coverage, accuracy, *tail = first.split(",")
+            assert accuracy in ("0", "1")
+            curves.write_text("".join([header, ",".join([coverage, "0.5", *tail]), *rest]))
+        else:
+            account = method_dir / "privacy.json"
+            account.write_bytes(account.read_bytes()[:40])
+        try:
+            rc = cli.main(["evaluate", "--dir", str(method_dir)])
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == code and "Traceback" not in err
+        if case == "edited_curve":
+            assert json.loads(out)["matches_stored"] is False
+        else:
+            assert err.splitlines()[-1].startswith(
+                f"dpselect: error: evaluate: {method_dir / 'privacy.json'} does not parse: ")
+
     def test_oracle_command(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"
         rc = cli.main(["oracle", "--a-full", "0.5", "--n", "500", "--out", str(out)])
@@ -1278,7 +1341,8 @@ class TestCli:
         assert {r["epsilon"] for r in payload["records"]} == {"inf"}
 
     def test_failed_sweep_exits_nonzero(self, capsys, tmp_path):
-        cfg = small_config(dataset={"kind": "csv", "path": str(tmp_path / "no.csv")})
+        (tmp_path / "empty.csv").touch()  # loads, and fails every cell
+        cfg = small_config(dataset={"kind": "csv", "path": str(tmp_path / "empty.csv")})
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(cfg.raw))
         rc = cli.main([

@@ -178,15 +178,26 @@ def curve_metrics(
 _CURVE_HEADER = "coverage,accuracy,bound,gap"
 
 
-def write_curve_csv(curve: RiskCoverageCurve, path: str | Path) -> None:
-    """Columns: coverage, accuracy, bound, gap (bound minus accuracy)."""
+def curve_columns(curve: RiskCoverageCurve) -> list[np.ndarray]:
+    """The columns of ``curves.csv``: coverage, accuracy, bound, gap (bound minus accuracy)."""
     b = bound_values(curve)
-    write_table(path, _CURVE_HEADER, [curve.coverages, curve.accuracies, b, b - curve.accuracies])
+    return [curve.coverages, curve.accuracies, b, b - curve.accuracies]
+
+
+def write_curve_csv(curve: RiskCoverageCurve, path: str | Path) -> None:
+    write_table(path, _CURVE_HEADER, curve_columns(curve))
+
+
+def read_curve_columns(path: str | Path) -> list[np.ndarray]:
+    """A ``write_curve_csv`` file's four columns as written; the first two must make a
+    curve, so a file cut after its header raises."""
+    columns = list(np.array(read_table(path, _CURVE_HEADER), dtype=np.float64).reshape(-1, 4).T)
+    RiskCoverageCurve(*columns[:2])
+    return columns
 
 
 def read_curve_csv(path: str | Path) -> RiskCoverageCurve:
-    table = np.array(read_table(path, _CURVE_HEADER), dtype=np.float64).reshape(-1, 4)
-    return RiskCoverageCurve(table[:, 0], table[:, 1])
+    return RiskCoverageCurve(*read_curve_columns(path)[:2])
 
 
 def write_atomic(path: str | Path, text: str) -> None:

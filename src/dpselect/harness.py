@@ -11,24 +11,25 @@ shared by sr, mcdo and sctd, and ``sat/``, ``de/member_<m>/`` and
 coverage target, in ``sn/c_<tag>/``, plus ``sn/metrics.json`` and
 ``sn/privacy.json``.
 
-A re-run skips a method whose output passes ``evaluate_run``, and trains no
-run of a redone method that reads back whole; anything else is redone. Files
-are moved into place whole but not synced: a file that a power loss cuts short
-redoes its method, or retrains its run. A rewrite first deletes the temp files
-a killed write left where it writes. The config hash covers the canonical JSON
-of the fully defaulted config and ``trainer.ALGORITHM_VERSION``, so cells
-trained by older arithmetic land in another run directory.
+A re-run skips a method whose directory, ``sn/`` included, passes
+``evaluate_run``, and ``_train`` keeps a run of a redone method that reads
+back whole; anything else is redone. Files are moved into place whole but not
+synced: a file that a power loss cuts short redoes its method, or retrains its
+run. A rewrite first deletes the temp files a killed write left where it
+writes. The config hash covers the canonical JSON of the fully defaulted
+config and ``trainer.ALGORITHM_VERSION``, so cells trained by older arithmetic
+land in another run directory.
 
 Method cost model: the ``_METHODS`` table gives each method its default
 settings, the runs it reads, how it scores a saved run and how it writes the
-scores. A sweep first trains each unfinished run its pending methods read,
-once however many read it; then it scores the pending methods from the saved
-runs, read one at a time. Cells go one by one, or all at once on the ``jobs``
-pool. Softmax response, Monte Carlo dropout and checkpoint disagreement score
-one shared base run; self-adaptive training owns one run; a deep ensemble of
-M members and the per-target-coverage selective nets are accounted jointly,
-one noise level calibrated so the composition of all their runs meets the
-cell's budget.
+scores. A sweep first hands ``_train`` each run its pending methods read,
+once however many read it, and trains the runs that do not read back; then
+it scores the pending methods from the saved runs, read one at a time. Cells
+go one by one, or all at once on the ``jobs`` pool. Softmax response, Monte
+Carlo dropout and checkpoint disagreement score one shared base run;
+self-adaptive training owns one run; a deep ensemble of M members and the
+per-target-coverage selective nets are accounted jointly, one noise level
+calibrated so the composition of all their runs meets the cell's budget.
 """
 
 from __future__ import annotations
@@ -384,12 +385,14 @@ def _load_run(directory: Path) -> trainer.TrainResult:
     return trainer.TrainResult(params, trainer.load_checkpoint_log(directory / "log"), report)
 
 
-def _read_json(path: Path):
-    """The JSON value in ``path``; a file cut short is a ``ValueError`` that names it."""
+def _read_json(path: Path) -> dict:
+    """The JSON object in ``path``; a file cut short, or holding another value, is a
+    ``ValueError`` that names it."""
     try:
-        return json.loads(path.read_text())
+        value = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} does not parse: {exc}") from None
+    return _json_object(str(path), value)
 
 
 def _attempt(call: Callable, *args, failed: Callable[[str], object] = str):
@@ -427,6 +430,8 @@ class _Method(NamedTuple):
     Without ``emit`` the one run trains at the cell budget and ``_emit_one``
     writes it into ``<method>/``; with it, the runs share one split budget's
     noise level and ``emit(cell, method, settings, kept, payload)`` writes them.
+    Either way ``evaluate_run(<cell>/<method>)`` decides whether the output is
+    finished; ``sn/`` is found by the ``c_targets`` its ``privacy.json`` names.
     """
 
     defaults: dict
@@ -461,33 +466,32 @@ class _Cell:
                                        self.recipe.template.steps)
 
     def plan(self) -> tuple[list[dict], list[tuple[_Run, int | None]]]:
-        """A record per method, and once each unfinished run that a pending method reads.
+        """A record per method, and once each run that a pending method reads.
 
-        A pending method's record has no status yet. A run comes with the
-        number of runs that split its method's budget, if any.
+        A method whose directory passes ``evaluate_run`` is skipped with the
+        metrics that call returns; any other is pending, and its record has
+        no status yet. A run comes with the number of runs that split its
+        method's budget, if any. Runs are not read here: ``_train`` keeps a
+        run that reads back whole.
         """
-        records, untrained = [], {}
+        records, pending = [], {}
         for method, (settings, runs) in sorted(self.config.methods.items()):
             record = {"seed": self.seed, "epsilon": evaluation.tag(self.eps), "method": method,
                       "dir": str(self.cell_dir / method)}
             records.append(record)
-            row, marker = _METHODS[method], self.cell_dir / method / "metrics.json"
-            outputs = [run.subdir for run in runs] if row.emit is _emit_per_target else [method]
-            try:  # sn's own privacy.json is the joint account of its targets
-                if all(evaluate_run(self.cell_dir / subdir)["matches_stored"] for subdir in outputs):
-                    _read_json(marker.with_name("privacy.json"))
-                    record["status"], record["metrics"] = "skipped", _read_json(marker)
+            try:
+                result = evaluate_run(self.cell_dir / method)
+                if result["matches_stored"]:
+                    record["status"], record["metrics"] = "skipped", result["metrics"]
                     continue
             except Exception:  # a file missing, cut short or garbled
                 pass
-            if marker.exists():
+            if (self.cell_dir / method / "metrics.json").exists():
                 record["note"] = "redone"
-            split = len(runs) if row.emit and math.isfinite(self.eps) else None
+            split = len(runs) if _METHODS[method].emit and math.isfinite(self.eps) else None
             for run in runs:
-                untrained.setdefault(run.subdir, (run, split))
-        # A run that does not read back whole trains again.
-        return records, [(run, split) for run, split in untrained.values() if not _attempt(
-            _load_run, self.cell_dir / run.subdir / "checkpoints", failed=lambda error: None)]
+                pending.setdefault(run.subdir, (run, split))
+        return records, list(pending.values())
 
     def score(self, records: list[dict], errors: dict[str, str | None]) -> list[dict]:
         """Score each pending method, or fail it with the error of a run it reads; the records."""
@@ -521,8 +525,15 @@ class _Cell:
 
 
 def _train(cell: _Cell, run: _Run, split: int | None) -> None:
-    """Train and save ``run``, at the noise level of its budget split ``split`` ways if given."""
+    """Train and save ``run``, at the noise level of its budget split ``split`` ways if given.
+
+    A run that reads back whole (``_load_run``) is finished and kept as it is,
+    so a finished run is recognised where it would train: on a pool worker
+    under ``jobs``.
+    """
     directory = cell.cell_dir / run.subdir / "checkpoints"
+    if _attempt(_load_run, directory, failed=lambda error: None):
+        return
     evaluation.remove_temps(directory, recursive=True)
     sigma = cell.split(split).sigma if split else None
     spec, seed = cell.spec(run), derive_seed(cell.seed, *run.stream)
@@ -646,7 +657,7 @@ def _submit(pool, call: Callable, *args) -> concurrent.futures.Future:
 
 
 def _run_cells(cells: list[_Cell], pool=None) -> list[dict]:
-    """Plan the cells, train their unfinished runs, then score each cell; every record.
+    """Plan the cells, train the runs that do not read back, then score each cell; the records.
 
     On a pool the cells' runs, and then their scorings, spread over its workers.
     A call that a dead worker left unfinished fails with its ``BrokenProcessPool``
@@ -702,19 +713,37 @@ def run(config: ExperimentConfig, out_root: str | Path, jobs: int = 1, seeds=Non
 
 
 def evaluate_run(method_dir: str | Path) -> dict:
-    """Read back every file ``_emit_method`` wrote; ``matches_stored`` if its curve and metrics
-    are those of its scores. A file missing, cut short or garbled raises a ``ValueError``."""
+    """Read back every file of a method's output; ``matches_stored`` if its stored curve and
+    metrics are those of its scores. A file missing, cut short or garbled raises a ``ValueError``.
+
+    A method directory holds the files ``_emit_method`` wrote. ``sn/`` holds
+    none of the tables: its ``privacy.json`` names the ``c_targets``, each
+    ``sn/c_<tag>/`` is checked as a method directory, and ``sn/metrics.json``
+    must hold every target's metrics.
+    """
     method_dir = Path(method_dir)
-    names = ("scores.csv", "curves.csv", "privacy.json", "metrics.json")
+    account, marker = method_dir / "privacy.json", method_dir / "metrics.json"
+    c_targets = []
+    if not (method_dir / "scores.csv").is_file() and account.is_file():
+        named = _read_json(account).get("c_targets", [])
+        c_targets = _checked(f"{account} c_targets", [0.0], named)
+    names = ["metrics.json"] if c_targets else ["scores.csv", "curves.csv", "privacy.json",
+                                                 "metrics.json"]
     if missing := [n for n in names if not (method_dir / n).is_file()]:
         raise ValueError(f"{method_dir} holds no {missing[0]}; pass one method's directory")
+    if c_targets:
+        outputs = {evaluation.tag(c): evaluate_run(method_dir / f"c_{evaluation.tag(c)}")
+                   for c in c_targets}
+        metrics = {"c_targets": {tag: output["metrics"] for tag, output in outputs.items()}}
+        same = all(output["matches_stored"] for output in outputs.values())
+        return {"metrics": metrics, "matches_stored": same and metrics == _read_json(marker)}
     _, scores, predicted, true_labels = selection.read_scores_csv(method_dir / "scores.csv")
     curve = evaluation.build_curve(scores, predicted == true_labels)
-    written = evaluation.read_curve_csv(method_dir / "curves.csv")
-    _read_json(method_dir / "privacy.json")
-    stored = _read_json(method_dir / "metrics.json")
+    written = evaluation.read_curve_columns(method_dir / "curves.csv")
+    _read_json(account)
+    stored = _read_json(marker)
     metrics = evaluation.curve_metrics(curve, tuple(map(float, stored.get("coverage_at", {}))))
-    same = metrics == stored and np.array_equal(written.accuracies, curve.accuracies)
+    same = metrics == stored and all(map(np.array_equal, written, evaluation.curve_columns(curve)))
     return {"metrics": metrics, "matches_stored": same}
 
 

@@ -117,6 +117,40 @@ def tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def edit_output(cell: Path, edit: str) -> Path:
+    """Spoil one file of a finished cell with ``sr`` and ``sn`` targets 0.5 and 1; its path.
+
+    ``sn_auc`` sets target 0.5's auc in ``sn/metrics.json`` to 0.123,
+    ``sn_cut_account`` cuts ``sn/privacy.json`` to 40 bytes, ``sn_targets``
+    makes its ``c_targets`` the number 5, ``sr_bound_gap``
+    rewrites the bound and gap cells of a ``sr/curves.csv`` row so that the
+    row still holds gap = bound - accuracy, and ``sr_list`` makes
+    ``sr/metrics.json`` a JSON list.
+    """
+    path = cell / {"sn_auc": "sn/metrics.json", "sn_cut_account": "sn/privacy.json",
+                   "sn_targets": "sn/privacy.json", "sr_bound_gap": "sr/curves.csv",
+                   "sr_list": "sr/metrics.json"}[edit]
+    if edit in ("sn_auc", "sn_targets"):
+        payload = json.loads(path.read_text())
+        if edit == "sn_auc":
+            assert payload["c_targets"]["0.5"]["auc"] != 0.123
+            payload["c_targets"]["0.5"]["auc"] = 0.123
+        else:
+            payload["c_targets"] = 5
+        evaluation.write_json(payload, path)
+    elif edit == "sn_cut_account":
+        path.write_bytes(path.read_bytes()[:40])
+    elif edit == "sr_bound_gap":
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        coverage, accuracy, bound, _ = first.split(",")
+        assert bound != "0.75"
+        row = ",".join([coverage, accuracy, "0.75", f"{0.75 - float(accuracy):.17g}"])
+        path.write_text("".join([header, row + "\n", *rest]))
+    else:
+        path.write_text("[]\n")
+    return path
+
+
 class Killed(BaseException):
     """A kill mid-write: ``run_cell`` catches only ``Exception``, so the sweep stops."""
 
@@ -701,6 +735,25 @@ class TestRunSweep:
             for name in ("sctd", "sn", "sr")}
         assert tree_digest(tmp_path) == clean
 
+    @pytest.mark.parametrize("edit", ["sn_auc", "sr_bound_gap"])
+    def test_resume_redoes_an_edited_output(self, tmp_path, monkeypatch, edit):
+        # An edited auc in sn/metrics.json, or edited bound and gap cells of curves.csv,
+        # used to be kept: the method was skipped and reported the edited numbers.
+        cfg = small_config(privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={"sctd": {}, "sn": {"c_targets": [0.5, 1.0]}, "sr": {}})
+        first = run(cfg, tmp_path)
+        clean = tree_digest(tmp_path)
+        method = edit_output(Path(first["run_dir"]) / "seed_0" / "eps_3", edit).parent.name
+        calls = []
+        monkeypatch.setattr(harness.trainer, "train", lambda *a, **k: calls.append(a))
+        again = run(cfg, tmp_path)
+        assert again["ok"] and calls == []
+        assert {r["method"]: (r["status"], r.get("note")) for r in again["records"]} == {
+            name: ("ok", "redone") if name == method else ("skipped", None)
+            for name in ("sctd", "sn", "sr")}
+        assert [r["metrics"] for r in again["records"]] == [r["metrics"] for r in first["records"]]
+        assert tree_digest(tmp_path) == clean
+
     def test_resume_trains_no_saved_member_again(self, tmp_path, monkeypatch):
         # A sweep stopped after de's members were saved, before de/metrics.json was
         # written, used to train every member again on resume.
@@ -1250,7 +1303,8 @@ class TestCli:
         expected = json.dumps(evaluate_run(sr_dir), indent=2, default=str) + "\n"
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("case, missing", [("no_dir", "scores.csv"), ("sn", "scores.csv"),
+    @pytest.mark.parametrize("case, missing", [("no_dir", "scores.csv"), ("base", "scores.csv"),
+                                               ("base_checkpoints", "scores.csv"),
                                                ("no_metrics", "metrics.json")])
     def test_evaluate_command_rejects_an_incomplete_directory(self, capsys, tmp_path, case,
                                                               missing):
@@ -1261,7 +1315,9 @@ class TestCli:
             summary = run(small_config(methods=methods), tmp_path)
             dirs = {r["method"]: Path(r["dir"]) for r in summary["records"]}
             assert evaluate_run(dirs["sn"] / "c_0.5")["matches_stored"]
-            method_dir = dirs["sn" if case == "sn" else "sr"]
+            method_dir = {"base": dirs["sr"].parent / "base",
+                          "base_checkpoints": dirs["sr"].parent / "base" / "checkpoints",
+                          "no_metrics": dirs["sr"]}[case]
             if case == "no_metrics":
                 (method_dir / "metrics.json").unlink()
         with pytest.raises(SystemExit) as exc:
@@ -1310,6 +1366,32 @@ class TestCli:
         else:
             assert err.splitlines()[-1].startswith(
                 f"dpselect: error: evaluate: {method_dir / 'privacy.json'} does not parse: ")
+
+    @pytest.mark.parametrize("edit, code, error", [
+        (None, 0, None), ("sn_auc", 1, None), ("sn_cut_account", 2, "does not parse: "),
+        ("sn_targets", 2, "c_targets must be a JSON list, got 5"), ("sr_bound_gap", 1, None),
+        ("sr_list", 2, "must be a JSON object, got []"),
+    ], ids=["sn", "sn_auc", "sn_cut_account", "sn_targets", "sr_bound_gap", "sr_list"])
+    def test_evaluate_command_checks_a_whole_output(self, capsys, tmp_path, edit, code, error):
+        # evaluate used to exit 2 on sn/, 0 on edited bound and gap cells of curves.csv,
+        # and end in an AttributeError traceback on a metrics.json that held a list. A
+        # c_targets that is no list of numbers is a one-line error, not a traceback.
+        summary = run(small_config(methods={"sn": {"c_targets": [0.5, 1.0]}, "sr": {}}), tmp_path)
+        cell = Path(summary["run_dir"]) / "seed_0" / "eps_inf"
+        path = edit_output(cell, edit) if edit else cell / "sn" / "metrics.json"
+        try:
+            rc = cli.main(["evaluate", "--dir", str(path.parent)])
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        assert rc == code and "Traceback" not in err
+        if error:
+            assert err.splitlines()[-1].startswith(f"dpselect: error: evaluate: {path} {error}")
+        else:
+            assert json.loads(out)["matches_stored"] is (code == 0)
+        if edit is None:
+            sn = next(r for r in summary["records"] if r["method"] == "sn")
+            assert json.loads(out)["metrics"] == sn["metrics"]
 
     def test_oracle_command(self, capsys, tmp_path):
         out = tmp_path / "curve.csv"

@@ -25,6 +25,11 @@ Summaries and both run digests must be identical while
 compared and printed only, which still shows whether a change meant to move
 only evaluation bits left the summaries and trained parameters alone.
 
+Each tree also runs ``panel_outlier`` at its defaults on 20 seeds, and the
+script prints both trees' ``n_correct``/``n_seeds`` per epsilon side by side.
+Those counts show how close criterion 05 is to failing; they are printed
+only, and never change the exit status.
+
     python3 .github/scripts/stale_cells.py BASE_TREE HEAD_TREE
 """
 
@@ -64,10 +69,13 @@ trainer.train = recording_train
 grid = {"seeds": (0, 1), "epsilons": (math.inf, 1.0), "steps": 60}
 outlier = recorded(harness.panel_outlier(**grid))
 imbalance = recorded(harness.panel_imbalance(p0_grid=[0.1], **grid))
+trainer.train = train
+by_eps = harness.panel_outlier(seeds=range(20))["by_epsilon"]
 print(json.dumps({
     "algorithm_version": trainer.ALGORITHM_VERSION,
     "outlier": outlier,
     "imbalance": imbalance,
+    "outlier_counts": {tag: f"{row['n_correct']}/{row['n_seeds']}" for tag, row in by_eps.items()},
 }))
 """
 
@@ -143,6 +151,13 @@ def stale_panels(panels: dict[str, dict]) -> list[str]:
     return stale
 
 
+def print_outlier_counts(panels: dict[str, dict]) -> None:
+    """Each tree's 20-seed ``panel_outlier`` ``n_correct/n_seeds`` per epsilon, for the record."""
+    print("panel_outlier, 20 seeds at its defaults, n_correct/n_seeds (reported only):")
+    for tag, base in panels["base"]["outlier_counts"].items():
+        print(f"  eps {tag}: base {base} head {panels['head']['outlier_counts'].get(tag)}")
+
+
 def run_dirs(out: Path) -> dict[str, Path]:
     """Each ``<config-hash>/`` directory of a sweep output, by its config's name."""
     return {json.loads((d / "config.json").read_text())["name"]: d for d in out.iterdir()}
@@ -189,6 +204,7 @@ def main(base: str, head: str) -> int:
                 print("  the config hash moved, so these are reported only:\n"
                       + "\n".join(f"    {f}" for f in differ[:20]))
         moved = stale_panels(panels)
+        print_outlier_counts(panels)
     print(f"compared in {time.perf_counter() - start:.1f} s")
     if stale:
         print("same config hash, different bytes (a re-run would trust stale cells):")

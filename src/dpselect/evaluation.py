@@ -220,7 +220,9 @@ def write_atomic(path: str | Path, text: str) -> None:
 def remove_temps(directory: str | Path, recursive: bool = False) -> None:
     """Delete the temp files that killed ``write_atomic`` calls left in ``directory``.
 
-    Call it only on a directory that no live writer shares.
+    A sweep calls it on the top of its run directory, and recursively on each
+    cell it plans before any of the cell's runs or methods is written. Call it
+    only on a directory that no live writer shares.
     """
     for tmp in Path(directory).glob(("**/" if recursive else "") + ".*.tmp"):
         tmp.unlink(missing_ok=True)

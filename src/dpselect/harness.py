@@ -15,21 +15,23 @@ A re-run skips a method whose directory, ``sn/`` included, passes
 ``evaluate_run``, and ``_train`` keeps a run of a redone method that reads
 back whole; anything else is redone. Files are moved into place whole but not
 synced: a file that a power loss cuts short redoes its method, or retrains its
-run. A rewrite first deletes the temp files a killed write left where it
-writes. The config hash covers the canonical JSON of the fully defaulted
+run. Before it decides anything about a cell, a re-run deletes the temp files
+that killed writes left anywhere in it, and those at the top of the run
+directory. The config hash covers the canonical JSON of the fully defaulted
 config and ``trainer.ALGORITHM_VERSION``, so cells trained by older arithmetic
 land in another run directory.
 
 Method cost model: the ``_METHODS`` table gives each method its default
-settings, the runs it reads, how it scores a saved run and how it writes the
-scores. A sweep first hands ``_train`` each run its pending methods read,
-once however many read it, and trains the runs that do not read back; then
-it scores the pending methods from the saved runs, read one at a time. Cells
-go one by one, or all at once on the ``jobs`` pool. Softmax response, Monte
-Carlo dropout and checkpoint disagreement score one shared base run;
-self-adaptive training owns one run; a deep ensemble of M members and the
-per-target-coverage selective nets are accounted jointly, one noise level
-calibrated so the composition of all their runs meets the cell's budget.
+settings, the runs it reads and its writer. A sweep first hands ``_train``
+each run its pending methods read, once however many read it, with the
+number of runs that split its method's budget, and trains the runs that do
+not read back; then each pending method's writer reads its saved runs one at
+a time and writes the method's output. Cells go one by one, or all at once
+on the ``jobs`` pool. Softmax response, Monte Carlo dropout and checkpoint
+disagreement score one shared base run; self-adaptive training owns one run;
+a deep ensemble of M members and the per-target-coverage selective nets are
+accounted jointly, one noise level calibrated so the composition of all
+their runs meets the cell's budget (a budget split one way is the cell's own).
 """
 
 from __future__ import annotations
@@ -425,19 +427,19 @@ class _Run(NamedTuple):
 
 
 class _Method(NamedTuple):
-    """Defaults, ``runs(settings)``, ``score(cell, run, result, settings)`` and ``emit``.
+    """Defaults, ``runs(settings)`` and ``write(cell, method, settings, results)``.
 
-    Without ``emit`` the one run trains at the cell budget and ``_emit_one``
-    writes it into ``<method>/``; with it, the runs share one split budget's
-    noise level and ``emit(cell, method, settings, kept, payload)`` writes them.
-    Either way ``evaluate_run(<cell>/<method>)`` decides whether the output is
-    finished; ``sn/`` is found by the ``c_targets`` its ``privacy.json`` names.
+    The runs split the cell budget between them. ``write`` gets their
+    ``(run, result)`` pairs, each read from the run tree only when it asks
+    for it, writes the method's output, ``privacy.json`` included, and
+    returns the metrics. ``evaluate_run(<cell>/<method>)`` decides whether
+    the output is finished; ``sn/`` is found by the ``c_targets`` its
+    ``privacy.json`` names.
     """
 
     defaults: dict
     runs: Callable[[dict], list[_Run]]
-    score: Callable
-    emit: Callable | None = None
+    write: Callable
 
 
 class _Cell:
@@ -465,15 +467,23 @@ class _Cell:
         return accountant.split_budget(self.eps, self.delta, n_runs, self.recipe.sampling_rate,
                                        self.recipe.template.steps)
 
+    def joint_account(self, n_runs: int) -> dict:
+        """The head of the ``privacy.json`` of ``n_runs`` runs that share the cell budget."""
+        if math.isinf(self.eps):
+            return {"target_epsilon": evaluation.tag(self.eps), "n_runs": n_runs}
+        return {"target_epsilon": evaluation.tag(self.eps), "split": asdict(self.split(n_runs))}
+
     def plan(self) -> tuple[list[dict], list[tuple[_Run, int | None]]]:
         """A record per method, and once each run that a pending method reads.
 
+        First it deletes every temp file that killed writes left in the cell.
         A method whose directory passes ``evaluate_run`` is skipped with the
-        metrics that call returns; any other is pending, and its record has
-        no status yet. A run comes with the number of runs that split its
-        method's budget, if any. Runs are not read here: ``_train`` keeps a
-        run that reads back whole.
+        metrics that call returns; any other is pending, and its record has no
+        status yet. At a finite epsilon a run comes with its method's number
+        of runs, which split the cell budget. Runs are not read here:
+        ``_train`` keeps a run that reads back whole.
         """
+        evaluation.remove_temps(self.cell_dir, recursive=True)
         records, pending = [], {}
         for method, (settings, runs) in sorted(self.config.methods.items()):
             record = {"seed": self.seed, "epsilon": evaluation.tag(self.eps), "method": method,
@@ -488,7 +498,7 @@ class _Cell:
                 pass
             if (self.cell_dir / method / "metrics.json").exists():
                 record["note"] = "redone"
-            split = len(runs) if _METHODS[method].emit and math.isfinite(self.eps) else None
+            split = len(runs) if math.isfinite(self.eps) else None
             for run in runs:
                 pending.setdefault(run.subdir, (run, split))
         return records, list(pending.values())
@@ -505,23 +515,9 @@ class _Cell:
         return records
 
     def emit(self, method: str, settings: dict, runs: list[_Run]) -> dict:
-        """Read ``method``'s saved runs one at a time, keeping ``(run, asdict(report), final
-        prediction row, score(...))`` of each, and write them."""
-        evaluation.remove_temps(self.cell_dir / method, recursive=True)
-        row, payload = _METHODS[method], {"target_epsilon": evaluation.tag(self.eps)}
-        if row.emit is None:
-            payload["delta"] = self.delta
-        elif math.isinf(self.eps):
-            payload["n_runs"] = len(runs)
-        else:
-            payload["split"] = asdict(self.split(len(runs)))
-        kept = []
-        for run in runs:
-            result = _load_run(self.cell_dir / run.subdir / "checkpoints")
-            kept.append((run, asdict(result.report), result.log.predictions[-1].copy(),
-                         row.score(self, run, result, settings)))
-            del result  # one run's arrays at a time
-        return (row.emit or _emit_one)(self, method, settings, kept, payload)
+        """Write ``method`` from its saved runs, each read back when its writer asks for it."""
+        results = ((run, _load_run(self.cell_dir / run.subdir / "checkpoints")) for run in runs)
+        return _METHODS[method].write(self, method, settings, results)
 
 
 def _train(cell: _Cell, run: _Run, split: int | None) -> None:
@@ -529,44 +525,57 @@ def _train(cell: _Cell, run: _Run, split: int | None) -> None:
 
     A run that reads back whole (``_load_run``) is finished and kept as it is,
     so a finished run is recognised where it would train: on a pool worker
-    under ``jobs``.
+    under ``jobs``. The cell's plan has deleted any temp file a killed write left.
     """
     directory = cell.cell_dir / run.subdir / "checkpoints"
     if _attempt(_load_run, directory, failed=lambda error: None):
         return
-    evaluation.remove_temps(directory, recursive=True)
     sigma = cell.split(split).sigma if split else None
     spec, seed = cell.spec(run), derive_seed(cell.seed, *run.stream)
     result = cell.recipe.train(*cell.data, spec, run.loss, cell.eps, cell.delta, seed, sigma)
     _save_run(directory, result, spec)
 
 
-def _emit_one(cell: _Cell, method, settings, kept, payload) -> dict:
-    """The one run's scores and report into ``<method>/``."""
-    ((_, report, predicted, scores),) = kept
-    return _emit_method(cell.cell_dir / method, method, scores, predicted, cell.test_data.labels,
-                        cell.refs, {**payload, "report": report})
+def _one_run(score: Callable) -> Callable:
+    """The writer that puts ``score(cell, run, result, settings)`` of a method's one run, with
+    the run's report, into ``<method>/``."""
+    def write(cell: _Cell, method, settings, results) -> dict:
+        ((run, result),) = results
+        payload = {"target_epsilon": evaluation.tag(cell.eps), "delta": cell.delta,
+                   "report": asdict(result.report)}
+        return _emit_method(cell.cell_dir / method, method, score(cell, run, result, settings),
+                            result.log.predictions[-1], cell.test_data.labels, cell.refs, payload)
+    return write
 
 
-def _emit_ensemble(cell: _Cell, method, settings, kept, payload) -> dict:
-    """One output for the members' mean, scored by ``score_de`` of their stacked probs."""
-    payload["member_reports"] = [report for _, report, _, _ in kept]
-    member_probs = np.stack([probs for *_, probs in kept])
+def _write_ensemble(cell: _Cell, method, settings, results) -> dict:
+    """One output for the members' mean, scored by ``score_de`` of their stacked probs; of each
+    member only its report and final probabilities are kept."""
+    reports, member_probs = [], []
+    for _, result in results:
+        reports.append(asdict(result.report))
+        member_probs.append(result.log.final_probs)
+    member_probs = np.stack(member_probs)
     predicted = np.argmax(member_probs.mean(axis=0), axis=1)
+    payload = {**cell.joint_account(len(reports)), "member_reports": reports}
     return _emit_method(cell.cell_dir / method, method, selection.score_de(member_probs),
                         predicted, cell.test_data.labels, cell.refs, payload)
 
 
-def _emit_per_target(cell: _Cell, method, settings, kept, payload) -> dict:
-    """One output per coverage target, then the joint account and all targets' metrics."""
-    payload["c_targets"] = settings["c_targets"]
-    payload["run_reports"], metrics = {}, {"c_targets": {}}
-    for c_target, (run, report, predicted, scores) in zip(payload["c_targets"], kept):
+def _write_per_target(cell: _Cell, method, settings, results) -> dict:
+    """Each coverage target's output as its run is read, then the joint account and all
+    targets' metrics."""
+    score = _class_scores(lambda log: selection.score_sn(log.final_selection))
+    payload = {**cell.joint_account(len(settings["c_targets"])),
+               "c_targets": settings["c_targets"], "run_reports": {}}
+    metrics = {"c_targets": {}}
+    for c_target, (run, result) in zip(settings["c_targets"], results):
         tag = evaluation.tag(c_target)
-        payload["run_reports"][tag] = report
+        payload["run_reports"][tag] = report = asdict(result.report)
         metrics["c_targets"][tag] = _emit_method(
-            cell.cell_dir / run.subdir, method, scores, predicted, cell.test_data.labels,
-            cell.refs, {"target_epsilon": payload["target_epsilon"], "report": report},
+            cell.cell_dir / run.subdir, method, score(cell, run, result, settings),
+            result.log.predictions[-1], cell.test_data.labels, cell.refs,
+            {"target_epsilon": payload["target_epsilon"], "report": report},
         )
     evaluation.write_json(payload, cell.cell_dir / method / "privacy.json")
     evaluation.write_metrics_json(metrics, cell.cell_dir / method / "metrics.json")
@@ -615,31 +624,29 @@ _BASE_RUN = _Run("base", cross_entropy_loss(), (10,))
 _METHODS: dict[str, _Method] = {
     "sr": _Method(
         {}, lambda s: [_BASE_RUN],
-        lambda cell, run, result, s: selection.score_sr(result.log.final_probs),
+        _one_run(lambda cell, run, result, s: selection.score_sr(result.log.final_probs)),
     ),
     "mcdo": _Method(
         {"passes": 20, "dropout_rate": None}, _mcdo_runs,
-        lambda cell, run, result, s: selection.score_mcdo(
+        _one_run(lambda cell, run, result, s: selection.score_mcdo(
             result.params, cell.spec(run), cell.test_data.features, passes=s["passes"],
             seed=derive_seed(cell.seed, *run.stream, 1), dropout_rate=s["dropout_rate"],
-        ),
+        )),
     ),
     "sctd": _Method(
         {"k": 3.0}, _sctd_runs,
-        lambda cell, run, result, s: selection.score_sctd(result.log, s["k"]),
+        _one_run(lambda cell, run, result, s: selection.score_sctd(result.log, s["k"])),
     ),
     "sat": _Method(
         {"momentum": 0.9, "burn_in_epochs": 0, "native_score": False},
         lambda s: [_Run("sat", sat_loss(s["momentum"], s["burn_in_epochs"]), (11,))],
-        _class_scores(lambda log: selection.score_sat(log.final_probs)),
+        _one_run(_class_scores(lambda log: selection.score_sat(log.final_probs))),
     ),
-    "de": _Method({"members": 5}, _de_runs,
-                  lambda cell, run, result, s: result.log.final_probs, _emit_ensemble),
+    "de": _Method({"members": 5}, _de_runs, _write_ensemble),
     "sn": _Method(
         {"c_targets": [0.1, 0.25, 0.5, 0.75, 1.0], "alpha": 0.5, "lam": 32.0,
          "native_score": False},
-        _sn_runs, _class_scores(lambda log: selection.score_sn(log.final_selection)),
-        _emit_per_target,
+        _sn_runs, _write_per_target,
     ),
 }
 
@@ -742,7 +749,8 @@ def evaluate_run(method_dir: str | Path) -> dict:
     written = evaluation.read_curve_columns(method_dir / "curves.csv")
     _read_json(account)
     stored = _read_json(marker)
-    metrics = evaluation.curve_metrics(curve, tuple(map(float, stored.get("coverage_at", {}))))
+    refs = _json_object(f"{marker} coverage_at", stored.get("coverage_at", {}))
+    metrics = evaluation.curve_metrics(curve, tuple(map(float, refs)))
     same = metrics == stored and all(map(np.array_equal, written, evaluation.curve_columns(curve)))
     return {"metrics": metrics, "matches_stored": same}
 

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import shutil
 import tempfile
 import threading
 import tracemalloc
@@ -124,19 +125,23 @@ def edit_output(cell: Path, edit: str) -> Path:
     ``sn_cut_account`` cuts ``sn/privacy.json`` to 40 bytes, ``sn_targets``
     makes its ``c_targets`` the number 5, ``sr_bound_gap``
     rewrites the bound and gap cells of a ``sr/curves.csv`` row so that the
-    row still holds gap = bound - accuracy, and ``sr_list`` makes
-    ``sr/metrics.json`` a JSON list.
+    row still holds gap = bound - accuracy, ``sr_list`` makes
+    ``sr/metrics.json`` a JSON list, and ``sr_coverage_null`` and
+    ``sr_coverage_number`` make its ``coverage_at`` null and the number 5.
     """
     path = cell / {"sn_auc": "sn/metrics.json", "sn_cut_account": "sn/privacy.json",
                    "sn_targets": "sn/privacy.json", "sr_bound_gap": "sr/curves.csv",
-                   "sr_list": "sr/metrics.json"}[edit]
-    if edit in ("sn_auc", "sn_targets"):
+                   "sr_list": "sr/metrics.json", "sr_coverage_null": "sr/metrics.json",
+                   "sr_coverage_number": "sr/metrics.json"}[edit]
+    if edit in ("sn_auc", "sn_targets", "sr_coverage_null", "sr_coverage_number"):
         payload = json.loads(path.read_text())
         if edit == "sn_auc":
             assert payload["c_targets"]["0.5"]["auc"] != 0.123
             payload["c_targets"]["0.5"]["auc"] = 0.123
-        else:
+        elif edit == "sn_targets":
             payload["c_targets"] = 5
+        else:
+            payload["coverage_at"] = None if edit == "sr_coverage_null" else 5
         evaluation.write_json(payload, path)
     elif edit == "sn_cut_account":
         path.write_bytes(path.read_bytes()[:40])
@@ -677,6 +682,41 @@ class TestRunSweep:
                     run(cfg, out, jobs=jobs)
             assert len(list(out.rglob("*.tmp"))) == 1, kill_at
             assert run(cfg, out, jobs=jobs)["ok"], kill_at
+            assert list(out.rglob("*.tmp")) == [], kill_at
+            assert tree_digest(out) == clean, kill_at
+
+    @pytest.mark.parametrize("case", ["method", "run"])
+    def test_resume_after_a_kill_during_a_redo(self, tmp_path, monkeypatch, case):
+        # A redo killed mid-write used to leave its temp file for good: the resume
+        # skipped sr, whose old marker still matched, or kept the base run, whose old
+        # account still parsed. A pending method reads the cut run: sr's marker is cut too.
+        cfg = small_config(training={"steps": 4, "checkpoint_interval": 2},
+                           privacy={"epsilons": [3], "sampling_rate": 0.2},
+                           methods={"sr": {}, "sctd": {}})
+        assert run(cfg, tmp_path / "clean")["ok"]
+        clean = tree_digest(tmp_path / "clean")
+        cuts = {"method": ["sr/privacy.json"],
+                "run": ["base/checkpoints/log/final_probs.csv", "sr/metrics.json"]}[case]
+
+        def spoiled(out: Path) -> Path:
+            shutil.copytree(tmp_path / "clean", out)
+            for name in cuts:
+                path = out / cfg.hash() / "seed_0" / "eps_3" / name
+                path.write_bytes(path.read_bytes()[:30])
+            return out
+
+        with monkeypatch.context() as patch:
+            writes = self.patch_writer(patch)
+            assert run(cfg, spoiled(tmp_path / "counted"))["ok"]
+        assert writes.value == {"method": 5, "run": 10}[case]
+        for kill_at in range(1, writes.value + 1):
+            out = spoiled(tmp_path / f"killed_at_{kill_at}")
+            with monkeypatch.context() as patch:
+                self.patch_writer(patch, kill_at)
+                with pytest.raises(Killed):
+                    run(cfg, out)
+            assert len(list(out.rglob("*.tmp"))) == 1, kill_at
+            assert run(cfg, out)["ok"], kill_at
             assert list(out.rglob("*.tmp")) == [], kill_at
             assert tree_digest(out) == clean, kill_at
 
@@ -1371,10 +1411,14 @@ class TestCli:
         (None, 0, None), ("sn_auc", 1, None), ("sn_cut_account", 2, "does not parse: "),
         ("sn_targets", 2, "c_targets must be a JSON list, got 5"), ("sr_bound_gap", 1, None),
         ("sr_list", 2, "must be a JSON object, got []"),
-    ], ids=["sn", "sn_auc", "sn_cut_account", "sn_targets", "sr_bound_gap", "sr_list"])
+        ("sr_coverage_null", 2, "coverage_at must be a JSON object, got None"),
+        ("sr_coverage_number", 2, "coverage_at must be a JSON object, got 5"),
+    ], ids=["sn", "sn_auc", "sn_cut_account", "sn_targets", "sr_bound_gap", "sr_list",
+            "sr_coverage_null", "sr_coverage_number"])
     def test_evaluate_command_checks_a_whole_output(self, capsys, tmp_path, edit, code, error):
         # evaluate used to exit 2 on sn/, 0 on edited bound and gap cells of curves.csv,
-        # and end in an AttributeError traceback on a metrics.json that held a list. A
+        # and end in an AttributeError traceback on a metrics.json that held a list, and
+        # in a TypeError traceback on a coverage_at that was null or a number. A
         # c_targets that is no list of numbers is a one-line error, not a traceback.
         summary = run(small_config(methods={"sn": {"c_targets": [0.5, 1.0]}, "sr": {}}), tmp_path)
         cell = Path(summary["run_dir"]) / "seed_0" / "eps_inf"
